@@ -160,14 +160,15 @@ def test_bench_packet_injection_obs(tmp_path):
           % (session.packets_per_s, records))
 
 
-def test_bench_packet_injection_fused():
+def test_bench_packet_injection_fused(monkeypatch):
     """Low-load injection: one packet in flight, the regime hop fusion owns.
 
     The same all-to-all src/dst/size/class mix as ``packet_injection``, but
-    self-paced — each delivery callback injects the next packet (a
-    ``tail=True`` send, satisfying the tail-send contract), so the NOC is
-    otherwise idle and every k-hop route collapses into a single delivery
-    event.  This is the regime of the paper's latency figures (fig6, table1).
+    self-paced — each delivery callback injects the next packet, so the NOC
+    is otherwise idle.  ``send`` acquires the first link and schedules the
+    continuation, which fuses the rest of the k-hop route into the delivery
+    event: at most two events per packet.  This is the regime of the paper's
+    latency figures (fig6, table1).
     """
     config = SystemConfig.paper_defaults()
     classes = list(MessageClass)
@@ -182,22 +183,23 @@ def test_bench_packet_injection_fused():
         sim = Simulator()
         # Fusion pinned on explicitly: this benchmark *measures* the fused
         # path, so a REPRO_HOP_FUSION=0 A/B environment must not break its
-        # one-event-per-packet assertions.
-        fabric = NocFabric(sim, topology, config.noc, hop_fusion=True)
+        # events-per-packet assertions.
+        monkeypatch.setenv("REPRO_HOP_FUSION", "1")
+        fabric = NocFabric(sim, topology, config.noc)
         send = fabric.send
 
         def inject(_packet=None):
             request = next(requests, None)
             if request is not None:
-                send(request[0], request[1], request[2], request[3], inject, tail=True)
+                send(request[0], request[1], request[2], request[3], inject)
 
         inject()
         sim.run()
     assert fabric.packets_delivered == INJECTED_PACKETS
     assert session.packets_per_s > 0
     assert session.fused_hops > 0
-    # Fully fused low-load injection needs exactly one event per packet.
-    assert session.events == INJECTED_PACKETS
+    # Fully fused low-load injection needs at most two events per packet.
+    assert session.events <= 2 * INJECTED_PACKETS
     _record("packet_injection_fused", {
         "packets": session.packets,
         "events": session.events,

@@ -5,11 +5,14 @@ covering the experiment name, fully resolved parameters and config
 fingerprint — so a hit is only possible for a byte-identical experiment
 input.  The cache always holds results in memory; give it a directory to
 persist them as one JSON file per fingerprint across processes/sessions.
+Entries are written to a temporary file and renamed into place, so readers
+never see a truncated entry and a failed write keeps the previous one.
 """
 
 from __future__ import annotations
 
 import os
+import tempfile
 from typing import Dict, Optional
 
 from repro.errors import ExperimentError
@@ -60,8 +63,15 @@ class ResultCache:
         fingerprint = request.fingerprint()
         self._memory[fingerprint] = result
         if self.directory is not None:
-            with open(self._path(fingerprint), "w", encoding="utf-8") as handle:
-                handle.write(result.to_json() + "\n")
+            fd, temp_path = tempfile.mkstemp(dir=self.directory, prefix=fingerprint,
+                                             suffix=".tmp")
+            try:
+                with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                    handle.write(result.to_json() + "\n")
+                os.replace(temp_path, self._path(fingerprint))
+            except BaseException:
+                os.unlink(temp_path)
+                raise
 
     def clear(self) -> None:
         """Drop the in-memory entries (on-disk files are left alone)."""

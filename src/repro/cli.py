@@ -35,7 +35,6 @@ ranking and (with ``--json``) a byte-reproducible explore report::
 default)::
 
     repro-experiments lint src/repro
-    repro-experiments lint src/repro --rules REP001,REP005 --json -
     repro-experiments lint src/repro --baseline tools/lint_baseline.json
 
 ``watch`` tails a ``repro-obs-stream/1`` telemetry stream written by
@@ -160,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
                              help="files/directories to lint (default: the installed "
                                   "repro package)")
     lint_parser.add_argument("--rules", metavar="CODES", default=None,
-                             help="comma-separated rule subset, e.g. REP001,REP005 "
+                             help="comma-separated rule subset, e.g. REP001,REP002 "
                                   "(default: every registered rule)")
     lint_parser.add_argument("--baseline", metavar="PATH", default=None,
                              help="suppressions baseline JSON; matched findings are "

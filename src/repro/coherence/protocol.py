@@ -167,7 +167,7 @@ class CoherenceProtocol:
                 self._writeback_roundtrip(complex_, addr, lookup.latency, start, write,
                                           lookup.source, on_done)
                 return
-            self.sim.schedule_fast(
+            self.sim.schedule(
                 lookup.latency,
                 self._complete_local,
                 complex_, addr, write, start, lookup.source, on_done,
@@ -187,7 +187,7 @@ class CoherenceProtocol:
         txn.home_tile = self.directory.home_tile(addr)
         txn.home_node = self.home_node_of_tile(txn.home_tile)
         self.remote_transactions += 1
-        self.sim.schedule_fast(lookup.latency + CONTROLLER_OVERHEAD_CYCLES, self._send_request, txn)
+        self.sim.schedule(lookup.latency + CONTROLLER_OVERHEAD_CYCLES, self._send_request, txn)
 
     def zero_load_miss_latency_estimate(self, src_node: Hashable, home_node: Hashable) -> float:
         """Analytical helper: request + data reply latency on an idle NOC."""
@@ -251,10 +251,10 @@ class CoherenceProtocol:
                 home_node,
                 CoherenceMessageType.WRITEBACK.payload_bytes,
                 message_class(CoherenceMessageType.WRITEBACK, from_directory=False),
-                lambda pkt: self.sim.schedule_fast(self.llc_latency_cycles, at_home, pkt),
+                lambda pkt: self.sim.schedule(self.llc_latency_cycles, at_home, pkt),
             )
 
-        self.sim.schedule_fast(local_latency, send_writeback)
+        self.sim.schedule(local_latency, send_writeback)
 
     # ------------------------------------------------------------------
     # Remote transaction choreography
@@ -280,7 +280,7 @@ class CoherenceProtocol:
             return
         entry.busy = True
         self.directory.transactions_started += 1
-        self.sim.schedule_fast(self.llc_latency_cycles, self._directory_act, txn, entry)
+        self.sim.schedule(self.llc_latency_cycles, self._directory_act, txn, entry)
 
     def _directory_act(self, txn: _Transaction, entry: DirectoryEntry) -> None:
         faults = self.faults
@@ -293,7 +293,7 @@ class CoherenceProtocol:
                 txn.retries += 1
                 self.directory_retries += 1
                 self.retry_backoff_cycles += backoff
-                self.sim.schedule_fast(backoff, self._directory_act, txn, entry)
+                self.sim.schedule(backoff, self._directory_act, txn, entry)
                 return
         requester_id = txn.complex.entity_id
         owner = entry.owner if entry.owner != requester_id else None
@@ -361,7 +361,7 @@ class CoherenceProtocol:
             elif target.ni_cache is not None:
                 delay += target.ni_cache.access_latency
             target.invalidate(txn.addr)
-            self.sim.schedule_fast(delay, self._send_inv_ack, txn, target)
+            self.sim.schedule(delay, self._send_inv_ack, txn, target)
 
         self.fabric.send(
             txn.home_node, target.node, msg.payload_bytes,
@@ -399,7 +399,7 @@ class CoherenceProtocol:
             if self.memory_access is not None:
                 self.memory_access(txn.home_node, txn.addr, dispatch)
             else:
-                self.sim.schedule_fast(self.fallback_memory_latency_cycles, dispatch)
+                self.sim.schedule(self.fallback_memory_latency_cycles, dispatch)
 
     def _send_forward(self, txn: _Transaction, entry: DirectoryEntry,
                       owner_complex: TileCacheComplex, invalidate_owner: bool) -> None:
@@ -411,7 +411,7 @@ class CoherenceProtocol:
                 delay += owner_complex.l1.access_latency
             elif owner_complex.ni_cache is not None:
                 delay += owner_complex.ni_cache.access_latency
-            self.sim.schedule_fast(delay, owner_responds)
+            self.sim.schedule(delay, owner_responds)
 
         def owner_responds() -> None:
             if invalidate_owner:
@@ -455,7 +455,7 @@ class CoherenceProtocol:
         state = CacheState.MODIFIED if txn.write else CacheState.SHARED
         into = "core" if (txn.requester_kind == "core" and txn.complex.l1 is not None) else "ni"
         txn.complex.install(txn.addr, state, into)
-        self.sim.schedule_fast(install_latency, self._finish, txn)
+        self.sim.schedule(install_latency, self._finish, txn)
 
     def _finish(self, txn: _Transaction) -> None:
         txn.on_done(

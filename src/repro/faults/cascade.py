@@ -7,7 +7,7 @@ the primary schedule's realized windows fires the secondary model with
 probability ``probability``, after a ``delay_cycles`` propagation delay, for
 an exponential duration with mean ``mttr_cycles``.  The derived windows are
 an ordinary non-overlapping window list, so the injector toggles them with
-the same cancellable queue events as the primary schedule — cascades are
+the same queue-resident events as the primary schedule — cascades are
 fusion-safe by the same argument (``next_event_time()`` never exceeds the
 next pending toggle).
 

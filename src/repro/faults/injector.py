@@ -5,8 +5,10 @@ The :class:`FaultInjector` owns the glue between a
 :class:`~repro.faults.schedule.FaultSchedule` and a built machine: it binds
 the model's targets, attaches a shared :class:`FaultState` to the hot paths
 (``machine.fabric.faults`` for the NOC, ``machine.fault_state`` for the core
-issue path) and schedules one *cancellable* activation/deactivation event
-per window through :meth:`~repro.sim.engine.Simulator.schedule_at`.
+issue path) and schedules one activation/deactivation event per window
+through :meth:`~repro.sim.engine.Simulator.schedule_at`.  Events cannot be
+removed from the queue, so :meth:`FaultInjector.cancel` disarms the pending
+toggles instead: they still fire, as no-ops.
 
 Keeping the toggles as ordinary queue-resident events is what makes fault
 injection safe under the NOC's lookahead hop fusion with no extra mechanism:
@@ -37,7 +39,6 @@ from repro.faults.schedule import FaultSchedule
 from repro.faults.seeds import derive_seed
 from repro.scenario.registry import FAULT_MODELS
 from repro.sim import perf
-from repro.sim.engine import Event
 
 __all__ = [
     "DEFAULT_INTENSITY",
@@ -156,8 +157,9 @@ class FaultInjector:
         #: The realized cascade windows and trigger count (set by install).
         self.cascade_windows: List[Tuple[float, float]] = []
         self.triggered = 0
-        self._events: List[Event] = []
         self._installed = False
+        #: Cleared by :meth:`cancel`; pending toggles check it and do nothing.
+        self._armed = True
 
     def fingerprint(self) -> str:
         """Content hash identifying the injected fault exactly.
@@ -225,10 +227,12 @@ class FaultInjector:
         for on, off in windows:
             if off <= now:
                 continue
-            self._events.append(sim.schedule_at(max(on, now), self._activate, state, off))
-            self._events.append(sim.schedule_at(max(off, now), self._deactivate, state))
+            sim.schedule_at(max(on, now), self._activate, state, off)
+            sim.schedule_at(max(off, now), self._deactivate, state)
 
     def _activate(self, state: FaultState, until: float) -> None:
+        if not self._armed:
+            return
         state.active = True
         state.window_until = until
         state.windows += 1
@@ -238,11 +242,8 @@ class FaultInjector:
         state.active = False
 
     def cancel(self) -> None:
-        """Cancel every pending toggle and detach the state from the machine."""
-        sim = self.machine.sim
-        for event in self._events:
-            sim.cancel(event)
-        self._events = []
+        """Disarm every pending toggle and detach the state from the machine."""
+        self._armed = False
         self._primary.active = False
         if self._secondary is not None:
             self._secondary.active = False

@@ -1,12 +1,12 @@
 """repro.lint — AST-based determinism & kernel-contract linter.
 
-The sixth component registry: named static-analysis rules (REP001–REP007,
+The sixth component registry: named static-analysis rules (REP001–REP009,
 plus any ``@register_lint_rule`` plugin) that machine-check the contracts
 every reproduced figure rests on — seeded randomness, no wall-clock reads on
 simulation paths, deterministic iteration in the kernel, manifest-gated
-component registration, the non-cancellable ``schedule_fast`` contract,
-``__slots__`` integrity on hot-path classes, and fingerprint-stable
-serialization of optional spec keys.
+component registration, ``__slots__`` integrity on hot-path classes,
+fingerprint-stable serialization of optional spec keys, read-only probes and
+derived fault-model seeds.
 
 Typical use::
 

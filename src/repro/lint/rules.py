@@ -1,4 +1,4 @@
-"""The built-in determinism & kernel-contract lint rules (REP001–REP008).
+"""The built-in determinism & kernel-contract lint rules (REP001–REP009).
 
 Each rule is a :class:`LintRule` subclass registered under its code through
 :func:`repro.scenario.registry.register_lint_rule` — the same decorator
@@ -11,10 +11,10 @@ or execute the code under analysis.
 The contracts enforced here are the ones every reproduced figure rests on:
 all randomness is seeded, simulation paths never read wall clocks, iteration
 in the kernel is deterministically ordered, components register through the
-manifest-gated registries, ``schedule_fast`` events are never cancelled,
-``__slots__`` classes stay dict-free, and spec documents only serialize
-optional registry keys when they are set (fingerprint stability), and
-telemetry probes observe the simulation without mutating it.
+manifest-gated registries, ``__slots__`` classes stay dict-free, spec
+documents only serialize optional registry keys when they are set
+(fingerprint stability), telemetry probes observe the simulation without
+mutating it, and fault models derive their seeds.
 """
 
 from __future__ import annotations
@@ -326,61 +326,6 @@ class RegistryDisciplineRule(LintRule):
                         % (key, name,
                            {v: k for k, v in self.REGISTRARS.items()}[key]),
                         path=manifest_path,
-                    )
-
-
-# ----------------------------------------------------------------------
-# REP005 — schedule_fast contract
-# ----------------------------------------------------------------------
-@register_lint_rule("REP005", title="schedule_fast contract")
-class ScheduleFastRule(LintRule):
-    """``schedule_fast`` events are non-cancellable — never cancel them.
-
-    The allocation-free fast path pushes a bare tuple and returns no handle:
-    assigning its (None) result, or passing the same callable both to
-    ``schedule_fast`` and to ``Simulator.cancel`` within one class, means the
-    code believes the event can be revoked.  Use ``schedule`` (which returns
-    an :class:`Event`) wherever a caller might cancel.
-    """
-
-    code = "REP005"
-    title = "schedule_fast contract"
-
-    @staticmethod
-    def _scope(module: LintModule, node: ast.AST) -> Optional[ast.AST]:
-        return module.enclosing(node, ast.ClassDef)
-
-    def check(self, module: LintModule, context: LintContext) -> Iterator[Finding]:
-        scheduled: Dict[Optional[ast.AST], Dict[str, ast.AST]] = {}
-        cancelled: Dict[Optional[ast.AST], Dict[str, ast.AST]] = {}
-        for call in module.of_type(ast.Call):
-            func = call.func
-            if not isinstance(func, ast.Attribute):
-                continue
-            if func.attr == "schedule_fast":
-                parent = module.parents.get(call)
-                if isinstance(parent, (ast.Assign, ast.AnnAssign, ast.NamedExpr)) \
-                        and getattr(parent, "value", None) is call:
-                    yield self.finding(
-                        module, parent,
-                        "schedule_fast returns no handle (always None); events on "
-                        "the fast path cannot be cancelled — use schedule() if "
-                        "you need the Event",
-                    )
-                if len(call.args) >= 2:
-                    text = ast.unparse(call.args[1])
-                    scheduled.setdefault(self._scope(module, call), {})[text] = call
-            elif func.attr == "cancel" and call.args:
-                text = ast.unparse(call.args[0])
-                cancelled.setdefault(self._scope(module, call), {})[text] = call
-        for scope, by_text in cancelled.items():
-            for text, call in sorted(by_text.items()):
-                if text in scheduled.get(scope, {}):
-                    yield self.finding(
-                        module, call,
-                        "%r is passed to schedule_fast and also to cancel(); "
-                        "fast-path events are non-cancellable — schedule it with "
-                        "schedule() instead" % text,
                     )
 
 

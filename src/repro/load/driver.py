@@ -78,9 +78,8 @@ class _TenantState:
         self.streams: Dict[int, Iterator] = {}
         self.next_core = 0
         #: Set when the measurement window closes: in-flight arrival events
-        #: become no-ops and the clock stops rescheduling itself.  (A flag
-        #: instead of Simulator.cancel keeps arrivals on the allocation-free
-        #: fast-path, which returns no cancellable handle.)
+        #: become no-ops and the clock stops rescheduling itself (scheduled
+        #: events cannot be removed from the queue).
         self.frozen = False
         self.exhausted = False  # a non-looping trace ran out of arrivals
         self.reset_counters()
@@ -347,7 +346,7 @@ class OpenLoopDriver:
         if gap is None:  # a non-looping trace ran out
             state.exhausted = True
             return
-        self.machine.sim.schedule_fast(gap, self._arrive, state)
+        self.machine.sim.schedule(gap, self._arrive, state)
 
     def _completion_counter(self, state: _TenantState):
         """A per-tenant completion listener attributing ops to the window."""

@@ -60,7 +60,7 @@ class MemoryController:
         if start_delay <= 0:
             issue()
             return finish_holder["t"]
-        self.sim.schedule_fast(start_delay, issue)
+        self.sim.schedule(start_delay, issue)
         # Conservative estimate for callers that want a time without waiting.
         return grant + self.SCHEDULING_CYCLES + self.dram.latency_cycles + \
             self.dram.channel.serialization_cycles(nbytes)

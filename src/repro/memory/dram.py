@@ -52,7 +52,7 @@ class DramModel:
         grant = self.channel.send(nbytes)
         finish = grant + self.channel.serialization_cycles(nbytes) + self.latency_cycles
         if on_done is not None:
-            self.sim.schedule_fast(finish - self.sim.now, on_done)
+            self.sim.schedule(finish - self.sim.now, on_done)
         return finish
 
     @property

@@ -26,17 +26,18 @@ fails and the walk degrades to the per-hop event chain, event for event.
 Two details keep fused runs byte-identical to unfused ones:
 
 * The walk only fuses from *inside an event callback* (the scheduled
-  ``_hop`` continuation).  ``send`` itself still acquires the first link
-  synchronously and schedules the continuation: code running later in the
-  same callback (e.g. an unroll loop injecting sibling packets at the same
-  cycle) may acquire the very channels a fused walk would have pre-acquired
-  at later virtual times, which would reorder FIFO grants.
+  ``_hop`` continuation).  ``send`` runs the walk's first step unfused: it
+  acquires the first link synchronously and schedules the continuation,
+  because code running later in the same callback (e.g. an unroll loop
+  injecting sibling packets at the same cycle) may acquire the very
+  channels a fused walk would have pre-acquired at later virtual times,
+  which would reorder FIFO grants.
 * Ties fall back: when the next arrival lands exactly on the queue-head
   time, the head event was scheduled first and must execute first, so the
   walk schedules a normal hop event and preserves ``seq`` ordering.
 
-``REPRO_HOP_FUSION=0`` (or ``hop_fusion=False``) force-disables fusion; the
-equivalence suite runs every figure both ways and compares bytes.
+``REPRO_HOP_FUSION=0`` force-disables fusion; the equivalence suite runs
+every figure both ways and compares bytes.
 
 Fault injection
 ---------------
@@ -47,11 +48,12 @@ link acquisition (``link_down`` deferral, ``router_degrade`` multipliers)
 and a retransmit penalty folded into final delivery (``packet_loss``).
 Every check is gated on ``faults is not None``, so unfaulted runs stay
 bit-identical.  Fusion needs no extra guard at fault boundaries: the
-injector's activation/deactivation toggles are cancellable queue-resident
-events, so :meth:`~repro.sim.engine.Simulator.next_event_time` never exceeds
-the next toggle and the strict ``arrival < head`` bound stops a fused walk
-at the boundary — falling back to per-hop events exactly like the queue-head
-tie case.  Since every link *acquisition* time is lookahead-guarded, the
+injector's activation/deactivation toggles are queue-resident events
+(``cancel()`` disarms them in place rather than removing them), so
+:meth:`~repro.sim.engine.Simulator.next_event_time` never exceeds the next
+toggle and the strict ``arrival < head`` bound stops a fused walk at the
+boundary — falling back to per-hop events exactly like the queue-head tie
+case.  Since every link *acquisition* time is lookahead-guarded, the
 fault state a fused walk observes is identical to the one the per-hop event
 chain would observe, hop for hop.
 """
@@ -97,12 +99,11 @@ class NocFabric:
     #: a router (e.g. a core talking to its own tile's LLC slice).
     LOCAL_DELIVERY_CYCLES = 1
 
-    def __init__(self, sim: Simulator, topology: Topology, noc_config: NocConfig,
-                 hop_fusion: Optional[bool] = None) -> None:
+    def __init__(self, sim: Simulator, topology: Topology, noc_config: NocConfig) -> None:
         self.sim = sim
         self.topology = topology
         self.config = noc_config
-        self.hop_fusion = hop_fusion_default() if hop_fusion is None else bool(hop_fusion)
+        self.hop_fusion = hop_fusion_default()
         self.link_bytes = noc_config.link_bytes
         self._channels: Dict[Tuple[Hashable, Hashable], Channel] = {}
         #: Fault state installed by a FaultInjector (None on healthy runs).
@@ -115,17 +116,27 @@ class NocFabric:
         # payload sizes an experiment sends makes this a near-perfect cache.
         self._flit_sizes: Dict[int, Tuple[int, int]] = {}
         # Statistics
-        self.packets_sent = 0
-        #: Hop events elided by lookahead fusion since the last stats reset
-        #: (lifetime counts live in the perf record, see lifetime_fused_hops).
-        self.fused_hops = 0
         self.packets_delivered = 0
         self.payload_bytes_delivered = 0
         self.wire_bytes_sent = 0
         self.bytes_by_class: Dict[MessageClass, int] = {cls: 0 for cls in MessageClass}
         self._bisection_keys = self._compute_bisection_keys()
         self.bisection_bytes = 0
+        #: Lifetime packet and fused-hop counts live in the perf record only;
+        #: the stats window subtracts these snapshots taken by reset_stats.
         self._perf = perf.register_fabric(self)
+        self._packets_at_reset = 0
+        self._fused_at_reset = 0
+
+    @property
+    def packets_sent(self) -> int:
+        """Packets injected since the last :meth:`reset_stats`."""
+        return self._perf.packets - self._packets_at_reset
+
+    @property
+    def fused_hops(self) -> int:
+        """Hop events elided by lookahead fusion since the last :meth:`reset_stats`."""
+        return self._perf.fused_hops - self._fused_at_reset
 
     @property
     def lifetime_packets_sent(self) -> int:
@@ -149,34 +160,16 @@ class NocFabric:
         msg_class: MessageClass,
         callback: Optional[DeliveryCallback] = None,
         payload: Any = None,
-        tail: bool = False,
     ) -> Packet:
-        """Inject a packet; ``callback(packet)`` fires at delivery time.
-
-        ``tail=True`` declares that this send is the caller's *final
-        simulation-affecting action at the current timestep* — it will not
-        acquire resources, inject packets or schedule events after the call
-        returns.  Under that contract the fused walk may start right here
-        instead of behind a one-hop continuation event, collapsing an
-        uncontended k-hop route into a single delivery event.  Passing
-        ``tail=True`` from a callback that does more work afterwards can
-        reorder FIFO channel grants and breaks run-to-run equivalence —
-        leave it False when in doubt (the default is always safe).  One more
-        caveat: a tail send issued *between* ``run()`` calls fuses without a
-        horizon bound, so link statistics sampled at the next ``run(until)``
-        horizon may already include the whole route's occupancy.
-        """
-        sim = self.sim
-        now = sim._now
+        """Inject a packet; ``callback(packet)`` fires at delivery time."""
         packet = Packet(
             src=src,
             dst=dst,
             payload_bytes=payload_bytes,
             msg_class=msg_class,
             payload=payload,
-            created_at=now,
+            created_at=self.sim._now,
         )
-        self.packets_sent += 1
         self._perf.packets += 1
         size = self._flit_sizes.get(payload_bytes)
         if size is None:
@@ -187,64 +180,15 @@ class NocFabric:
         self.bytes_by_class[msg_class] += wire
         if src != dst:
             hops = self._bound_route(src, dst, msg_class, packet.packet_id)
-            if tail and hops and self.hop_fusion:
-                # Tail-send contract: nothing runs after us at this
-                # timestep, so the whole walk (hop 0 included — acquiring at
-                # earliest=now is the synchronous acquire) can fuse in place.
-                self._hop(packet, hops, 0, flits, wire, callback)
-                return packet
             if hops:
                 # The first link is acquired synchronously, in injection
                 # order — several sends in one callback must claim their
-                # first channels FIFO exactly as before fusion existed.  The
-                # rest of the walk runs as a scheduled event, where the fused
-                # fast path is safe (see module docstring).
-                channel, hop_cycles, crosses_bisection, link_key = hops[0]
-                earliest = now
-                faults = self.faults
-                if faults is not None:
-                    extra = faults.hop_delay(link_key, now, hop_cycles)
-                    if extra > 0.0:
-                        earliest = now + extra
-                # Inlined Channel.acquire(flits) — see the matching block in
-                # _hop.
-                start = channel._free_at
-                if earliest > start:
-                    start = earliest
-                channel._free_at = start + flits
-                channel.busy_cycles += flits
-                channel.grants += 1
-                open_grants = channel._open_grants
-                while open_grants and open_grants[0][1] <= now:
-                    open_grants.popleft()
-                open_grants.append((start, start + flits))
-                channel.bytes_transferred += wire
-                if crosses_bisection:
-                    self.bisection_bytes += wire
-                arrival = start + hop_cycles
-                # Inlined Simulator.schedule_fast.  The event time is
-                # computed as now + delta, never as the absolute arrival:
-                # float addition does not guarantee now + (t - now) == t, and
-                # byte-identity with the per-hop chain (which always
-                # scheduled relative delays) must hold to the last bit.
-                if len(hops) == 1:
-                    delta = arrival + flits - 1 - now
-                    if faults is not None:
-                        loss = faults.loss_delay(packet.packet_id)
-                        if loss > 0.0:
-                            delta += loss
-                    entry = (now + delta, next(sim._seq),
-                             self._deliver, (packet, callback))
-                else:
-                    entry = (now + (arrival - now), next(sim._seq), self._hop,
-                             (packet, hops, 1, flits, wire, callback))
-                queue = sim._queue
-                heappush(queue, entry)
-                sim._perf.fast_events += 1
-                if len(queue) > sim._peak_pending:
-                    sim._peak_pending = len(queue)
+                # first channels FIFO.  The rest of the walk runs as a
+                # scheduled event, where fusion is safe (see module
+                # docstring).
+                self._hop(packet, hops, 0, flits, wire, callback, False)
                 return packet
-        sim.schedule_fast(self.LOCAL_DELIVERY_CYCLES, self._deliver, packet, callback)
+        self.sim.schedule(self.LOCAL_DELIVERY_CYCLES, self._deliver, packet, callback)
         return packet
 
     def zero_load_latency(self, src: Hashable, dst: Hashable, payload_bytes: int,
@@ -298,8 +242,8 @@ class NocFabric:
 
     def reset_stats(self) -> None:
         """Zero all counters (used at the end of the warm-up phase)."""
-        self.packets_sent = 0
-        self.fused_hops = 0
+        self._packets_at_reset = self._perf.packets
+        self._fused_at_reset = self._perf.fused_hops
         self.packets_delivered = 0
         self.payload_bytes_delivered = 0
         self.wire_bytes_sent = 0
@@ -345,20 +289,20 @@ class NocFabric:
         return bound
 
     def _hop(self, packet: Packet, hops: Sequence[BoundHop], index: int,
-             flits: int, wire: int, callback: Optional[DeliveryCallback]) -> None:
+             flits: int, wire: int, callback: Optional[DeliveryCallback],
+             fuse: bool = True) -> None:
         """Walk the remaining hops, fusing as far as the lookahead allows.
 
         Runs as an event callback (the continuation ``send`` schedules) at
-        the exact cycle the packet's head reaches router ``index`` — or
-        synchronously from a ``tail=True`` send, whose contract provides the
-        same guarantee that nothing else acts at the current timestep.  Each
+        the exact cycle the packet's head reaches router ``index``.  Each
         iteration acquires one link at the packet's virtual arrival time;
         while the next arrival stays strictly before the queue head, nothing
         can interleave and the walk continues in place instead of scheduling
         a hop event.  An empty queue means nothing can interleave at all.
-        With :attr:`hop_fusion` off, the first lookahead check fails by
-        construction and every hop schedules its own event, exactly as
-        before.
+        With ``fuse`` False (``send``'s synchronous first hop) or
+        :attr:`hop_fusion` off, the first lookahead check fails by
+        construction and the walk acquires one link and schedules the next
+        hop as its own event.
         """
         sim = self.sim
         nhops = len(hops)
@@ -368,7 +312,7 @@ class NocFabric:
         # horizon caps the bound too: the run may stop there and the caller
         # may sample link statistics that the per-hop chain would not yet
         # have accumulated — hops at/after the horizon must stay events.
-        if self.hop_fusion:
+        if fuse and self.hop_fusion:
             head = sim.next_event_time()
             horizon = sim._run_horizon
             if head is None or head > horizon:
@@ -406,8 +350,10 @@ class NocFabric:
             if index == nhops:
                 # Final hop: the tail arrives flits-1 cycles after the head,
                 # and the completion event delivers directly.  Event times
-                # stay now + delta, matching the unfused chain bit for bit
-                # (see the note in send()).
+                # are computed as now + delta, never as the absolute
+                # arrival: float addition does not guarantee now + (t - now)
+                # == t, and byte-identity with the per-hop chain (which
+                # always scheduled relative delays) must hold to the last bit.
                 delta = arrival + flits - 1 - now
                 if faults is not None:
                     loss = faults.loss_delay(packet.packet_id)
@@ -423,13 +369,14 @@ class NocFabric:
                      (packet, hops, index, flits, wire, callback))
             break
         if fused:
-            self.fused_hops += fused
             self._perf.fused_hops += fused
+        # Inlined Simulator.schedule.
         queue = sim._queue
         heappush(queue, entry)
-        sim._perf.fast_events += 1
-        if len(queue) > sim._peak_pending:
-            sim._peak_pending = len(queue)
+        counters = sim._perf
+        counters.fast_events += 1
+        if len(queue) > counters.peak_pending:
+            counters.peak_pending = len(queue)
 
     def _deliver(self, packet: Packet, callback: Optional[DeliveryCallback]) -> None:
         packet.delivered_at = self.sim.now

@@ -88,7 +88,7 @@ class CoreModel:
         self._max_outstanding = max_outstanding or self.qp.wq.capacity
         self._on_op_complete = on_op_complete
         self._stopped = False
-        self.sim.schedule_fast(0, self._try_work)
+        self.sim.schedule(0, self._try_work)
 
     def open_loop(
         self,
@@ -186,7 +186,7 @@ class CoreModel:
         faults = self.soc.fault_state
         if faults is not None:
             delay += faults.issue_penalty(self.core_id)
-        self.sim.schedule_fast(delay, self._store_wq_entry, entry)
+        self.sim.schedule(delay, self._store_wq_entry, entry)
 
     def _store_wq_entry(self, entry: WorkQueueEntry) -> None:
         index = self.qp.wq.post(entry)
@@ -218,7 +218,7 @@ class CoreModel:
         )
 
     def _cq_loaded(self) -> None:
-        self.sim.schedule_fast(self.calibration.cq_read_instruction_cycles, self._consume_cq_entry)
+        self.sim.schedule(self.calibration.cq_read_instruction_cycles, self._consume_cq_entry)
 
     def _consume_cq_entry(self) -> None:
         cq_entry = self.qp.cq.pop()

@@ -232,7 +232,7 @@ class ManycoreSoc(NodeServices):
             bank = self.llc_banks[slice_idx]
             grant = bank.acquire(self.config.llc.bank_occupancy_cycles)
             ready = grant + self.config.llc.latency_cycles
-            self.sim.schedule_fast(max(0.0, ready - self.sim.now), forward_to_mc)
+            self.sim.schedule(max(0.0, ready - self.sim.now), forward_to_mc)
 
         def forward_to_mc() -> None:
             self.fabric.send(
@@ -268,7 +268,7 @@ class ManycoreSoc(NodeServices):
             bank = self.llc_banks[slice_idx]
             grant = bank.acquire(self.config.llc.bank_occupancy_cycles)
             ready = grant + self.config.llc.latency_cycles
-            self.sim.schedule_fast(max(0.0, ready - self.sim.now), accept)
+            self.sim.schedule(max(0.0, ready - self.sim.now), accept)
 
         def accept() -> None:
             on_done()

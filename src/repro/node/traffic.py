@@ -107,7 +107,7 @@ class RemoteEndEmulator:
         self.outgoing_requests += 1
         round_trip = 2 * self.one_way_network_cycles + self.remote_service_cycles()
         response = request.make_response()
-        self.sim.schedule_fast(round_trip, self._deliver_response, response)
+        self.sim.schedule(round_trip, self._deliver_response, response)
         if self.rate_match_incoming:
             self._generate_incoming_request()
 
@@ -128,4 +128,4 @@ class RemoteEndEmulator:
             offset=offset,
         )
         self.incoming_generated += 1
-        self.sim.schedule_fast(self.one_way_network_cycles, self.soc.deliver_remote_request, request)
+        self.sim.schedule(self.one_way_network_cycles, self.soc.deliver_remote_request, request)

@@ -116,12 +116,12 @@ class NumaMachine:
             fabric.send(port, source, block, MessageClass.MEMORY_RESPONSE, reply_arrived)
 
         def at_port(_packet) -> None:
-            sim.schedule_fast(remote, at_remote)
+            sim.schedule(remote, at_remote)
 
         def issue() -> None:
             fabric.send(source, port, request_header, MessageClass.MEMORY_REQUEST, at_port)
 
-        sim.schedule_fast(cal.numa_issue_cycles, issue)
+        sim.schedule(cal.numa_issue_cycles, issue)
         sim.run()
         if "t" not in done:
             raise ConfigurationError("NUMA simulation did not complete")

@@ -238,7 +238,7 @@ class FaultWindowsProbe(TelemetryProbe):
 
 @register_probe("heap_health")
 class HeapHealthProbe(TelemetryProbe):
-    """Event-heap pressure: pending/peak counts and the cancellation backlog."""
+    """Event-heap pressure: pending/peak counts and events executed."""
 
     __slots__ = ()
 
@@ -252,6 +252,5 @@ class HeapHealthProbe(TelemetryProbe):
         return {
             "pending": sim.pending_events,
             "peak_pending": sim.peak_pending_events,
-            "cancelled_backlog": sim.cancelled_backlog,
             "executed": sim.events_executed,
         }

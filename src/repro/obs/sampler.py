@@ -1,12 +1,12 @@
 """Sim-time cadence sampling: the bridge from a session to its probes.
 
-A :class:`Sampler` ticks on a simulator's own event queue via the
-allocation-free ``schedule_fast`` path, bounded by an explicit *horizon*: the
-tick at or before the horizon is the last one scheduled, so attaching a
-sampler never keeps an otherwise-drained simulator alive (``Simulator.run()``
-with no ``until`` must still terminate).  Hosts that drive time in batches
-with drain-to-quiescence runs (the benchmark harness) skip :meth:`install`
-and call :meth:`sample_now` between batches instead.
+A :class:`Sampler` ticks on a simulator's own event queue, bounded by an
+explicit *horizon*: the tick at or before the horizon is the last one
+scheduled, so attaching a sampler never keeps an otherwise-drained simulator
+alive (``Simulator.run()`` with no ``until`` must still terminate).  Hosts
+that drive time in batches with drain-to-quiescence runs (the benchmark
+harness) skip :meth:`install` and call :meth:`sample_now` between batches
+instead.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ class Sampler:
     def install(self) -> None:
         """Schedule the first tick (no-op when the horizon is too close)."""
         if self.sim.now + self.cadence <= self.horizon:
-            self.sim.schedule_fast(self.cadence, self._tick)
+            self.sim.schedule(self.cadence, self._tick)
 
     def sample_now(self) -> None:
         """Sample every probe at the current sim time (no rescheduling)."""
@@ -48,7 +48,7 @@ class Sampler:
     def _tick(self) -> None:
         self.sample_now()
         if self.sim.now + self.cadence <= self.horizon:
-            self.sim.schedule_fast(self.cadence, self._tick)
+            self.sim.schedule(self.cadence, self._tick)
 
 
 def attach_driver_sampler(session: Any, driver: Any) -> Sampler:

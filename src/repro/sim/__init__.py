@@ -8,7 +8,7 @@ windowed-convergence methodology of the paper's §5
 (:mod:`repro.sim.stats`).
 """
 
-from repro.sim.engine import Event, Simulator, Process
+from repro.sim.engine import Simulator, Process
 from repro.sim.resource import Resource, Channel, Pipeline
 from repro.sim.stats import (
     StatAccumulator,
@@ -19,7 +19,6 @@ from repro.sim.stats import (
 )
 
 __all__ = [
-    "Event",
     "Simulator",
     "Process",
     "Resource",

@@ -1,10 +1,9 @@
 """A minimal, fast discrete-event simulation kernel.
 
-The kernel keeps a binary heap of :class:`Event` objects ordered by
-``(time, sequence)``.  Components schedule callbacks at absolute or relative
-times; the simulator executes them in order and advances the clock.  Time is
-measured in core clock cycles (integers or floats are both accepted; the
-kernel never rounds).
+The kernel keeps a binary heap of ``(time, seq, callback, args)`` tuples.
+Components schedule callbacks at absolute or relative times; the simulator
+executes them in order and advances the clock.  Time is measured in core
+clock cycles (integers or floats are both accepted; the kernel never rounds).
 
 Two styles of modelling are supported:
 
@@ -14,13 +13,10 @@ Two styles of modelling are supported:
   :class:`Process`, which ``yield`` delays; used by workload drivers where
   sequential code is clearer.
 
-Callback-style sites that never cancel their events should prefer
-:meth:`Simulator.schedule_fast`: it pushes a bare ``(time, seq, callback,
-args)`` tuple instead of constructing an :class:`Event`, which removes the
-dominant per-event allocation on packet-heavy runs.  The trade-off is that
-the fast path returns no handle, so the event cannot be cancelled — keep
-using :meth:`Simulator.schedule` wherever a caller might need
-:meth:`Simulator.cancel`.
+Scheduling returns no handle and events cannot be removed from the heap.  A
+component that may need to revoke pending work keeps a flag its callbacks
+check instead (the open-loop arrival clock's ``frozen`` state, the fault
+injector's disarmed toggles).
 """
 
 from __future__ import annotations
@@ -33,38 +29,6 @@ from repro.errors import SimulationError
 from repro.obs import hooks as obs_hooks
 from repro.sim import perf
 
-#: Cancelled events are purged lazily; once at least this many are pending
-#: AND they make up half the heap, the heap is compacted in one pass.
-_COMPACT_MIN_CANCELLED = 64
-
-
-class Event:
-    """A scheduled callback.
-
-    Ordering lives in the simulator's heap, which stores ``(time, seq,
-    event)`` tuples: the unique ``seq`` makes simultaneous events fire in
-    scheduling order (deterministic runs) and keeps comparisons on the tuple
-    prefix, entirely in C.  Do not push Event objects onto the heap directly
-    — they intentionally define no ordering of their own.
-    """
-
-    __slots__ = ("time", "seq", "callback", "args", "cancelled")
-
-    def __init__(self, time: float, seq: int, callback: Callable[..., Any], args: Tuple[Any, ...]):
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        """Prevent the event from firing (it stays in the heap but is skipped)."""
-        self.cancelled = True
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else "pending"
-        return "Event(t=%s, seq=%d, %s, %s)" % (self.time, self.seq, self.callback, state)
-
 
 class Simulator:
     """The event loop.
@@ -76,27 +40,18 @@ class Simulator:
         sim.run()                        # run to completion
         sim.run(until=100_000)           # or bounded
 
-    Internally the heap holds ``(time, seq, event)`` tuples rather than the
-    :class:`Event` objects themselves: tuple comparison short-circuits on the
-    ``(time, seq)`` prefix entirely in C, which keeps heap maintenance off
-    the Python-level ``Event.__lt__`` path (the single hottest call site in
-    packet-heavy runs).
-
-    Entries scheduled through :meth:`schedule_fast` are stored as
-    ``(time, seq, callback, args)`` 4-tuples with no :class:`Event` at all.
-    The two shapes share one heap: ``seq`` is unique, so comparisons never
-    reach the differing third element, and the dispatch loop tells them
-    apart by length (only 3-tuples can be cancelled).
+    Every heap entry is a ``(time, seq, callback, args)`` tuple: the unique
+    ``seq`` makes simultaneous events fire in scheduling order (deterministic
+    runs) and keeps comparisons on the ``(time, seq)`` prefix, entirely in C.
+    Executed events, scheduled events and the peak heap size live in the
+    simulator's :class:`~repro.sim.perf.PerfCounters` record only.
     """
 
     __slots__ = (
         "_now",
         "_queue",
         "_seq",
-        "_events_executed",
         "_stop_requested",
-        "_cancelled_events",
-        "_peak_pending",
         "_run_horizon",
         "_perf",
         "_obs_index",
@@ -104,14 +59,9 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now: float = 0.0
-        #: Mixed heap of ``(time, seq, event)`` and fast ``(time, seq,
-        #: callback, args)`` entries; see the class docstring.
         self._queue: List[Tuple[Any, ...]] = []
         self._seq = itertools.count()
-        self._events_executed = 0
         self._stop_requested = False
-        self._cancelled_events: set = set()
-        self._peak_pending = 0
         #: The ``until`` horizon of the :meth:`run` currently executing
         #: (+inf otherwise).  Lookahead optimisations must not commit work at
         #: virtual times past it: the run may stop there and the caller may
@@ -135,150 +85,58 @@ class Simulator:
     @property
     def events_executed(self) -> int:
         """Number of events executed so far (useful for performance reporting)."""
-        return self._events_executed
+        return self._perf.events
 
     @property
     def pending_events(self) -> int:
-        """Number of events still in the queue (including cancelled ones)."""
+        """Number of events still in the queue."""
         return len(self._queue)
 
     @property
     def peak_pending_events(self) -> int:
         """Largest heap size observed so far (memory-pressure indicator)."""
-        return self._peak_pending
-
-    @property
-    def cancelled_backlog(self) -> int:
-        """Cancelled events still occupying the heap (compaction pressure)."""
-        return len(self._cancelled_events)
+        return self._perf.peak_pending
 
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> Event:
+    def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> None:
         """Schedule ``callback(*args)`` to run ``delay`` cycles from now."""
-        if delay < 0:
-            raise SimulationError("cannot schedule an event %.3f cycles in the past" % delay)
-        time = self._now + delay
-        seq = next(self._seq)
-        event = Event(time, seq, callback, args)
-        queue = self._queue
-        heapq.heappush(queue, (time, seq, event))
-        if len(queue) > self._peak_pending:
-            self._peak_pending = len(queue)
-        return event
-
-    def schedule_fast(self, delay: float, callback: Callable[..., Any], *args: Any) -> None:
-        """Schedule ``callback(*args)`` without allocating an :class:`Event`.
-
-        The allocation-free path for call sites that never cancel: fabric
-        hops and deliveries, resource completions, process steps, arrival
-        clocks.  Ordering is identical to :meth:`schedule` (same time/seq
-        discipline, same counter), but no handle is returned, so the event
-        cannot be cancelled.
-        """
         if delay < 0:
             raise SimulationError("cannot schedule an event %.3f cycles in the past" % delay)
         queue = self._queue
         heapq.heappush(queue, (self._now + delay, next(self._seq), callback, args))
-        self._perf.fast_events += 1
-        if len(queue) > self._peak_pending:
-            self._peak_pending = len(queue)
+        counters = self._perf
+        counters.fast_events += 1
+        if len(queue) > counters.peak_pending:
+            counters.peak_pending = len(queue)
 
-    def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> Event:
+    def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> None:
         """Schedule ``callback(*args)`` at an absolute simulation time."""
         if time < self._now:
             raise SimulationError(
                 "cannot schedule an event at t=%.3f, current time is %.3f" % (time, self._now)
             )
-        seq = next(self._seq)
-        event = Event(time, seq, callback, args)
         queue = self._queue
-        heapq.heappush(queue, (time, seq, event))
-        if len(queue) > self._peak_pending:
-            self._peak_pending = len(queue)
-        return event
-
-    def cancel(self, event: Event) -> None:
-        """Cancel a pending event, compacting the heap when cancellations pile up.
-
-        ``event.cancel()`` alone also works (the kernel skips cancelled events
-        when they surface), but going through the simulator lets it track the
-        set of dead-but-pending events and periodically rebuild the heap,
-        which bounds ``pending_events`` for workloads that cancel heavily
-        (timeouts, speculative wakeups).  Cancelling an event that already
-        fired is a harmless no-op beyond one set entry that the next
-        compaction clears.
-        """
-        if event.cancelled:
-            return
-        event.cancelled = True
-        cancelled = self._cancelled_events
-        cancelled.add(event)
-        if (
-            len(cancelled) >= _COMPACT_MIN_CANCELLED
-            and len(cancelled) * 2 >= len(self._queue)
-        ):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop every cancelled event from the heap in one pass.
-
-        In place, because :meth:`run` holds a local reference to the heap
-        while events (which may cancel other events) are executing.  The
-        tracked set is cleared outright: after the rebuild no cancelled
-        event remains in the heap, including any stale entries for events
-        cancelled after they had already fired.
-        """
-        self._queue[:] = [
-            entry for entry in self._queue
-            if len(entry) == 4 or not entry[2].cancelled
-        ]
-        heapq.heapify(self._queue)
-        self._cancelled_events.clear()
+        heapq.heappush(queue, (time, next(self._seq), callback, args))
+        counters = self._perf
+        counters.fast_events += 1
+        if len(queue) > counters.peak_pending:
+            counters.peak_pending = len(queue)
 
     def next_event_time(self) -> Optional[float]:
-        """Time of the earliest live pending event, or None when idle.
+        """Time of the earliest pending event, or None when idle.
 
-        O(1) amortized: cancelled entries at the head are popped on the way
-        (work :meth:`run` would otherwise do).  This is the lookahead bound
-        the NOC's hop fusion peeks at — while a packet's next hop arrives
-        strictly before this time, no other event can interleave.
+        This is the lookahead bound the NOC's hop fusion peeks at — while a
+        packet's next hop arrives strictly before this time, no other event
+        can interleave.
         """
         queue = self._queue
-        while queue:
-            entry = queue[0]
-            if len(entry) == 3 and entry[2].cancelled:
-                heapq.heappop(queue)
-                self._cancelled_events.discard(entry[2])
-                continue
-            return entry[0]
-        return None
+        return queue[0][0] if queue else None
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Execute the next pending event.  Returns False if the queue is empty."""
-        while self._queue:
-            entry = heapq.heappop(self._queue)
-            if len(entry) == 4:
-                callback, args = entry[2], entry[3]
-            else:
-                event = entry[2]
-                if event.cancelled:
-                    self._cancelled_events.discard(event)
-                    continue
-                callback, args = event.callback, event.args
-            self._now = entry[0]
-            self._events_executed += 1
-            self._perf.events += 1
-            if self._peak_pending > self._perf.peak_pending:
-                self._perf.peak_pending = self._peak_pending
-            callback(*args)
-            return True
-        return False
-
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
         """Run until the queue drains, ``until`` is reached, or ``max_events`` fire.
 
@@ -293,18 +151,7 @@ class Simulator:
         self._run_horizon = horizon
         try:
             while queue and not self._stop_requested:
-                entry = queue[0]
-                if len(entry) == 4:
-                    callback, args = entry[2], entry[3]
-                else:
-                    event = entry[2]
-                    if event.cancelled:
-                        pop(queue)
-                        self._cancelled_events.discard(event)
-                        continue
-                    callback, args = event.callback, event.args
-                head_time = entry[0]
-                if head_time > horizon:
+                if queue[0][0] > horizon:
                     # Clamp: a horizon already in the past must not move the
                     # clock backwards.
                     if until > self._now:
@@ -312,19 +159,15 @@ class Simulator:
                     break
                 if executed >= limit:
                     break
-                pop(queue)
-                self._now = head_time
+                self._now, _seq, callback, args = pop(queue)
                 executed += 1
                 callback(*args)
         finally:
             self._run_horizon = float("inf")
             # The executed-event count is kept in a local inside the loop;
-            # fold it into the lifetime counters even on an exception.
-            self._events_executed += executed
+            # fold it into the lifetime counter even on an exception.
             self._perf.events += executed
-            if self._peak_pending > self._perf.peak_pending:
-                self._perf.peak_pending = self._peak_pending
-        if until is not None and not queue and self._now < until:
+        if until is not None and not queue and not self._stop_requested and self._now < until:
             # The model went idle before the horizon; advance the clock so
             # rate computations over [0, until] stay meaningful.
             self._now = until
@@ -370,7 +213,7 @@ class Process:
 
     def start(self) -> None:
         """Schedule the first step of the process at the current time."""
-        self._sim.schedule_fast(0, self._advance_bound, None)
+        self._sim.schedule(0, self._advance_bound, None)
 
     def on_complete(self, callback: Callable[["Process"], None]) -> None:
         """Register a callback invoked when the process finishes."""
@@ -396,7 +239,7 @@ class Process:
             delay = 0
         if delay < 0:
             raise SimulationError("a process yielded a negative delay: %r" % delay)
-        self._sim.schedule_fast(delay, self._advance_bound, None)
+        self._sim.schedule(delay, self._advance_bound, None)
 
 
 def drain(sim: Simulator, processes: Iterable[Process], until: Optional[float] = None) -> None:
@@ -404,21 +247,28 @@ def drain(sim: Simulator, processes: Iterable[Process], until: Optional[float] =
 
     Completion is tracked with an ``on_complete`` counter rather than
     rescanning every process per event (which made draining quadratic in
-    the process count for large workload sets).
+    the process count for large workload sets); the last completion stops
+    the run.
     """
     remaining = [0]
 
     def finished(_process: Process) -> None:
         remaining[0] -= 1
+        if not remaining[0]:
+            sim.stop()
 
     for process in processes:
         if not process.finished:
             remaining[0] += 1
             process.on_complete(finished)
     while remaining[0]:
-        if not sim.step():
+        sim.run(until)
+        if not remaining[0]:
+            break
+        head = sim.next_event_time()
+        if head is None:
             raise SimulationError(
                 "simulation went idle with %d unfinished process(es)" % remaining[0]
             )
-        if until is not None and sim.now > until:
+        if until is not None and head > until:
             raise SimulationError("processes did not finish before t=%.1f" % until)

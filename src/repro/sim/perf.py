@@ -42,8 +42,9 @@ _ACTIVE_SESSIONS: List["PerfSession"] = []
 class PerfCounters:
     """Lifetime counters of one simulator or fabric (a few plain ints).
 
-    The owning component updates these in place; sessions keep a reference
-    to the record only, so the component itself stays collectable.
+    The owning component updates these in place and keeps no other copy of
+    them; sessions keep a reference to the record only, so the component
+    itself stays collectable.
     """
 
     __slots__ = ("events", "packets", "peak_pending", "fused_hops", "fast_events",
@@ -56,7 +57,7 @@ class PerfCounters:
         #: NOC hops collapsed into their predecessor by lookahead hop fusion
         #: (each one is a hop event that never had to be scheduled).
         self.fused_hops = 0
-        #: Events scheduled through the allocation-free fast path.
+        #: Events scheduled (every one takes the allocation-free tuple path).
         self.fast_events = 0
         #: Fault windows activated by an installed fault injector.
         self.fault_windows = 0

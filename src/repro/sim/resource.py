@@ -74,7 +74,7 @@ class Resource:
         """
         start = self.acquire(occupancy)
         finish = start + occupancy + extra_delay
-        self.sim.schedule_fast(finish - self.sim.now, callback, *args)
+        self.sim.schedule(finish - self.sim.now, callback, *args)
         return finish
 
     @property
@@ -186,5 +186,5 @@ class Pipeline(Resource):
     def issue_then(self, callback: Callable[..., None], *args) -> float:
         """Issue one item and schedule ``callback`` when it completes."""
         finish = self.issue()
-        self.sim.schedule_fast(finish - self.sim.now, callback, *args)
+        self.sim.schedule(finish - self.sim.now, callback, *args)
         return finish

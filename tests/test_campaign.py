@@ -1,5 +1,7 @@
 """Tests for the campaign subsystem (grid expansion, cache, parallel runs)."""
 
+import os
+
 import pytest
 
 from repro.campaign import (
@@ -112,6 +114,44 @@ class TestCache:
         report = Campaign([request], cache=ResultCache(directory)).run()
         assert counting_experiment["count"] == 1
         assert report.cache_hits == 1 and report.results[0].column("x") == [5]
+
+    def test_failed_write_keeps_previous_entry(self, counting_experiment, tmp_path,
+                                               monkeypatch):
+        directory = tmp_path / "cache"
+        request = RunRequest("counting-test", {"scale": 5})
+        cache = ResultCache(str(directory))
+        Campaign([request], cache=cache).run()
+        entries = sorted(os.listdir(directory))
+        previous = (directory / entries[0]).read_text()
+        real_fdopen = os.fdopen
+
+        class HalfWriter:
+            """Writes half of the text, then fails like a full disk."""
+
+            def __init__(self, handle):
+                self.handle = handle
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.handle.close()
+
+            def write(self, text):
+                self.handle.write(text[: len(text) // 2])
+                self.handle.flush()
+                raise OSError("disk full")
+
+        monkeypatch.setattr(os, "fdopen",
+                            lambda fd, *args, **kwargs: HalfWriter(real_fdopen(fd, *args, **kwargs)))
+        replacement = ExperimentResult("Counting", "test", headers=["x", "y"])
+        replacement.add_row(9, 9)
+        with pytest.raises(OSError, match="disk full"):
+            cache.put(request, replacement)
+        monkeypatch.undo()
+        assert sorted(os.listdir(directory)) == entries
+        assert (directory / entries[0]).read_text() == previous
+        assert ResultCache(str(directory)).get(request).column("x") == [5]
 
 
 class TestCampaign:

@@ -196,6 +196,26 @@ class TestInjector:
         assert machine.fabric.faults is None
         assert machine.fault_state is None
 
+    def test_cancel_disarms_pending_windows(self):
+        machine = build_scenario().machine
+        injector = build_fault_injector(
+            machine, "router_degrade",
+            {"windows": ((500.0, 900.0),), "cascade": "slow_node",
+             "cascade_probability": 1.0},
+            seed=1,
+        )
+        injector.install(horizon=10_000.0)
+        assert injector.windows and injector.cascade_windows
+        injector.cancel()
+        states = (injector.state.primary, injector.state.cascade)
+        seen = []
+        machine.sim.schedule_at(700.0, lambda: seen.extend(s.active for s in states))
+        # The disarmed toggles stay queued and fire as no-ops.
+        machine.sim.run()
+        assert machine.sim.now >= 900.0
+        assert seen == [False, False]
+        assert [(state.active, state.windows) for state in states] == [(False, 0)] * 2
+
     def test_unknown_fault_param_fails_loudly(self):
         scenario = build_scenario()
         with pytest.raises(FaultError, match="penalty_cycles"):

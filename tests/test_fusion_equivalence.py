@@ -113,3 +113,34 @@ class TestCampaignFusedHopSurfacing:
         assert report.fused_hops > 0
         summary = report.summary()
         assert "hop(s) fused" in summary
+
+
+class TestPinnedEventCounts:
+    """Exact execution counters of small runs.
+
+    Any change that moves an event, a hop or a fused hop changes these
+    numbers; a refactor of the kernel or the NOC must leave them alone.
+    Table 1 is analytical and runs no events (its empty perf block is
+    checked in test_perf.py), so the simulated Table 3 cross-check stands
+    in for the tables.
+    """
+
+    @staticmethod
+    def _counts(result):
+        perf = result.metadata.perf
+        return perf["events"], perf["fused_hops"], perf["peak_pending_events"]
+
+    def test_fig6_point(self, monkeypatch):
+        params = dict(sizes=(64,), iterations=1, warmup=0)
+        assert self._counts(_run(monkeypatch, True, "fig6", **params)) == (146, 37, 2)
+        # Unfused, every fused hop is an event of its own.
+        assert self._counts(_run(monkeypatch, False, "fig6", **params)) == (146 + 37, 0, 2)
+
+    def test_table3_simulated(self, monkeypatch):
+        result = _run(monkeypatch, True, "table3", simulate=True)
+        assert self._counts(result) == (739, 184, 2)
+
+    def test_load_sweep_point(self, monkeypatch):
+        result = _run(monkeypatch, True, "load_sweep", loads=(8.0,),
+                      warmup_cycles=1000.0, measure_cycles=4000.0)
+        assert self._counts(result) == (14523, 10, 93)

@@ -59,8 +59,8 @@ def codes(findings):
 class TestLintRegistry:
     def test_builtin_rules_registered(self):
         assert LINT_RULES.names() == [
-            "REP001", "REP002", "REP003", "REP004", "REP005", "REP006", "REP007",
-            "REP008", "REP009",
+            "REP001", "REP002", "REP003", "REP004", "REP006", "REP007", "REP008",
+            "REP009",
         ]
 
     def test_rules_have_titles_and_doc_urls(self):
@@ -312,63 +312,6 @@ class TestREP004RegistryDiscipline:
             def build(name, services, placement):
                 return NI_DESIGNS.get(name)(services, placement)
         """}, rules=["REP004"])
-        assert findings == []
-
-
-# ----------------------------------------------------------------------
-# REP005 — schedule_fast contract
-# ----------------------------------------------------------------------
-class TestREP005ScheduleFast:
-    def test_result_assignment_flagged(self, tmp_path):
-        findings = run_fixture(tmp_path, {"node/driver.py": """
-            class Driver:
-                def start(self, sim):
-                    self._tick = sim.schedule_fast(1, self._fire)
-
-                def _fire(self):
-                    pass
-        """}, rules=["REP005"])
-        assert codes(findings) == ["REP005"]
-        assert "returns no handle" in findings[0].message
-
-    def test_fast_then_cancel_same_callable_flagged(self, tmp_path):
-        findings = run_fixture(tmp_path, {"node/driver.py": """
-            class Driver:
-                def start(self, sim):
-                    sim.schedule_fast(1, self._fire)
-
-                def abort(self, sim):
-                    sim.cancel(self._fire)
-
-                def _fire(self):
-                    pass
-        """}, rules=["REP005"])
-        assert codes(findings) == ["REP005"]
-        assert "non-cancellable" in findings[0].message
-
-    def test_schedule_with_cancel_clean(self, tmp_path):
-        findings = run_fixture(tmp_path, {"node/driver.py": """
-            class Driver:
-                def start(self, sim):
-                    self._event = sim.schedule(1, self._fire)
-
-                def abort(self, sim):
-                    sim.cancel(self._event)
-
-                def _fire(self):
-                    pass
-        """}, rules=["REP005"])
-        assert findings == []
-
-    def test_fast_without_cancel_clean(self, tmp_path):
-        findings = run_fixture(tmp_path, {"node/driver.py": """
-            class Driver:
-                def start(self, sim):
-                    sim.schedule_fast(1, self._fire)
-
-                def _fire(self):
-                    pass
-        """}, rules=["REP005"])
         assert findings == []
 
 

@@ -9,10 +9,16 @@ from repro.noc.packet import HEADER_BYTES, Packet
 from repro.sim.engine import Simulator
 
 
-def make_fabric(side: int = 8, hop_fusion=None):
+def make_fabric(monkeypatch=None, fusion=True):
+    """An 8x8 mesh fabric on a fresh simulator.
+
+    With ``monkeypatch``, hop fusion is forced on or off through
+    ``REPRO_HOP_FUSION``, which the fabric reads at construction.
+    """
+    if monkeypatch is not None:
+        monkeypatch.setenv("REPRO_HOP_FUSION", "1" if fusion else "0")
     sim = Simulator()
-    topology = MeshTopology(side, NocConfig())
-    return sim, NocFabric(sim, topology, NocConfig(), hop_fusion=hop_fusion)
+    return sim, NocFabric(sim, MeshTopology(8, NocConfig()), NocConfig())
 
 
 class TestPacket:
@@ -120,12 +126,11 @@ class TestContention:
         assert fabric.aggregate_wire_gbps(frequency_ghz=2.0) > 0.0
 
 
-def _drive(fabric, sim, sends, tail=False):
+def _drive(fabric, sim, sends):
     """Inject ``sends`` (src, dst, nbytes, cls) tuples; return delivery times."""
     times = []
     for src, dst, nbytes, cls in sends:
-        fabric.send(src, dst, nbytes, cls, lambda p: times.append((p.packet_id, sim.now)),
-                    tail=tail)
+        fabric.send(src, dst, nbytes, cls, lambda p: times.append((p.packet_id, sim.now)))
     sim.run()
     return times
 
@@ -152,11 +157,6 @@ class TestHopFusion:
         monkeypatch.setenv("REPRO_HOP_FUSION", "1")
         assert hop_fusion_default() is True
 
-    def test_constructor_flag_wins_over_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_HOP_FUSION", "0")
-        _sim, fabric = make_fabric(hop_fusion=True)
-        assert fabric.hop_fusion is True
-
     def test_fused_walk_matches_zero_load_estimate(self):
         sim, fabric = make_fabric()
         delivered = {}
@@ -169,9 +169,9 @@ class TestHopFusion:
         assert fabric.fused_hops == 6
         assert fabric.lifetime_fused_hops == 6
 
-    def test_fused_and_unfused_deliveries_are_identical(self):
-        sim_a, fused = make_fabric(hop_fusion=True)
-        sim_b, unfused = make_fabric(hop_fusion=False)
+    def test_fused_and_unfused_deliveries_are_identical(self, monkeypatch):
+        sim_a, fused = make_fabric(monkeypatch, fusion=True)
+        sim_b, unfused = make_fabric(monkeypatch, fusion=False)
         times_fused = _drive(fused, sim_a, MIX)
         times_unfused = _drive(unfused, sim_b, MIX)
         assert times_fused and len(times_fused) == len(MIX)
@@ -181,31 +181,13 @@ class TestHopFusion:
         assert fused.link_utilization() == unfused.link_utilization()
         assert fused.bisection_bytes == unfused.bisection_bytes
 
-    def test_tail_send_matches_regular_send(self):
-        sim_a, tail = make_fabric(hop_fusion=True)
-        sim_b, regular = make_fabric(hop_fusion=True)
-        # One packet at a time, fully drained: the tail contract holds.
-        times_tail = []
-        times_regular = []
-        for src, dst, nbytes, cls in MIX:
-            tail.send(src, dst, nbytes, cls,
-                      lambda p: times_tail.append(sim_a.now), tail=True)
-            sim_a.run()
-            regular.send(src, dst, nbytes, cls,
-                         lambda p: times_regular.append(sim_b.now))
-            sim_b.run()
-        assert times_tail == times_regular
-        # The tail walk needs no continuation event: one event per packet.
-        assert sim_a.events_executed < sim_b.events_executed
-        assert tail.link_utilization() == regular.link_utilization()
-
-    def test_contended_link_falls_back_and_stays_exact(self):
+    def test_contended_link_falls_back_and_stays_exact(self, monkeypatch):
         # Three same-route packets: the second and third queue behind the
         # first on every link, and the dense event queue suppresses fusion
         # without changing any delivery time (see TestContention for the
         # expected spacing).
-        sim_a, fused = make_fabric(hop_fusion=True)
-        sim_b, unfused = make_fabric(hop_fusion=False)
+        sim_a, fused = make_fabric(monkeypatch, fusion=True)
+        sim_b, unfused = make_fabric(monkeypatch, fusion=False)
         sends = [((0, 0), (3, 0), 64, MessageClass.NI_DATA)] * 3
         times_fused = [t for _, t in _drive(fused, sim_a, sends)]
         times_unfused = [t for _, t in _drive(unfused, sim_b, sends)]
@@ -225,12 +207,12 @@ class TestHopFusion:
         assert delivered["t"] == fabric.zero_load_latency((0, 0), (5, 3), 64)
         assert fabric.fused_hops == 0
 
-    def test_stats_at_a_run_horizon_match_unfused(self):
+    def test_stats_at_a_run_horizon_match_unfused(self, monkeypatch):
         # A fused walk must not commit link occupancy for hops the per-hop
         # chain would not have executed by a run(until=...) horizon: callers
         # sample utilization exactly at those boundaries.
-        sim_a, fused = make_fabric(hop_fusion=True)
-        sim_b, unfused = make_fabric(hop_fusion=False)
+        sim_a, fused = make_fabric(monkeypatch, fusion=True)
+        sim_b, unfused = make_fabric(monkeypatch, fusion=False)
         for sim, fabric in ((sim_a, fused), (sim_b, unfused)):
             fabric.send((0, 0), (7, 7), 256, MessageClass.NI_DATA)
             sim.run(until=3)
@@ -245,11 +227,11 @@ class TestHopFusion:
         assert fused.packets_delivered == unfused.packets_delivered == 1
         assert fused.link_utilization() == unfused.link_utilization()
 
-    def test_reset_stats_mid_flight_matches_unfused(self):
+    def test_reset_stats_mid_flight_matches_unfused(self, monkeypatch):
         # Warm-up boundary with a packet in flight: the carried-over
         # in-flight busy cycles must be identical fused vs unfused.
-        sim_a, fused = make_fabric(hop_fusion=True)
-        sim_b, unfused = make_fabric(hop_fusion=False)
+        sim_a, fused = make_fabric(monkeypatch, fusion=True)
+        sim_b, unfused = make_fabric(monkeypatch, fusion=False)
         results = {}
         for key, (sim, fabric) in (("fused", (sim_a, fused)),
                                    ("unfused", (sim_b, unfused))):
@@ -265,10 +247,14 @@ class TestHopFusion:
 
     def test_reset_stats_zeroes_window_counter_only(self):
         sim, fabric = make_fabric()
+        for _ in range(2):
+            fabric.send((0, 0), (5, 3), 64, MessageClass.NI_DATA)
+            sim.run()
+        assert (fabric.packets_sent, fabric.fused_hops) == (2, 12)
+        fabric.reset_stats()
+        assert (fabric.packets_sent, fabric.fused_hops) == (0, 0)
+        # The window counts restart while the lifetime counts keep going.
         fabric.send((0, 0), (5, 3), 64, MessageClass.NI_DATA)
         sim.run()
-        assert fabric.fused_hops > 0
-        lifetime = fabric.lifetime_fused_hops
-        fabric.reset_stats()
-        assert fabric.fused_hops == 0
-        assert fabric.lifetime_fused_hops == lifetime
+        assert (fabric.packets_sent, fabric.fused_hops) == (1, 6)
+        assert (fabric.lifetime_packets_sent, fabric.lifetime_fused_hops) == (3, 18)

@@ -110,8 +110,7 @@ class TestProbeSampling:
         sim = Simulator()
         sim.schedule(5.0, lambda: None)
         payload = HeapHealthProbe().sample(ProbeContext(sim=sim))
-        assert payload == {"pending": 1, "peak_pending": 1,
-                           "cancelled_backlog": 0, "executed": 0}
+        assert payload == {"pending": 1, "peak_pending": 1, "executed": 0}
 
     def test_throughput_tracks_deltas(self):
         sim = Simulator()

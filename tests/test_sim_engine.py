@@ -38,13 +38,21 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             sim.schedule_at(5, lambda: None)
 
-    def test_cancelled_event_does_not_fire(self):
+    def test_schedule_and_schedule_at_interleave_in_scheduling_order(self):
         sim = Simulator()
-        fired = []
-        event = sim.schedule(5, fired.append, "x")
-        event.cancel()
+        order = []
+        sim.schedule(5, order.append, 1)
+        sim.schedule_at(5, order.append, 2)
+        sim.schedule(5, order.append, 3)
+        sim.schedule_at(5, order.append, 4)
         sim.run()
-        assert fired == []
+        assert order == [1, 2, 3, 4]
+
+    def test_every_heap_entry_is_time_seq_callback_args(self):
+        sim = Simulator()
+        assert sim.schedule(5, print, "a") is None
+        assert sim.schedule_at(7, print) is None
+        assert sorted(sim._queue) == [(5.0, 0, print, ("a",)), (7, 1, print, ())]
 
     def test_events_can_schedule_more_events(self):
         sim = Simulator()
@@ -116,10 +124,6 @@ class TestRunBounds:
         sim.run()
         assert fired == ["a"]
 
-    def test_step_returns_false_when_empty(self):
-        sim = Simulator()
-        assert sim.step() is False
-
     def test_events_executed_counter(self):
         sim = Simulator()
         for _ in range(4):
@@ -129,66 +133,57 @@ class TestRunBounds:
 
 
 class TestFastPath:
+    """Every event takes the allocation-free tuple path and is counted."""
+
     def test_fast_events_fire_in_time_order(self):
         sim = Simulator()
         order = []
-        sim.schedule_fast(10, order.append, "b")
-        sim.schedule_fast(5, order.append, "a")
-        sim.schedule_fast(20, order.append, "c")
+        sim.schedule(10, order.append, "b")
+        sim.schedule(5, order.append, "a")
+        sim.schedule(20, order.append, "c")
         sim.run()
         assert order == ["a", "b", "c"]
         assert sim.now == 20
         assert sim.events_executed == 3
-
-    def test_fast_and_slow_events_interleave_in_scheduling_order(self):
-        sim = Simulator()
-        order = []
-        sim.schedule(5, order.append, 1)
-        sim.schedule_fast(5, order.append, 2)
-        sim.schedule(5, order.append, 3)
-        sim.schedule_fast(5, order.append, 4)
-        sim.run()
-        assert order == [1, 2, 3, 4]
+        assert sim._perf.fast_events == 3
 
     def test_fast_negative_delay_rejected(self):
         sim = Simulator()
         with pytest.raises(SimulationError):
-            sim.schedule_fast(-1, lambda: None)
+            sim.schedule(-1, lambda: None)
+        assert sim.pending_events == 0
 
     def test_fast_events_counted_in_peak_pending(self):
         sim = Simulator()
         for i in range(7):
-            sim.schedule_fast(i + 1, lambda: None)
-        assert sim.peak_pending_events == 7
+            sim.schedule(i + 1, lambda: None)
+        sim.schedule_at(10, lambda: None)
+        assert sim.peak_pending_events == 8
         sim.run()
         assert sim.pending_events == 0
-
-    def test_fast_events_survive_compaction(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule_fast(600, fired.append, "fast")
-        doomed = [sim.schedule(100 + i, fired.append, "dead") for i in range(300)]
-        for event in doomed:
-            sim.cancel(event)
-        sim.run()
-        assert fired == ["fast"]
-
-    def test_step_executes_fast_events(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule_fast(3, fired.append, "x")
-        assert sim.step() is True
-        assert fired == ["x"]
-        assert sim.now == 3
+        assert sim.peak_pending_events == 8
 
     def test_run_until_respects_fast_events(self):
         sim = Simulator()
         fired = []
-        sim.schedule_fast(5, fired.append, "early")
-        sim.schedule_fast(50, fired.append, "late")
+        sim.schedule(5, fired.append, "early")
+        sim.schedule_at(50, fired.append, "late")
         sim.run(until=10)
         assert fired == ["early"]
         assert sim.now == 10
+
+
+class TestCancellationAndCompaction:
+    """Heap bookkeeping: the pending-event high-water mark survives draining."""
+
+    def test_peak_pending_events_tracks_high_water_mark(self):
+        sim = Simulator()
+        for i in range(10):
+            sim.schedule(i + 1, lambda: None)
+        assert sim.peak_pending_events == 10
+        sim.run()
+        assert sim.pending_events == 0
+        assert sim.peak_pending_events == 10
 
 
 class TestNextEventTime:
@@ -198,18 +193,9 @@ class TestNextEventTime:
     def test_returns_head_time_without_popping(self):
         sim = Simulator()
         sim.schedule(7, lambda: None)
-        sim.schedule_fast(3, lambda: None)
+        sim.schedule_at(3, lambda: None)
         assert sim.next_event_time() == 3
         assert sim.pending_events == 2
-
-    def test_skips_cancelled_head_events(self):
-        sim = Simulator()
-        dead = sim.schedule(1, lambda: None)
-        sim.schedule(9, lambda: None)
-        sim.cancel(dead)
-        assert sim.next_event_time() == 9
-        # The cancelled head was purged on the way.
-        assert sim.pending_events == 1
 
 
 class TestProcess:
@@ -294,6 +280,17 @@ class TestProcess:
         assert proc.finished
         assert unrelated == []
 
+    def test_drain_with_a_bound_keeps_the_clock_at_the_last_completion(self):
+        sim = Simulator()
+
+        def worker(delay):
+            yield delay
+
+        procs = [sim.process(worker(d)) for d in (3, 7)]
+        drain(sim, procs, until=50)
+        assert all(p.finished for p in procs)
+        assert sim.now == 7
+
     def test_drain_raises_when_the_simulation_goes_idle(self):
         sim = Simulator()
 
@@ -320,104 +317,3 @@ class TestProcess:
         with pytest.raises(SimulationError, match="did not finish"):
             drain(sim, [proc], until=10)
 
-
-class TestCancellationAndCompaction:
-    def test_simulator_cancel_prevents_firing(self):
-        sim = Simulator()
-        fired = []
-        event = sim.schedule(5, fired.append, "x")
-        sim.cancel(event)
-        sim.run()
-        assert fired == []
-
-    def test_cancel_is_idempotent(self):
-        sim = Simulator()
-        event = sim.schedule(5, lambda: None)
-        sim.cancel(event)
-        sim.cancel(event)
-        sim.run()
-
-    def test_heavy_cancellation_compacts_the_heap(self):
-        sim = Simulator()
-        keep = sim.schedule(1_000, lambda: None)
-        doomed = [sim.schedule(100 + i, lambda: None) for i in range(500)]
-        assert sim.pending_events == 501
-        for event in doomed:
-            sim.cancel(event)
-        # Lazy purging must have bounded the queue: at most the live event
-        # plus less-than-half dead entries remain.
-        assert sim.pending_events < 251
-        fired_at = []
-        sim.schedule_at(1_000, lambda: fired_at.append(sim.now))
-        sim.run()
-        assert sim.now == 1_000
-        assert not keep.cancelled
-
-    def test_compaction_preserves_event_order(self):
-        sim = Simulator()
-        order = []
-        events = [sim.schedule(10 + i, order.append, i) for i in range(200)]
-        for event in events[::2]:
-            sim.cancel(event)
-        sim.run()
-        assert order == list(range(1, 200, 2))
-
-    def test_cancel_from_within_event_is_safe(self):
-        # Compaction replaces heap contents while run() holds a reference to
-        # the heap; cancelling en masse from inside a callback must not lose
-        # the surviving events.
-        sim = Simulator()
-        fired = []
-        doomed = [sim.schedule(50 + i, fired.append, "dead") for i in range(300)]
-        sim.schedule(1, lambda: [sim.cancel(e) for e in doomed])
-        sim.schedule(400, fired.append, "alive")
-        sim.run()
-        assert fired == ["alive"]
-
-    def test_peak_pending_events_tracks_high_water_mark(self):
-        sim = Simulator()
-        for i in range(10):
-            sim.schedule(i + 1, lambda: None)
-        assert sim.peak_pending_events == 10
-        sim.run()
-        assert sim.pending_events == 0
-        assert sim.peak_pending_events == 10
-
-    def test_event_cancel_method_still_works(self):
-        # The legacy Event.cancel() path (no simulator bookkeeping) must keep
-        # skipping the event when it surfaces.
-        sim = Simulator()
-        fired = []
-        event = sim.schedule(5, fired.append, "x")
-        event.cancel()
-        sim.schedule(6, fired.append, "y")
-        sim.run()
-        assert fired == ["y"]
-
-    def test_cancel_after_fire_is_harmless(self):
-        sim = Simulator()
-        fired = []
-        event = sim.schedule(1, fired.append, "x")
-        sim.run()
-        sim.cancel(event)  # stale cancel of an already-fired event
-        sim.schedule(1, fired.append, "y")
-        sim.run()
-        assert fired == ["x", "y"]
-
-    def test_mixed_legacy_and_simulator_cancels(self):
-        # Legacy Event.cancel() entries popping must not drain the
-        # simulator's bookkeeping for events cancelled via sim.cancel().
-        sim = Simulator()
-        fired = []
-        legacy = [sim.schedule(10 + i, fired.append, "l") for i in range(50)]
-        tracked = [sim.schedule(500 + i, fired.append, "t") for i in range(200)]
-        for event in legacy:
-            event.cancel()
-        sim.run(until=100)  # pops every legacy-cancelled entry
-        for event in tracked:
-            sim.cancel(event)
-        # Compaction must have removed the bulk of the 200 dead entries; at
-        # most a sub-threshold remainder may linger until the next pass.
-        assert sim.pending_events < 64
-        sim.run()
-        assert fired == []

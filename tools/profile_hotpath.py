@@ -5,7 +5,7 @@ Profiles either the NOC packet-injection microbenchmark (the same mix the
 perf baseline measures, at a chosen load regime) or any registered
 experiment spec, and prints the top functions by internal time.  This is
 the tool that found the wins behind lookahead hop fusion and the
-allocation-free event fast path — start here before optimising anything.
+allocation-free event path — start here before optimising anything.
 
 Examples::
 
@@ -50,15 +50,14 @@ def profile_injection(packets: int, batch: int) -> cProfile.Profile:
     profiler = cProfile.Profile()
     profiler.enable()
     if batch <= 1:
-        # Self-paced chain: each delivery injects the next packet (tail-send
-        # contract holds — the callback does nothing after the send).
+        # Self-paced chain: each delivery injects the next packet.
         requests = iter(plan)
         send = fabric.send
 
         def inject(_packet=None):
             request = next(requests, None)
             if request is not None:
-                send(request[0], request[1], request[2], request[3], inject, tail=True)
+                send(request[0], request[1], request[2], request[3], inject)
 
         inject()
         sim.run()
