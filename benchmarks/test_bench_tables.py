@@ -2,8 +2,6 @@
 
 from bench_params import run_spec
 
-from repro.config import NIDesign
-
 
 def test_bench_table1(benchmark):
     """Table 1: QP-based model vs load/store NUMA, single-block remote read."""
@@ -35,8 +33,7 @@ def test_bench_table3_simulated_cross_check(benchmark):
     paper = dict(zip(result.column("Design"), result.column("Paper cycles")))
     # The simulated end-to-end latency must stay within 20% of the paper's
     # detailed-model numbers for every design, and preserve the ordering.
-    for design in (NIDesign.EDGE, NIDesign.PER_TILE, NIDesign.SPLIT, NIDesign.NUMA):
-        measured = simulated[design.value]
-        assert abs(measured - paper[design.value]) / paper[design.value] < 0.20
+    for design in ("edge", "per_tile", "split", "numa"):
+        assert abs(simulated[design] - paper[design]) / paper[design] < 0.20
     assert simulated["edge"] > simulated["split"]
     assert simulated["edge"] > simulated["per_tile"]

@@ -5,14 +5,14 @@ two application classes the paper's introduction motivates and track their
 throughput over time.
 """
 
-from repro.config import NIDesign, SystemConfig
+from repro.config import SystemConfig
 from repro.workloads.graphproc import GraphTraversalWorkload, SyntheticPowerLawGraph
 from repro.workloads.kvstore import KeyValueStoreWorkload
 
 
 def test_bench_kvstore_gets(benchmark):
     workload = KeyValueStoreWorkload(
-        SystemConfig.paper_defaults().with_design(NIDesign.SPLIT),
+        SystemConfig.paper_defaults().with_design("split"),
         value_bytes=512,
         active_cores=8,
         gets_per_core=12,
@@ -27,7 +27,7 @@ def test_bench_kvstore_gets(benchmark):
 def test_bench_graph_traversal(benchmark):
     graph = SyntheticPowerLawGraph(vertices=2048, edges_per_vertex=8, seed=2)
     workload = GraphTraversalWorkload(
-        SystemConfig.paper_defaults().with_design(NIDesign.SPLIT),
+        SystemConfig.paper_defaults().with_design("split"),
         graph=graph,
         rack_nodes=64,
         active_cores=4,

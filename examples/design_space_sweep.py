@@ -15,7 +15,7 @@ Run with::
 from __future__ import annotations
 
 from repro.analysis.report import format_table
-from repro.config import NIDesign, SystemConfig
+from repro.config import SystemConfig
 from repro.workloads.microbench import (
     RemoteReadBandwidthBenchmark,
     RemoteReadLatencyBenchmark,
@@ -23,7 +23,7 @@ from repro.workloads.microbench import (
 
 LATENCY_SIZES = (64, 1024, 8192)
 BANDWIDTH_SIZES = (64, 1024, 4096)
-DESIGNS = (NIDesign.EDGE, NIDesign.SPLIT, NIDesign.PER_TILE)
+DESIGNS = ("edge", "split", "per_tile")
 
 
 def latency_sweep(config: SystemConfig) -> None:

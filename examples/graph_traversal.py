@@ -17,10 +17,10 @@ Run with::
 from __future__ import annotations
 
 from repro.analysis.report import format_table
-from repro.config import NIDesign, SystemConfig
+from repro.config import SystemConfig
 from repro.workloads.graphproc import GraphTraversalWorkload, SyntheticPowerLawGraph
 
-DESIGNS = (NIDesign.SPLIT, NIDesign.PER_TILE)
+DESIGNS = ("split", "per_tile")
 
 
 def main() -> None:
@@ -37,7 +37,7 @@ def main() -> None:
         )
         result = workload.run()
         rows.append([
-            design.value,
+            design,
             result.vertices_visited,
             result.remote_vertex_fetches,
             result.edges_traversed,

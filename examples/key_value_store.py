@@ -15,11 +15,11 @@ Run with::
 from __future__ import annotations
 
 from repro.analysis.report import format_table
-from repro.config import NIDesign, SystemConfig
+from repro.config import SystemConfig
 from repro.workloads.kvstore import KeyValueStoreWorkload
 
 VALUE_SIZES = (128, 512)
-DESIGNS = (NIDesign.EDGE, NIDesign.SPLIT)
+DESIGNS = ("edge", "split")
 
 
 def main() -> None:
@@ -37,7 +37,7 @@ def main() -> None:
             result = workload.run()
             rows.append([
                 value_bytes,
-                design.value,
+                design,
                 result.remote_gets,
                 100.0 * result.remote_fraction,
                 result.mean_latency_ns,

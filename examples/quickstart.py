@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from repro.analysis.breakdown import LatencyBreakdownModel
 from repro.analysis.report import format_table
-from repro.config import NIDesign, SystemConfig
+from repro.config import SystemConfig
 from repro.workloads.microbench import RemoteReadLatencyBenchmark
 
 
@@ -30,12 +30,12 @@ def main() -> None:
     # Analytical zero-load breakdown (Table 3).
     # ------------------------------------------------------------------
     model = LatencyBreakdownModel(config)
-    numa = model.breakdown(NIDesign.NUMA)
+    numa = model.breakdown("numa")
     rows = []
-    for design in (NIDesign.EDGE, NIDesign.PER_TILE, NIDesign.SPLIT, NIDesign.NUMA):
+    for design in ("edge", "per_tile", "split", "numa"):
         breakdown = model.breakdown(design, hops=1)
-        overhead = 0.0 if design is NIDesign.NUMA else 100 * breakdown.overhead_over(numa)
-        rows.append([design.value, breakdown.total_cycles,
+        overhead = 0.0 if design == "numa" else 100 * breakdown.overhead_over(numa)
+        rows.append([design, breakdown.total_cycles,
                      breakdown.total_ns(config.cores.frequency_ghz), overhead])
     print("Zero-load single-block remote read, one rack hop (Table 3)")
     print(format_table(["design", "cycles", "ns", "overhead over NUMA (%)"], rows))
@@ -44,12 +44,12 @@ def main() -> None:
     # ------------------------------------------------------------------
     # Simulated cross-check for the paper's proposed design (NIsplit).
     # ------------------------------------------------------------------
-    bench = RemoteReadLatencyBenchmark(config.with_design(NIDesign.SPLIT), iterations=5, warmup=2)
+    bench = RemoteReadLatencyBenchmark(config.with_design("split"), iterations=5, warmup=2)
     result = bench.run(transfer_bytes=64)
     print("Simulated NIsplit 64-byte remote read: %.0f cycles (%.1f ns)"
           % (result.mean_cycles, result.mean_ns))
     print("Analytical NIsplit total           : %d cycles"
-          % model.breakdown(NIDesign.SPLIT).total_cycles)
+          % model.breakdown("split").total_cycles)
 
 
 if __name__ == "__main__":

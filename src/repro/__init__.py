@@ -9,10 +9,10 @@ experiment harness that regenerates every table and figure of the evaluation.
 
 Quick start::
 
-    from repro import SystemConfig, NIDesign
+    from repro import SystemConfig
     from repro.workloads import RemoteReadLatencyBenchmark
 
-    config = SystemConfig.paper_defaults().with_design(NIDesign.SPLIT)
+    config = SystemConfig.paper_defaults().with_design("split")
     bench = RemoteReadLatencyBenchmark(config, iterations=5)
     result = bench.run(transfer_bytes=64)
     print(result.mean_ns, "ns")
@@ -21,8 +21,6 @@ Quick start::
 from repro.version import __version__
 from repro.config import (
     SystemConfig,
-    NIDesign,
-    TopologyKind,
     RoutingAlgorithm,
     MessageClass,
     CACHE_BLOCK_BYTES,
@@ -37,8 +35,6 @@ _LAZY_SCENARIO = ("ScenarioSpec", "MachineBuilder", "Scenario", "ScenarioResult"
 __all__ = [
     "__version__",
     "SystemConfig",
-    "NIDesign",
-    "TopologyKind",
     "RoutingAlgorithm",
     "MessageClass",
     "CACHE_BLOCK_BYTES",

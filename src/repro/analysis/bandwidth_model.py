@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.config import NIDesign, SystemConfig
+from repro.config import SystemConfig
 from repro.errors import ConfigurationError
 from repro.sonuma.unroll import block_count
 from repro.sonuma.wire import REQUEST_HEADER_BYTES, RESPONSE_HEADER_BYTES
@@ -29,7 +29,7 @@ from repro.sonuma.wire import REQUEST_HEADER_BYTES, RESPONSE_HEADER_BYTES
 class BandwidthEstimate:
     """An estimated application-bandwidth bound, in GBps."""
 
-    design: NIDesign
+    design: str
     transfer_bytes: int
     limit_gbps: float
     limiting_factor: str
@@ -62,7 +62,7 @@ class BandwidthModel:
     # ------------------------------------------------------------------
     # Per-design bounds
     # ------------------------------------------------------------------
-    def issue_rate_limit_gbps(self, design: NIDesign, transfer_bytes: int) -> float:
+    def issue_rate_limit_gbps(self, design: str, transfer_bytes: int) -> float:
         """Bandwidth bound imposed by per-core WQ/CQ interaction latency.
 
         A core must spend the WQ-write and (amortized) CQ-read costs for
@@ -74,12 +74,12 @@ class BandwidthModel:
         if transfer_bytes <= 0:
             raise ConfigurationError("transfer size must be positive")
         cal = self.config.calibration
-        if design is NIDesign.EDGE:
+        if design == "edge":
             per_transfer = (
                 cal.edge_wq_write_cycles
                 + cal.edge_cq_read_cycles
             )
-        elif design in (NIDesign.PER_TILE, NIDesign.SPLIT):
+        elif design in ("per_tile", "split"):
             per_transfer = (
                 cal.wq_write_instruction_cycles
                 + cal.qp_entry_local_transfer_cycles
@@ -115,14 +115,14 @@ class BandwidthModel:
         raw = 2.0 * cores * bytes_per_cycle_per_tile * self.config.cores.frequency_ghz
         return min(raw, 0.5 * self.bisection_limit_gbps())
 
-    def estimate(self, design: NIDesign, transfer_bytes: int) -> BandwidthEstimate:
+    def estimate(self, design: str, transfer_bytes: int) -> BandwidthEstimate:
         """The binding bound for one design and transfer size."""
         ceilings = {
             "bisection": self.bisection_limit_gbps(),
             "memory": self.memory_limit_gbps(),
             "issue_rate": self.issue_rate_limit_gbps(design, transfer_bytes),
         }
-        if design is NIDesign.PER_TILE:
+        if design == "per_tile":
             ceilings["tile_injection"] = self.per_tile_injection_limit_gbps(transfer_bytes)
         factor, limit = min(ceilings.items(), key=lambda item: item[1])
         return BandwidthEstimate(

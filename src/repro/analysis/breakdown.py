@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.config import NIDesign, SystemConfig
+from repro.config import SystemConfig
 from repro.errors import ConfigurationError
 
 
@@ -30,7 +30,7 @@ class BreakdownComponent:
 class DesignBreakdown:
     """The full breakdown for one design at one hop count."""
 
-    design: NIDesign
+    design: str
     hops: int
     components: List[BreakdownComponent]
 
@@ -54,6 +54,10 @@ class DesignBreakdown:
 class LatencyBreakdownModel:
     """Builds the per-design zero-load breakdowns of a single-block remote read."""
 
+    #: The designs with a calibrated breakdown (each has a ``_<name>``
+    #: component builder below), in Table 3 order.
+    DESIGNS = ("edge", "per_tile", "split", "numa")
+
     def __init__(self, config: Optional[SystemConfig] = None) -> None:
         self.config = config if config is not None else SystemConfig.paper_defaults()
         self.calibration = self.config.calibration
@@ -61,25 +65,25 @@ class LatencyBreakdownModel:
     # ------------------------------------------------------------------
     # Per-design breakdowns
     # ------------------------------------------------------------------
-    def breakdown(self, design: NIDesign, hops: int = 1) -> DesignBreakdown:
+    def breakdown(self, design: str, hops: int = 1) -> DesignBreakdown:
         """Breakdown of a single-cache-block remote read for ``design``."""
         if hops < 0:
             raise ConfigurationError("hop count cannot be negative")
-        builders = {
-            NIDesign.EDGE: self._edge,
-            NIDesign.PER_TILE: self._per_tile,
-            NIDesign.SPLIT: self._split,
-            NIDesign.NUMA: self._numa,
-        }
-        return DesignBreakdown(design=design, hops=hops, components=builders[design](hops))
+        if design not in self.DESIGNS:
+            raise ConfigurationError(
+                "no latency breakdown for NI design %r (calibrated: %s)"
+                % (design, ", ".join(self.DESIGNS))
+            )
+        components = getattr(self, "_" + design)(hops)
+        return DesignBreakdown(design=design, hops=hops, components=components)
 
-    def all_breakdowns(self, hops: int = 1) -> Dict[NIDesign, DesignBreakdown]:
+    def all_breakdowns(self, hops: int = 1) -> Dict[str, DesignBreakdown]:
         """Table 3: every design at the same hop count."""
-        return {design: self.breakdown(design, hops) for design in NIDesign}
+        return {design: self.breakdown(design, hops) for design in self.DESIGNS}
 
-    def overhead_over_numa(self, design: NIDesign, hops: int = 1) -> float:
+    def overhead_over_numa(self, design: str, hops: int = 1) -> float:
         """Fractional overhead of ``design`` over the NUMA projection."""
-        return self.breakdown(design, hops).overhead_over(self.breakdown(NIDesign.NUMA, hops))
+        return self.breakdown(design, hops).overhead_over(self.breakdown("numa", hops))
 
     # ------------------------------------------------------------------
     # Component builders
@@ -173,6 +177,6 @@ class LatencyBreakdownModel:
             BreakdownComponent("B6) Transfer reply to core", cal.tile_to_edge_transfer_cycles),
         ]
         return {
-            "qp_based": DesignBreakdown(NIDesign.EDGE, hops, qp_components),
-            "numa": DesignBreakdown(NIDesign.NUMA, hops, numa_components),
+            "qp_based": DesignBreakdown("edge", hops, qp_components),
+            "numa": DesignBreakdown("numa", hops, numa_components),
         }

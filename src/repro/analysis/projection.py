@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.breakdown import LatencyBreakdownModel
-from repro.config import NIDesign, SystemConfig
+from repro.config import SystemConfig
 from repro.errors import ConfigurationError
 from repro.fabric.torus import Torus3D
 
@@ -22,15 +22,15 @@ class ProjectionPoint:
     """Latency of every design at one hop count."""
 
     hops: int
-    latency_ns: Dict[NIDesign, float]
-    overhead_over_numa: Dict[NIDesign, float]
+    latency_ns: Dict[str, float]
+    overhead_over_numa: Dict[str, float]
 
 
 class HopProjection:
     """Builds the Figure-5 latency-vs-hop-count projection."""
 
     def __init__(self, config: Optional[SystemConfig] = None,
-                 designs: Sequence[NIDesign] = (NIDesign.NUMA, NIDesign.SPLIT, NIDesign.EDGE)) -> None:
+                 designs: Sequence[str] = ("numa", "split", "edge")) -> None:
         self.config = config if config is not None else SystemConfig.paper_defaults()
         self.designs = tuple(designs)
         self.model = LatencyBreakdownModel(self.config)
@@ -49,13 +49,13 @@ class HopProjection:
         if hops < 0:
             raise ConfigurationError("hop count cannot be negative")
         frequency = self.config.cores.frequency_ghz
-        latency_ns: Dict[NIDesign, float] = {}
+        latency_ns: Dict[str, float] = {}
         for design in self.designs:
             latency_ns[design] = self.model.breakdown(design, hops).total_ns(frequency)
-        numa = self.model.breakdown(NIDesign.NUMA, hops)
-        overhead: Dict[NIDesign, float] = {}
+        numa = self.model.breakdown("numa", hops)
+        overhead: Dict[str, float] = {}
         for design in self.designs:
-            if design is NIDesign.NUMA:
+            if design == "numa":
                 overhead[design] = 0.0
             else:
                 overhead[design] = self.model.breakdown(design, hops).overhead_over(numa)

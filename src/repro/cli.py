@@ -45,9 +45,6 @@ campaign progress events; see :mod:`repro.obs`) and renders a summary::
     repro-experiments watch obs.jsonl
     repro-experiments watch obs.jsonl --follow      # live tail
     repro-experiments watch obs.jsonl --check       # validate every record
-
-The seed interface (``repro-experiments table1 fig5``, ``--list``,
-``--fast``) is still accepted and mapped onto the subcommands.
 """
 
 from __future__ import annotations
@@ -60,11 +57,8 @@ from repro.campaign import Campaign, CampaignReport, ResultCache, expand_grid, p
 from repro.campaign.report import load_report
 from repro.campaign.request import RunRequest
 from repro.errors import ExperimentError, ReproError
-from repro.experiments.registry import get_spec, iter_specs, list_experiments
-from repro.experiments.runner import fast_experiments
+from repro.experiments.registry import get_spec, iter_specs, list_specs
 from repro.version import PAPER_TITLE, PAPER_VENUE, __version__
-
-_SUBCOMMANDS = ("run", "list", "sweep", "explore", "report", "lint", "watch")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -225,22 +219,8 @@ def _add_stream_options(parser: argparse.ArgumentParser) -> None:
                              "(default: 500 cycles)")
 
 
-def _normalize_legacy(argv: List[str]) -> List[str]:
-    """Map the seed CLI (positional names, --list, --fast) onto subcommands."""
-    if "--list" in argv:
-        return ["list"] + [arg for arg in argv if arg != "--list"]
-    if not argv:
-        return ["run"]
-    head = argv[0]
-    if head in _SUBCOMMANDS or head in ("-h", "--help", "--version"):
-        return argv
-    return ["run"] + argv
-
-
 def main(argv: Optional[List[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(_normalize_legacy(argv))
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "list":
             return _cmd_list(args)
@@ -393,9 +373,9 @@ def _cmd_list(args: argparse.Namespace) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     names = list(args.experiments)
     if args.fast and not names:
-        names = fast_experiments()
+        names = [spec.name for spec in iter_specs() if spec.fast]
     if not names:
-        names = list_experiments()
+        names = list_specs()
     requests = []
     matched_keys = set()
     for name in names:

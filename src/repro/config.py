@@ -42,12 +42,9 @@ CACHE_BLOCK_BYTES = 64
 class NIDesign(enum.Enum):
     """The network-interface placements studied in the paper (§3).
 
-    .. deprecated::
-        This enum is kept as a thin compatibility shim.  The source of truth
-        for available designs is the component registry
-        (:data:`repro.scenario.registry.NI_DESIGNS`); new designs register
-        there by name and need no enum member.  Prefer registry names and
-        :class:`repro.scenario.ScenarioSpec` in new code.
+    Configurations store registry names (:data:`repro.scenario.registry
+    .NI_DESIGNS`); :meth:`SystemConfig.with_design` also accepts these
+    members and stores their names.
     """
 
     EDGE = "edge"
@@ -55,83 +52,6 @@ class NIDesign(enum.Enum):
     SPLIT = "split"
     #: Idealized hardware NUMA with a load/store interface (baseline).
     NUMA = "numa"
-
-    @classmethod
-    def messaging_designs(cls) -> Tuple["NIDesign", ...]:
-        """The QP-based designs (i.e. everything except the NUMA baseline)."""
-        return (cls.EDGE, cls.PER_TILE, cls.SPLIT)
-
-    @classmethod
-    def coerce(cls, value: object) -> "NIDesign":
-        """Accept an NIDesign or a registered design name (CLI parameters).
-
-        Delegates the string→component normalization to the design
-        registry's ``resolve`` helper, so unknown names fail with the
-        registered inventory (and a suggestion) in the message.
-        """
-        if isinstance(value, cls):
-            return value
-        from repro.scenario.registry import NI_DESIGNS
-
-        name = NI_DESIGNS.resolve(value)
-        try:
-            return cls(name)
-        except ValueError:
-            raise ConfigurationError(
-                "NI design %r is registered but has no NIDesign enum member; "
-                "use repro.scenario.ScenarioSpec / MachineBuilder for "
-                "registry-only designs" % name
-            ) from None
-
-    @property
-    def label(self) -> str:
-        """The paper's display name for the design (e.g. "NIper-tile")."""
-        return _DESIGN_LABELS[self]
-
-
-def design_name(design: object) -> str:
-    """Canonical name of an NI design (enum member or registry name string)."""
-    return design.value if isinstance(design, NIDesign) else str(design)
-
-
-def topology_name(topology: object) -> str:
-    """Canonical name of a topology (enum member or registry name string)."""
-    return topology.value if isinstance(topology, TopologyKind) else str(topology)
-
-
-_DESIGN_LABELS = {
-    NIDesign.EDGE: "NIedge",
-    NIDesign.PER_TILE: "NIper-tile",
-    NIDesign.SPLIT: "NIsplit",
-    NIDesign.NUMA: "NUMA",
-}
-
-
-class TopologyKind(enum.Enum):
-    """On-chip interconnect topologies evaluated in the paper.
-
-    Like :class:`NIDesign`, this enum is a compatibility shim over the
-    topology registry (:data:`repro.scenario.registry.TOPOLOGIES`).
-    """
-
-    MESH = "mesh"
-    NOC_OUT = "noc_out"
-
-    @classmethod
-    def coerce(cls, value: object) -> "TopologyKind":
-        """Accept a TopologyKind or a registered chip-topology name."""
-        if isinstance(value, cls):
-            return value
-        from repro.scenario.registry import TOPOLOGIES
-
-        name = TOPOLOGIES.resolve(value)
-        try:
-            return cls(name)
-        except ValueError:
-            raise ConfigurationError(
-                "topology %r is registered but has no TopologyKind enum member; "
-                "use repro.scenario.ScenarioSpec for registry-only topologies" % name
-            ) from None
 
 
 class RoutingAlgorithm(enum.Enum):
@@ -232,7 +152,8 @@ class LlcConfig:
 class NocConfig:
     """On-chip interconnect parameters (Table 2)."""
 
-    topology: TopologyKind = TopologyKind.MESH
+    #: Chip-scope topology name (``TOPOLOGIES`` registry).
+    topology: str = "mesh"
     routing: RoutingAlgorithm = RoutingAlgorithm.CDR_EXTENDED
     link_bytes: int = 16
     mesh_hop_cycles: int = 3
@@ -278,7 +199,8 @@ class MemoryConfig:
 class NIConfig:
     """Network-interface (RMC) parameters."""
 
-    design: NIDesign = NIDesign.SPLIT
+    #: NI design name (``NI_DESIGNS`` registry).
+    design: str = "split"
     #: RRPPs per chip: one per mesh row in the default configuration.
     rrpp_count: int = 8
     #: Work-queue / completion-queue entries per queue pair (§5).
@@ -377,7 +299,7 @@ class SystemConfig:
     Instances are immutable; use :meth:`replace` to derive variants, e.g.::
 
         cfg = SystemConfig.paper_defaults()
-        per_tile = cfg.replace(ni=cfg.ni_replace(design=NIDesign.PER_TILE))
+        per_tile = cfg.with_design("per_tile")
     """
 
     cores: CoreConfig = field(default_factory=CoreConfig)
@@ -401,23 +323,29 @@ class SystemConfig:
     def noc_out_defaults(cls) -> "SystemConfig":
         """The NOC-Out configuration used for Figures 9 and 10 (§6.3)."""
         base = cls()
-        return base.replace(noc=dataclasses.replace(base.noc, topology=TopologyKind.NOC_OUT))
+        return base.replace(noc=dataclasses.replace(base.noc, topology="noc_out"))
 
     def replace(self, **kwargs) -> "SystemConfig":
         """Return a copy with the given top-level sections replaced."""
         return dataclasses.replace(self, **kwargs)
 
-    def with_design(self, design: NIDesign) -> "SystemConfig":
-        """Return a copy configured for the given NI design."""
-        return self.replace(ni=dataclasses.replace(self.ni, design=design))
+    def with_design(self, design: object) -> "SystemConfig":
+        """Return a copy configured for the given NI design (a registry name)."""
+        from repro.scenario.registry import NI_DESIGNS
+
+        name = NI_DESIGNS.resolve(design)
+        return self.replace(ni=dataclasses.replace(self.ni, design=name))
 
     def with_routing(self, routing: RoutingAlgorithm) -> "SystemConfig":
         """Return a copy configured for the given on-chip routing policy."""
         return self.replace(noc=dataclasses.replace(self.noc, routing=routing))
 
-    def with_topology(self, topology: TopologyKind) -> "SystemConfig":
-        """Return a copy configured for the given on-chip topology."""
-        return self.replace(noc=dataclasses.replace(self.noc, topology=topology))
+    def with_topology(self, topology: object) -> "SystemConfig":
+        """Return a copy configured for the given on-chip topology (a registry name)."""
+        from repro.scenario.registry import TOPOLOGIES
+
+        name = TOPOLOGIES.resolve(topology)
+        return self.replace(noc=dataclasses.replace(self.noc, topology=name))
 
     # ------------------------------------------------------------------
     # Validation
@@ -433,7 +361,7 @@ class SystemConfig:
         if self.cache_block_bytes <= 0:
             raise ConfigurationError("cache block size must be positive")
         side = math.isqrt(self.cores.count)
-        if self.noc.topology is TopologyKind.MESH and side * side != self.cores.count:
+        if self.noc.topology == "mesh" and side * side != self.cores.count:
             raise ConfigurationError(
                 "mesh topology requires a square core count, got %d" % self.cores.count
             )
@@ -529,13 +457,13 @@ class SystemConfig:
             "Memory     : %.0f ns latency, %d MCs" % (self.memory.latency_ns, self.memory.controllers),
             "Interconnect: %s, %d-byte links, %d cycles/hop (mesh), routing=%s"
             % (
-                topology_name(self.noc.topology),
+                self.noc.topology,
                 self.noc.link_bytes,
                 self.noc.mesh_hop_cycles,
                 self.noc.routing.value,
             ),
             "NI         : design=%s, %d RRPPs, %d-entry WQ/CQ"
-            % (design_name(self.ni.design), self.ni.rrpp_count, self.ni.wq_entries),
+            % (self.ni.design, self.ni.rrpp_count, self.ni.wq_entries),
             "Rack       : %d nodes, 3D torus %r, %.0f ns/hop"
             % (self.rack.nodes, self.rack.torus_dims, self.rack.network_hop_ns),
         ]

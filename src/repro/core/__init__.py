@@ -20,7 +20,6 @@ from repro.core.placement import ChipPlacement, build_placement
 from repro.core.edge import NIEdgeDesign
 from repro.core.per_tile import NIPerTileDesign
 from repro.core.split import NISplitDesign
-from repro.core.factory import build_ni_design
 
 __all__ = [
     "NodeServices",
@@ -34,5 +33,4 @@ __all__ = [
     "NIEdgeDesign",
     "NIPerTileDesign",
     "NISplitDesign",
-    "build_ni_design",
 ]

@@ -15,7 +15,7 @@ import abc
 from typing import Dict, List
 
 from repro.coherence.caches import NICache
-from repro.config import NIDesign, SystemConfig
+from repro.config import SystemConfig
 from repro.core.base import NodeServices, TransferTable
 from repro.core.pipelines import NIBackend, NIFrontend, RemoteRequestPipeline
 from repro.core.placement import ChipPlacement
@@ -25,8 +25,6 @@ from repro.sonuma.wire import RemoteRequest, RemoteResponse
 
 class BaseNIDesign(abc.ABC):
     """Abstract NI design assembly."""
-
-    design = NIDesign.SPLIT
 
     def __init__(self, services: NodeServices, placement: ChipPlacement) -> None:
         self.services = services

@@ -15,7 +15,6 @@ placement map handles transparently.
 from __future__ import annotations
 
 from repro.coherence.caches import TileCacheComplex
-from repro.config import NIDesign
 from repro.core.assembly import BaseNIDesign
 from repro.scenario.registry import register_ni_design
 
@@ -23,8 +22,6 @@ from repro.scenario.registry import register_ni_design
 @register_ni_design("edge", label="NIedge", messaging=True)
 class NIEdgeDesign(BaseNIDesign):
     """Monolithic edge-integrated NIs, one per backend site."""
-
-    design = NIDesign.EDGE
 
     def _build_frontends_and_backends(self) -> None:
         edge_frontends = {}

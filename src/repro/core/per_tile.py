@@ -10,7 +10,6 @@ bandwidth for bulk transfers (§6.2).
 
 from __future__ import annotations
 
-from repro.config import NIDesign
 from repro.core.assembly import BaseNIDesign
 from repro.errors import PlacementError
 from repro.scenario.registry import register_ni_design
@@ -19,8 +18,6 @@ from repro.scenario.registry import register_ni_design
 @register_ni_design("per_tile", label="NIper-tile", messaging=True)
 class NIPerTileDesign(BaseNIDesign):
     """One complete NI per core tile."""
-
-    design = NIDesign.PER_TILE
 
     def _build_frontends_and_backends(self) -> None:
         for core_id in range(self.placement.tile_count):

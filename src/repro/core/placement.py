@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, List
 
-from repro.config import SystemConfig, TopologyKind
+from repro.config import SystemConfig
 from repro.errors import PlacementError
 from repro.noc.mesh import MeshTopology
 from repro.noc.nocout import NocOutTopology
@@ -29,7 +29,8 @@ class ChipPlacement:
     """Where every agent of the chip sits on the NOC."""
 
     topology: Topology
-    kind: TopologyKind
+    #: Chip topology name: ``"mesh"`` or ``"noc_out"``.
+    kind: str
     #: NOC node of each core tile, indexed by tile id.
     tile_nodes: List[Hashable]
     #: NOC node of each LLC slice (and its directory), indexed by slice id.
@@ -56,7 +57,7 @@ class ChipPlacement:
         """Backend servicing a tile's frontend (row mapping on mesh, column on NOC-Out)."""
         self._check_tile(tile_id)
         side = self._side()
-        if self.kind is TopologyKind.MESH:
+        if self.kind == "mesh":
             return tile_id // side
         return tile_id % side
 
@@ -66,7 +67,7 @@ class ChipPlacement:
 
     def network_port_node(self, near_node: Hashable) -> Hashable:
         """The NOC node through which ``near_node`` reaches the chip-to-chip router."""
-        if self.kind is TopologyKind.MESH:
+        if self.kind == "mesh":
             if not (isinstance(near_node, tuple) and len(near_node) == 2):
                 raise PlacementError("mesh nodes are (x, y) coordinates, got %r" % (near_node,))
             _, row = near_node
@@ -81,7 +82,7 @@ class ChipPlacement:
         raise PlacementError("unknown NOC-Out node %r" % (near_node,))
 
     def _side(self) -> int:
-        if self.kind is TopologyKind.MESH:
+        if self.kind == "mesh":
             return self.topology.side
         return self.topology.columns
 
@@ -93,11 +94,11 @@ class ChipPlacement:
 def build_placement(config: SystemConfig) -> ChipPlacement:
     """Build the placement for the configured topology (registry-backed).
 
-    The configured :class:`TopologyKind` (or raw name) resolves through the
-    topology registry, so registered chip topologies plug in without editing
-    this module; non-chip (rack-scope) topologies are rejected by name.
+    The configured topology name resolves through the topology registry, so
+    registered chip topologies plug in without editing this module; non-chip
+    (rack-scope) topologies are rejected by name.
     """
-    name = TOPOLOGIES.resolve(config.noc.topology)
+    name = config.noc.topology
     entry = TOPOLOGIES.entry(name)
     if entry.metadata.get("scope", "chip") != "chip":
         raise PlacementError(
@@ -121,7 +122,7 @@ def _mesh_placement(config: SystemConfig) -> ChipPlacement:
     backend_nodes = [(ni_column, row) for row in range(side)]
     return ChipPlacement(
         topology=topology,
-        kind=TopologyKind.MESH,
+        kind="mesh",
         tile_nodes=tile_nodes,
         llc_nodes=llc_nodes,
         mc_nodes=mc_nodes,
@@ -143,7 +144,7 @@ def _noc_out_placement(config: SystemConfig) -> ChipPlacement:
     backend_nodes = [topology.llc_node(i) for i in range(columns)]
     return ChipPlacement(
         topology=topology,
-        kind=TopologyKind.NOC_OUT,
+        kind="noc_out",
         tile_nodes=tile_nodes,
         llc_nodes=llc_nodes,
         mc_nodes=mc_nodes,

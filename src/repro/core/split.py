@@ -15,7 +15,6 @@ minimizing frontend-to-backend distance (§4.3).
 
 from __future__ import annotations
 
-from repro.config import NIDesign
 from repro.core.assembly import BaseNIDesign
 from repro.errors import PlacementError
 from repro.scenario.registry import register_ni_design
@@ -24,8 +23,6 @@ from repro.scenario.registry import register_ni_design
 @register_ni_design("split", label="NIsplit", messaging=True)
 class NISplitDesign(BaseNIDesign):
     """Per-tile frontends with edge-replicated backends."""
-
-    design = NIDesign.SPLIT
 
     def _build_frontends_and_backends(self) -> None:
         for site, node in enumerate(self.placement.backend_nodes):

@@ -11,14 +11,7 @@ parameter sweeps) and the pytest-benchmark suite drive them.
 
 from repro.experiments.base import ExperimentResult, ResultMetadata, load_result
 from repro.experiments.spec import ExperimentSpec, Parameter, experiment
-from repro.experiments.registry import (
-    EXPERIMENTS,
-    get_experiment,
-    get_spec,
-    iter_specs,
-    list_experiments,
-    list_specs,
-)
+from repro.experiments.registry import get_spec, iter_specs, list_specs
 from repro.experiments.table1 import run_table1
 from repro.experiments.table2 import run_table2
 from repro.experiments.table3 import run_table3
@@ -35,12 +28,9 @@ __all__ = [
     "ExperimentSpec",
     "Parameter",
     "ResultMetadata",
-    "EXPERIMENTS",
     "experiment",
-    "get_experiment",
     "get_spec",
     "iter_specs",
-    "list_experiments",
     "list_specs",
     "load_result",
     "run_table1",

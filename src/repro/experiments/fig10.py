@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.config import NIDesign, SystemConfig
+from repro.config import SystemConfig
 from repro.experiments.base import ExperimentResult
-from repro.experiments.fig6 import select_designs
+from repro.experiments.fig6 import design_label, select_designs
 from repro.experiments.fig7 import FIG7_SIZES
 from repro.experiments.spec import Parameter, experiment
 from repro.scenario.registry import NI_DESIGNS
@@ -26,7 +26,7 @@ from repro.workloads.microbench import RemoteReadBandwidthBenchmark
                 "on NOC-Out.",
     parameters=(
         Parameter("design", str, default=None,
-                  choices=tuple(NI_DESIGNS.names(messaging=True)),
+                  choices=lambda: NI_DESIGNS.names(messaging=True),
                   help="restrict the sweep to one messaging design (default: all three)"),
         Parameter("sizes", int, default=FIG7_SIZES, repeated=True,
                   help="transfer sizes in bytes (x-axis)"),
@@ -48,14 +48,14 @@ def run_fig10(
     """Regenerate the Figure-10 bandwidth sweep on NOC-Out."""
     base = config if config is not None else SystemConfig.noc_out_defaults()
     designs = select_designs(design)
-    util_design = NIDesign.SPLIT if NIDesign.SPLIT in designs else designs[0]
+    util_design = "split" if "split" in designs else designs[0]
     result = ExperimentResult(
         name="Figure 10",
         description="Aggregate application bandwidth (GBps) for asynchronous remote reads "
                     "on NOC-Out with rate-matched incoming traffic.",
         headers=["Transfer (B)"]
-                + ["%s (GBps)" % d.label for d in designs]
-                + ["LLC bank utilization, %s" % util_design.label],
+                + ["%s (GBps)" % design_label(d) for d in designs]
+                + ["LLC bank utilization, %s" % design_label(util_design)],
     )
     bandwidth = {}
     llc_util = {}
@@ -68,7 +68,7 @@ def run_fig10(
         for size in sizes:
             run = bench.run(size)
             bandwidth[(d, size)] = run.application_gbps
-            if d is util_design:
+            if d == util_design:
                 llc_util[size] = run.llc_bank_utilization
     for size in sizes:
         result.add_row(

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.analysis.projection import HopProjection
-from repro.config import NIDesign, SystemConfig
+from repro.config import SystemConfig
 from repro.experiments.base import ExperimentResult
 from repro.experiments.spec import Parameter, experiment
 
@@ -48,11 +48,11 @@ def run_fig5(config: Optional[SystemConfig] = None, max_hops: Optional[int] = No
     for point in projection.sweep(max_hops):
         result.add_row(
             point.hops,
-            point.latency_ns[NIDesign.NUMA],
-            point.latency_ns[NIDesign.SPLIT],
-            point.latency_ns[NIDesign.EDGE],
-            100 * point.overhead_over_numa[NIDesign.SPLIT],
-            100 * point.overhead_over_numa[NIDesign.EDGE],
+            point.latency_ns["numa"],
+            point.latency_ns["split"],
+            point.latency_ns["edge"],
+            100 * point.overhead_over_numa["split"],
+            100 * point.overhead_over_numa["edge"],
         )
     result.add_note("average hop count in the 512-node torus: %.1f; diameter: %d"
                     % (projection.average_hops(), projection.max_hops()))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence, Tuple
 
-from repro.config import NIDesign, SystemConfig
+from repro.config import SystemConfig
 from repro.experiments.base import ExperimentResult
 from repro.experiments.spec import Parameter, experiment
 from repro.numa.machine import NumaMachine
@@ -23,14 +23,19 @@ FIG6_SIZES = (64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384)
 
 
 #: Column order of the paper's figures (edge, split, per-tile).
-FIGURE_DESIGN_ORDER = (NIDesign.EDGE, NIDesign.SPLIT, NIDesign.PER_TILE)
+FIGURE_DESIGN_ORDER = ("edge", "split", "per_tile")
 
 
-def select_designs(design: Optional[object]) -> Tuple[NIDesign, ...]:
+def select_designs(design: Optional[object]) -> Tuple[str, ...]:
     """The messaging designs an experiment sweeps: all three, or just one."""
     if design is None:
         return FIGURE_DESIGN_ORDER
-    return (NIDesign.coerce(design),)
+    return (NI_DESIGNS.resolve(design),)
+
+
+def design_label(design: str) -> str:
+    """The paper's display name for a design (its registered ``label``)."""
+    return NI_DESIGNS.entry(design).metadata.get("label", design)
 
 
 @experiment(
@@ -39,7 +44,7 @@ def select_designs(design: Optional[object]) -> Tuple[NIDesign, ...]:
     description="Synchronous remote-read latency vs. transfer size on the mesh NOC.",
     parameters=(
         Parameter("design", str, default=None,
-                  choices=tuple(NI_DESIGNS.names(messaging=True)),
+                  choices=lambda: NI_DESIGNS.names(messaging=True),
                   help="restrict the sweep to one messaging design (default: all three)"),
         Parameter("sizes", int, default=FIG6_SIZES, repeated=True,
                   help="transfer sizes in bytes (x-axis)"),
@@ -65,7 +70,7 @@ def run_fig6(
         description="End-to-end latency (ns) of synchronous remote reads on the mesh NOC, "
                     "one network hop per direction.",
         headers=["Transfer (B)"]
-                + ["%s (ns)" % d.label for d in designs]
+                + ["%s (ns)" % design_label(d) for d in designs]
                 + ["NUMA projection (ns)"],
     )
     numa = NumaMachine(config)

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.config import NIDesign, SystemConfig
+from repro.config import SystemConfig
 from repro.experiments.base import ExperimentResult
-from repro.experiments.fig6 import select_designs
+from repro.experiments.fig6 import design_label, select_designs
 from repro.experiments.spec import Parameter, experiment
 from repro.scenario.registry import NI_DESIGNS
 from repro.workloads.microbench import RemoteReadBandwidthBenchmark
@@ -30,7 +30,7 @@ FIG7_SIZES = (64, 128, 256, 512, 1024, 2048, 4096, 8192)
                 "on the mesh NOC.",
     parameters=(
         Parameter("design", str, default=None,
-                  choices=tuple(NI_DESIGNS.names(messaging=True)),
+                  choices=lambda: NI_DESIGNS.names(messaging=True),
                   help="restrict the sweep to one messaging design (default: all three)"),
         Parameter("sizes", int, default=FIG7_SIZES, repeated=True,
                   help="transfer sizes in bytes (x-axis)"),
@@ -65,14 +65,14 @@ def run_fig7(
     designs = select_designs(design)
     # The NOC wire-traffic column follows NIsplit in the paper; when the sweep
     # is restricted to another design it reports that design's wire traffic.
-    wire_design = NIDesign.SPLIT if NIDesign.SPLIT in designs else designs[0]
+    wire_design = "split" if "split" in designs else designs[0]
     result = ExperimentResult(
         name="Figure 7",
         description="Aggregate application bandwidth (GBps) for asynchronous remote reads "
                     "on the mesh NOC with rate-matched incoming traffic.",
         headers=["Transfer (B)"]
-                + ["%s (GBps)" % d.label for d in designs]
-                + ["NOC wire traffic, %s (GBps)" % wire_design.label],
+                + ["%s (GBps)" % design_label(d) for d in designs]
+                + ["NOC wire traffic, %s (GBps)" % design_label(wire_design)],
     )
     bandwidth = {}
     wire = {}
@@ -88,11 +88,11 @@ def run_fig7(
         for size in sizes:
             run = bench.run(size)
             bandwidth[(d, size)] = run.application_gbps
-            if d is wire_design:
+            if d == wire_design:
                 wire[size] = run.noc_wire_gbps
             if run.convergence_warning:
                 result.metadata.warnings.append(
-                    "%s, %d B: %s" % (d.label, size, run.convergence_warning)
+                    "%s, %d B: %s" % (design_label(d), size, run.convergence_warning)
                 )
     for size in sizes:
         result.add_row(

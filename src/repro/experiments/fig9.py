@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.config import NIDesign, SystemConfig
+from repro.config import SystemConfig
 from repro.experiments.base import ExperimentResult
-from repro.experiments.fig6 import FIG6_SIZES, select_designs
+from repro.experiments.fig6 import FIG6_SIZES, design_label, select_designs
 from repro.experiments.spec import Parameter, experiment
 from repro.scenario.registry import NI_DESIGNS
 from repro.workloads.microbench import RemoteReadLatencyBenchmark
@@ -25,7 +25,7 @@ from repro.workloads.microbench import RemoteReadLatencyBenchmark
     description="Synchronous remote-read latency vs. transfer size on NOC-Out.",
     parameters=(
         Parameter("design", str, default=None,
-                  choices=tuple(NI_DESIGNS.names(messaging=True)),
+                  choices=lambda: NI_DESIGNS.names(messaging=True),
                   help="restrict the sweep to one messaging design (default: all three)"),
         Parameter("sizes", int, default=FIG6_SIZES, repeated=True,
                   help="transfer sizes in bytes (x-axis)"),
@@ -55,7 +55,7 @@ def run_fig9(
         name="Figure 9",
         description="End-to-end latency (ns) of synchronous remote reads on NOC-Out, "
                     "one network hop per direction.",
-        headers=["Transfer (B)"] + ["%s (ns)" % d.label for d in designs],
+        headers=["Transfer (B)"] + ["%s (ns)" % design_label(d) for d in designs],
     )
     latencies = {}
     for d in designs:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Optional
 
-from repro.config import NIDesign, SystemConfig
+from repro.config import SystemConfig
 from repro.experiments.base import ExperimentResult
 from repro.experiments.spec import Parameter, experiment
 from repro.workloads.microbench import RemoteReadLatencyBenchmark
@@ -42,13 +42,13 @@ def run_owned_state_ablation(
                     "owned state enabled vs disabled." % transfer_bytes,
         headers=["Design", "Owned state", "Latency (cycles)"],
     )
-    for design in (NIDesign.PER_TILE, NIDesign.SPLIT):
+    for design in ("per_tile", "split"):
         for enabled in (True, False):
             variant = config.with_design(design)
             variant = variant.replace(ni=dataclasses.replace(variant.ni, ni_cache_owned_state=enabled))
             bench = RemoteReadLatencyBenchmark(variant, iterations=iterations, warmup=2)
             run = bench.run(transfer_bytes)
-            result.add_row(design.value, "on" if enabled else "off", run.mean_cycles)
+            result.add_row(design, "on" if enabled else "off", run.mean_cycles)
     result.add_note("disabling the owned state adds an LLC round trip to every CQ poll of a "
                     "dirty block (§3.4)")
     return result

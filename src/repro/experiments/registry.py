@@ -1,17 +1,13 @@
-"""Registry of experiment specs (and the legacy name -> callable view).
+"""Registry of experiment specs.
 
 Importing this module imports every experiment module, which registers its
 :class:`~repro.experiments.spec.ExperimentSpec` via the ``@experiment``
-decorator.  New code should use :func:`get_spec` / :func:`iter_specs`; the
-seed API (``EXPERIMENTS``, :func:`get_experiment`, :func:`list_experiments`)
-is kept as a thin view over the spec registry.
+decorator; look specs up with :func:`get_spec`, :func:`iter_specs` and
+:func:`list_specs`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
-
-from repro.experiments.base import ExperimentResult
 from repro.experiments.spec import ExperimentSpec, get_spec, iter_specs, list_specs
 
 # Importing the experiment modules populates the spec registry.
@@ -29,31 +25,4 @@ from repro.experiments import table1 as _table1  # noqa: F401
 from repro.experiments import table2 as _table2  # noqa: F401
 from repro.experiments import table3 as _table3  # noqa: F401
 
-ExperimentRunner = Callable[..., ExperimentResult]
-
-
-#: All regenerable tables/figures, keyed by the name used on the CLI.
-#: Legacy view: maps each name to the raw runner callable.
-EXPERIMENTS: Dict[str, ExperimentRunner] = {spec.name: spec.runner for spec in iter_specs()}
-
-
-def list_experiments() -> List[str]:
-    """Names of every registered experiment."""
-    return list_specs()
-
-
-def get_experiment(name: str) -> ExperimentRunner:
-    """Look up an experiment runner by name (legacy API; prefer get_spec)."""
-    return get_spec(name).runner
-
-
-__all__ = [
-    "EXPERIMENTS",
-    "ExperimentRunner",
-    "ExperimentSpec",
-    "get_experiment",
-    "get_spec",
-    "iter_specs",
-    "list_experiments",
-    "list_specs",
-]
+__all__ = ["ExperimentSpec", "get_spec", "iter_specs", "list_specs"]

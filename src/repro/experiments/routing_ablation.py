@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.config import NIDesign, RoutingAlgorithm, SystemConfig
+from repro.config import RoutingAlgorithm, SystemConfig
 from repro.experiments.base import ExperimentResult
 from repro.experiments.spec import Parameter, experiment
 from repro.scenario.registry import NI_DESIGNS
@@ -31,8 +31,8 @@ _DEFAULT_POLICIES = (
     title="Routing ablation",
     description="Application bandwidth under each on-chip routing policy (§4.3).",
     parameters=(
-        Parameter("design", str, default=NIDesign.SPLIT.value,
-                  choices=tuple(NI_DESIGNS.names(messaging=True)),
+        Parameter("design", str, default="split",
+                  choices=lambda: NI_DESIGNS.names(messaging=True),
                   help="messaging design to drive the NOC with"),
         Parameter("transfer_bytes", int, default=2048, help="remote-read transfer size"),
         Parameter("policies", str, default=tuple(p.value for p in _DEFAULT_POLICIES),
@@ -46,7 +46,7 @@ _DEFAULT_POLICIES = (
 )
 def run_routing_ablation(
     config: Optional[SystemConfig] = None,
-    design: object = NIDesign.SPLIT,
+    design: str = "split",
     transfer_bytes: int = 2048,
     policies: Sequence[object] = _DEFAULT_POLICIES,
     warmup_cycles: float = 5_000,
@@ -54,12 +54,12 @@ def run_routing_ablation(
 ) -> ExperimentResult:
     """Application bandwidth under each on-chip routing policy."""
     config = config if config is not None else SystemConfig.paper_defaults()
-    design = NIDesign.coerce(design)
+    design = NI_DESIGNS.resolve(design)
     policies = tuple(RoutingAlgorithm.coerce(policy) for policy in policies)
     result = ExperimentResult(
         name="Routing ablation",
         description="Application bandwidth (GBps) of %s with %d-byte transfers under "
-                    "different on-chip routing policies." % (design.value, transfer_bytes),
+                    "different on-chip routing policies." % (design, transfer_bytes),
         headers=["Routing", "Application (GBps)", "NOC wire (GBps)", "Max link utilization"],
     )
     for policy in policies:

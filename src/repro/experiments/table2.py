@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.config import SystemConfig, topology_name
+from repro.config import SystemConfig
 from repro.experiments.base import ExperimentResult
 from repro.experiments.spec import experiment
 
@@ -32,10 +32,10 @@ def run_table2(config: Optional[SystemConfig] = None) -> ExperimentResult:
     result.add_row("Coherence", "directory-based non-inclusive MESI")
     result.add_row("Memory", "%.0f ns latency, %d MCs" % (config.memory.latency_ns, config.memory.controllers))
     result.add_row("Interconnect", "%s, %d-byte links, %d cycles/hop, routing %s"
-                   % (topology_name(config.noc.topology), config.noc.link_bytes,
+                   % (config.noc.topology, config.noc.link_bytes,
                       config.noc.mesh_hop_cycles, config.noc.routing.value))
     result.add_row("NI", "RGP/RCP/RRPP, %d RRPPs, %d-entry WQ/CQ, design=%s"
-                   % (config.ni.rrpp_count, config.ni.wq_entries, config.ni.design.value))
+                   % (config.ni.rrpp_count, config.ni.wq_entries, config.ni.design))
     result.add_row("Network", "fixed %.0f ns per hop, %d-node 3D torus %r"
                    % (config.rack.network_hop_ns, config.rack.nodes, config.rack.torus_dims))
     return result

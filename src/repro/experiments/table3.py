@@ -11,18 +11,13 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.analysis.breakdown import LatencyBreakdownModel
-from repro.config import NIDesign, SystemConfig
+from repro.config import SystemConfig
 from repro.experiments.base import ExperimentResult
 from repro.experiments.spec import Parameter, experiment
 from repro.numa.machine import NumaMachine
 from repro.workloads.microbench import RemoteReadLatencyBenchmark
 
-_PAPER_TOTALS = {
-    NIDesign.EDGE: 710,
-    NIDesign.PER_TILE: 445,
-    NIDesign.SPLIT: 447,
-    NIDesign.NUMA: 395,
-}
+_PAPER_TOTALS = {"edge": 710, "per_tile": 445, "split": 447, "numa": 395}
 
 
 @experiment(
@@ -57,11 +52,11 @@ def run_table3(
                     "(%d network hop)." % hops,
         headers=headers,
     )
-    numa = model.breakdown(NIDesign.NUMA, hops)
-    for design in (NIDesign.EDGE, NIDesign.PER_TILE, NIDesign.SPLIT, NIDesign.NUMA):
+    numa = model.breakdown("numa", hops)
+    for design, paper_total in _PAPER_TOTALS.items():
         breakdown = model.breakdown(design, hops)
-        overhead = 0.0 if design is NIDesign.NUMA else 100 * breakdown.overhead_over(numa)
-        row = [design.value, breakdown.total_cycles, _PAPER_TOTALS[design], overhead]
+        overhead = 0.0 if design == "numa" else 100 * breakdown.overhead_over(numa)
+        row = [design, breakdown.total_cycles, paper_total, overhead]
         if simulate:
             row.append(_simulated_latency(config, design, hops, iterations))
         result.add_row(*row)
@@ -70,8 +65,8 @@ def run_table3(
     return result
 
 
-def _simulated_latency(config: SystemConfig, design: NIDesign, hops: int, iterations: int) -> float:
-    if design is NIDesign.NUMA:
+def _simulated_latency(config: SystemConfig, design: str, hops: int, iterations: int) -> float:
+    if design == "numa":
         return NumaMachine(config).simulate_remote_read_cycles(hops=hops)
     bench = RemoteReadLatencyBenchmark(
         config.with_design(design), hops=hops, iterations=iterations, warmup=1

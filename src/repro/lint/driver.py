@@ -122,7 +122,7 @@ class LintContext:
         #: Whether the linted root looks like the whole ``repro`` package
         #: (the registry-discipline rule only cross-checks the manifest's
         #: reverse direction — names registered nowhere — on full-tree runs).
-        self.whole_package = os.path.isfile(os.path.join(root, "core", "factory.py"))
+        self.whole_package = os.path.isfile(os.path.join(root, "scenario", "registry.py"))
         self.modules: List[LintModule] = []
 
 

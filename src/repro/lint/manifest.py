@@ -1,4 +1,4 @@
-"""Registry-inventory checking, shared by lint rule REP004 and the CI shim.
+"""Registry-inventory checking, shared by lint rule REP004 and the test suite.
 
 Two views of the component inventory are validated against
 ``tests/data/registry_manifest.json``:
@@ -7,9 +7,8 @@ Two views of the component inventory are validated against
   linter finds in the tree — is checked by :class:`repro.lint.rules
   .RegistryDisciplineRule` (REP004) as part of ``repro lint``;
 * the **live** view — what the populated registries actually expose through
-  ``repro-experiments list --json`` — is checked by
-  :func:`check_live_inventory`, which ``tools/check_registry_manifest.py``
-  (now a thin shim) delegates to for CI compatibility.
+  ``repro-experiments list --json`` — is :func:`live_inventory`, which the
+  tier-1 tests compare with the manifest through :func:`compare_inventory`.
 
 One module owns the manifest format and the comparison, so the two gates
 cannot drift apart.
@@ -19,12 +18,8 @@ from __future__ import annotations
 
 import io
 import json
-import os
-import sys
 from contextlib import redirect_stdout
-from typing import Dict, List, Optional
-
-DEFAULT_MANIFEST = os.path.join("tests", "data", "registry_manifest.json")
+from typing import Dict, List
 
 #: Manifest inventory keys, in reporting order.
 INVENTORY_KEYS = ("designs", "topologies", "workloads", "arrivals", "faults",
@@ -36,20 +31,16 @@ def load_manifest(path: str) -> Dict[str, List[str]]:
         return json.load(handle)
 
 
-def live_inventory(inventory_path: Optional[str] = None) -> Dict[str, List[str]]:
-    """The inventory, from a saved catalog file or the in-process CLI."""
-    if inventory_path is not None:
-        with open(inventory_path, "r", encoding="utf-8") as handle:
-            catalog = json.load(handle)
-    else:
-        from repro.cli import main
+def live_inventory() -> Dict[str, List[str]]:
+    """The inventory the in-process ``repro-experiments list --json`` reports."""
+    from repro.cli import main
 
-        buffer = io.StringIO()
-        with redirect_stdout(buffer):
-            status = main(["list", "--json"])
-        if status != 0:
-            raise SystemExit("repro-experiments list --json failed with status %d" % status)
-        catalog = json.loads(buffer.getvalue())
+    buffer = io.StringIO()
+    with redirect_stdout(buffer):
+        status = main(["list", "--json"])
+    if status != 0:
+        raise SystemExit("repro-experiments list --json failed with status %d" % status)
+    catalog = json.loads(buffer.getvalue())
     registries = catalog["registries"]
     inventory = {
         key: [item["name"] for item in registries.get(key, [])]
@@ -72,37 +63,3 @@ def compare_inventory(actual: Dict[str, List[str]],
         if extra:
             failures.append("%s: not in the manifest: %s" % (key, ", ".join(extra)))
     return failures
-
-
-def check_live_inventory(manifest_path: str,
-                         inventory_path: Optional[str] = None) -> int:
-    """The CI gate the old ``tools/check_registry_manifest.py`` provided."""
-    manifest = load_manifest(manifest_path)
-    actual = live_inventory(inventory_path)
-    failures = compare_inventory(actual, manifest)
-    if failures:
-        print("registry inventory drifted from %s" % manifest_path, file=sys.stderr)
-        for failure in failures:
-            print("  " + failure, file=sys.stderr)
-        print("update tests/data/registry_manifest.json if the change is intentional",
-              file=sys.stderr)
-        return 1
-    print("registry inventory matches %s (%s)" % (
-        manifest_path,
-        ", ".join("%d %s" % (len(actual[key]), key.replace("_", " "))
-                  for key in INVENTORY_KEYS)))
-    return 0
-
-
-def main(argv: List[str]) -> int:
-    """CLI used by the ``tools/check_registry_manifest.py`` shim."""
-    inventory_path = None
-    if "--inventory" in argv:
-        index = argv.index("--inventory")
-        try:
-            inventory_path = argv[index + 1]
-        except IndexError:
-            raise SystemExit("--inventory requires a path argument")
-        argv = argv[:index] + argv[index + 2:]
-    manifest_path = argv[0] if argv else DEFAULT_MANIFEST
-    return check_live_inventory(manifest_path, inventory_path)

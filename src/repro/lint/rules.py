@@ -217,9 +217,7 @@ class RegistryDisciplineRule(LintRule):
     Every ``@register_*``-decorated component (and ``@experiment`` runner)
     must appear in ``tests/data/registry_manifest.json``; on whole-package
     runs the reverse also holds (manifest names must be registered
-    somewhere).  ``core/factory.py`` must stay free of name-dispatch
-    branches — an ``if name == "..."`` chain there is the pre-registry
-    pattern the registries replaced.
+    somewhere).
     """
 
     code = "REP004"
@@ -241,7 +239,6 @@ class RegistryDisciplineRule(LintRule):
     def __init__(self) -> None:
         #: (manifest key, component name, module relpath, decorator node).
         self.registrations: List[Tuple[str, str, str, ast.AST]] = []
-        self._pending: List[Tuple[LintModule, ast.AST, str]] = []
 
     @staticmethod
     def _decorator_component_name(call: ast.Call) -> Optional[str]:
@@ -275,26 +272,6 @@ class RegistryDisciplineRule(LintRule):
                     )
                     continue
                 self.registrations.append((key, name, module.relpath, decorator))
-        if module.relpath == "core/factory.py":
-            for branch in module.of_type(ast.If):
-                for finding in self._dispatch_branch(module, branch):
-                    yield finding
-
-    def _dispatch_branch(self, module: LintModule, branch: ast.If) -> Iterator[Finding]:
-        test = branch.test
-        if not isinstance(test, ast.Compare):
-            return
-        operands = [test.left] + list(test.comparators)
-        has_name = any(isinstance(op, (ast.Name, ast.Attribute)) for op in operands)
-        has_literal = any(
-            isinstance(op, ast.Constant) and isinstance(op.value, str) for op in operands
-        )
-        if has_name and has_literal:
-            yield self.finding(
-                module, branch,
-                "string-dispatch branch in core/factory.py; components must be "
-                "resolved through the component registries, not if/elif chains",
-            )
 
     def finish(self, context: LintContext) -> Iterator[Finding]:
         manifest = context.manifest

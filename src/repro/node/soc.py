@@ -21,8 +21,7 @@ from typing import Callable, Dict, Hashable, List, Optional
 from repro.coherence.directory import DirectoryController
 from repro.coherence.protocol import CoherenceProtocol
 from repro.coherence.states import CacheState
-from repro.config import MessageClass, NIDesign, SystemConfig, design_name
-from repro.core.factory import build_ni_design
+from repro.config import MessageClass, SystemConfig
 from repro.core.placement import build_placement
 from repro.errors import ConfigurationError, SimulationError
 from repro.memory.address import AddressMap
@@ -31,6 +30,7 @@ from repro.memory.dram import DramModel
 from repro.noc.fabric import NocFabric
 from repro.node.tile import Tile
 from repro.qp.manager import QPManager, QueuePair
+from repro.scenario.registry import NI_DESIGNS
 from repro.sim.engine import Simulator
 from repro.sim.resource import Resource
 from repro.sonuma.context import ContextRegistry
@@ -45,9 +45,12 @@ class ManycoreSoc(NodeServices):
     """A 64-core tiled SoC with the configured NI design."""
 
     def __init__(self, config: SystemConfig, sim: Optional[Simulator] = None, node_id: int = 0) -> None:
-        if design_name(config.ni.design) == NIDesign.NUMA.value:
+        entry = NI_DESIGNS.entry(config.ni.design)
+        if not entry.metadata.get("messaging", True):
             raise ConfigurationError(
-                "ManycoreSoc models the QP-based designs; use repro.numa.NumaMachine for the baseline"
+                "NI design %r has no QP-based NI pipelines (messaging designs: %s); "
+                "use repro.numa.NumaMachine for the load/store baseline"
+                % (entry.name, ", ".join(NI_DESIGNS.names(messaging=True)))
             )
         self.sim = sim if sim is not None else Simulator()
         self.config = config
@@ -86,7 +89,7 @@ class ManycoreSoc(NodeServices):
         self.qp_manager = QPManager(
             wq_entries=config.ni.wq_entries, cq_entries=config.ni.cq_entries
         )
-        self.ni = build_ni_design(self, self.placement).build()
+        self.ni = entry.component(self, self.placement).build()
         self._remote_port = None
         self._completion_listeners: Dict[int, Callable[[], None]] = {}
         # Off-chip traffic statistics (payload bytes, not headers).

@@ -9,7 +9,7 @@ registry-backed extension point:
   (``@register_ni_design("edge")``, ``@register_topology("mesh")``,
   ``@register_workload("uniform_random")``,
   ``@register_arrival_process("poisson")``,
-  ``@register_fault_model("link_down")``).  The machine factory, the CLI
+  ``@register_fault_model("link_down")``).  The machine builders, the CLI
   (``repro-experiments list --designs/--topologies/--workloads/--arrivals/
   --faults``) and the experiment layer all enumerate and resolve components
   through these registries, so a new design/topology/workload/arrival

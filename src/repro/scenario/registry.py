@@ -10,7 +10,7 @@ register themselves with a decorator::
     class NIEdgeDesign(BaseNIDesign):
         ...
 
-and are looked up by name everywhere else (the machine factory, the CLI, the
+and are looked up by name everywhere else (``ManycoreSoc``, the CLI, the
 experiment parameter declarations), so adding a new design, topology or
 workload never requires editing core modules.
 
@@ -20,10 +20,11 @@ imports it lazily on first use, so ``WORKLOADS.names()`` is complete whether
 or not the caller imported the workload modules first.
 
 :meth:`ComponentRegistry.resolve` is the one string→component normalization
-helper shared by the config enums (``NIDesign.coerce``), CLI ``--set``
-parsing and experiment parameter validation: it accepts a canonical name, an
-enum member (anything with a string ``.value``), a registered component or
-an instance of one, and returns the canonical name.
+helper shared by the configuration (``SystemConfig.with_design`` /
+``with_topology``), CLI ``--set`` parsing and experiment parameter
+validation: it accepts a canonical name, an enum member (anything with a
+string ``.value``), a registered component or an instance of one, and
+returns the canonical name.
 """
 
 from __future__ import annotations

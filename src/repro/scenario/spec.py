@@ -117,26 +117,9 @@ class ScenarioSpec:
         when omitted).
         """
         config = base if base is not None else SystemConfig.paper_defaults()
-        try:
-            config = _apply_section_override(config, "ni", "design", self.design)
-        except ScenarioError:
-            # Registry-added designs outside the legacy NIDesign enum keep
-            # their canonical name as the config value; the factory resolves
-            # either form through the registry.
-            config = config.replace(
-                ni=dataclasses.replace(config.ni, design=self.design)
-            )
-        topology_entry = TOPOLOGIES.entry(self.topology)
-        if topology_entry.metadata.get("scope", "chip") == "chip":
-            try:
-                config = _apply_section_override(config, "noc", "topology", self.topology)
-            except ScenarioError:
-                # Registry-added chip topologies outside the legacy
-                # TopologyKind enum keep their canonical name as the config
-                # value; build_placement resolves either form.
-                config = config.replace(
-                    noc=dataclasses.replace(config.noc, topology=self.topology)
-                )
+        config = config.with_design(self.design)
+        if TOPOLOGIES.entry(self.topology).metadata.get("scope", "chip") == "chip":
+            config = config.with_topology(self.topology)
         for dotted, value in self.config_overrides.items():
             section, _, fieldname = dotted.partition(".")
             if not fieldname:

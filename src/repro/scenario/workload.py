@@ -25,7 +25,7 @@ from __future__ import annotations
 import abc
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence
 
-from repro.config import SystemConfig, design_name
+from repro.config import SystemConfig
 from repro.errors import WorkloadError
 
 
@@ -117,7 +117,7 @@ class Workload(abc.ABC):
         mean_latency = sum(samples) / len(samples) if samples else 0.0
         frequency = machine.config.cores.frequency_ghz
         return {
-            "design": design_name(machine.config.ni.design),
+            "design": machine.config.ni.design,
             "completed_ops": sum(core.completed_ops for core in cores),
             "payload_bytes": payload,
             "elapsed_cycles": elapsed,

@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional
 
-from repro.config import NIDesign, SystemConfig, design_name
+from repro.config import SystemConfig
 from repro.errors import WorkloadError
 from repro.node.core_model import CoreModel
 from repro.node.soc import ManycoreSoc
@@ -40,7 +40,7 @@ EDGE_BYTES = 8
 class GraphResult:
     """Outcome of one graph-traversal run."""
 
-    design: NIDesign
+    design: str
     vertices_visited: int
     remote_vertex_fetches: int
     edges_traversed: int
@@ -231,7 +231,7 @@ class GraphTraversalWorkload(Workload):
     def metrics(self) -> dict:
         result = self.result()
         return {
-            "design": design_name(result.design),
+            "design": result.design,
             "vertices_visited": result.vertices_visited,
             "remote_vertex_fetches": result.remote_vertex_fetches,
             "edges_traversed": result.edges_traversed,

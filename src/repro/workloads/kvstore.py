@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, List, Optional
 
-from repro.config import NIDesign, SystemConfig, design_name
+from repro.config import SystemConfig
 from repro.errors import WorkloadError
 from repro.node.core_model import CoreModel
 from repro.node.soc import ManycoreSoc
@@ -42,7 +42,7 @@ LOCAL_BUFFER_BASE = 0xA000_0000
 class KVStoreResult:
     """Outcome of one key-value store run."""
 
-    design: NIDesign
+    design: str
     value_bytes: int
     gets_issued: int
     remote_gets: int
@@ -246,7 +246,7 @@ class KeyValueStoreWorkload(Workload):
     def metrics(self) -> dict:
         result = self.result()
         return {
-            "design": design_name(result.design),
+            "design": result.design,
             "value_bytes": result.value_bytes,
             "gets_issued": result.gets_issued,
             "remote_gets": result.remote_gets,

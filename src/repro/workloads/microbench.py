@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from repro.config import NIDesign, SystemConfig
+from repro.config import SystemConfig
 from repro.errors import WorkloadError
 from repro.node.core_model import CoreModel
 from repro.node.soc import ManycoreSoc
@@ -47,7 +47,7 @@ LOCAL_BUFFER_STRIDE = 16 * 1024 * 1024
 class LatencyResult:
     """Outcome of one synchronous-latency run."""
 
-    design: NIDesign
+    design: str
     transfer_bytes: int
     hops: int
     samples_cycles: List[float]
@@ -68,7 +68,7 @@ class LatencyResult:
 class BandwidthResult:
     """Outcome of one asynchronous-bandwidth run."""
 
-    design: NIDesign
+    design: str
     transfer_bytes: int
     measure_cycles: float
     rcp_payload_bytes: int

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from helpers import small_config
-from repro.config import NIDesign, SystemConfig
+from repro.config import SystemConfig
 
 
 @pytest.fixture
@@ -16,14 +16,14 @@ def paper_config() -> SystemConfig:
 
 @pytest.fixture
 def split_config() -> SystemConfig:
-    return small_config(NIDesign.SPLIT)
+    return small_config("split")
 
 
 @pytest.fixture
 def edge_config() -> SystemConfig:
-    return small_config(NIDesign.EDGE)
+    return small_config("edge")
 
 
 @pytest.fixture
 def per_tile_config() -> SystemConfig:
-    return small_config(NIDesign.PER_TILE)
+    return small_config("per_tile")

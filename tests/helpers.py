@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.config import NIDesign, SystemConfig
+from repro.config import SystemConfig
 
 
-def small_config(design: NIDesign = NIDesign.SPLIT, **overrides) -> SystemConfig:
+def small_config(design: str = "split", **overrides) -> SystemConfig:
     """A 16-core (4x4) configuration that keeps integration tests fast.
 
     All latency calibration constants are identical to the paper

@@ -1,11 +1,11 @@
-"""Tests for the command-line interface (subcommands + legacy forms)."""
+"""Tests for the command-line interface."""
 
 import json
 
 import pytest
 
 from repro.campaign import load_report, load_results
-from repro.cli import _normalize_legacy, build_parser, main
+from repro.cli import build_parser, main
 
 
 class TestParser:
@@ -19,12 +19,12 @@ class TestParser:
         assert args.experiment == "fig6"
         assert args.assignments == ["design=edge,split"] and args.parallel == 4
 
-    def test_legacy_argv_normalization(self):
-        assert _normalize_legacy(["--list"]) == ["list"]
-        assert _normalize_legacy(["table1", "fig5"]) == ["run", "table1", "fig5"]
-        assert _normalize_legacy(["--fast"]) == ["run", "--fast"]
-        assert _normalize_legacy([]) == ["run"]
-        assert _normalize_legacy(["sweep", "fig6"]) == ["sweep", "fig6"]
+    def test_subcommand_is_required(self, capsys):
+        for argv in (["--list"], ["table1"], ["--fast"], []):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 2
+        capsys.readouterr()
 
 
 class TestList:
@@ -32,10 +32,6 @@ class TestList:
         assert main(["list"]) == 0
         output = capsys.readouterr().out
         assert "table1" in output and "fig7" in output
-
-    def test_legacy_list_flag(self, capsys):
-        assert main(["--list"]) == 0
-        assert "table1" in capsys.readouterr().out
 
     def test_list_json_catalog(self, capsys):
         assert main(["list", "--json"]) == 0
@@ -77,13 +73,8 @@ class TestRun:
         output = capsys.readouterr().out
         assert "Table 1" in output and "Table 3" in output
 
-    def test_legacy_positional_names(self, capsys):
-        assert main(["table1", "table3"]) == 0
-        output = capsys.readouterr().out
-        assert "Table 1" in output and "Table 3" in output
-
     def test_fast_flag_runs_only_analytical_experiments(self, capsys):
-        assert main(["--fast"]) == 0
+        assert main(["run", "--fast"]) == 0
         output = capsys.readouterr().out
         assert "Figure 5" in output and "Figure 7" not in output
 

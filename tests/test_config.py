@@ -14,9 +14,10 @@ from repro.config import (
     RackConfig,
     RoutingAlgorithm,
     SystemConfig,
-    TopologyKind,
 )
 from repro.errors import ConfigurationError
+from repro.scenario.registry import NI_DESIGNS
+from repro.scenario.spec import ScenarioSpec
 
 
 class TestDefaults:
@@ -58,7 +59,7 @@ class TestDefaults:
 
     def test_noc_out_defaults(self):
         cfg = SystemConfig.noc_out_defaults()
-        assert cfg.noc.topology is TopologyKind.NOC_OUT
+        assert cfg.noc.topology == "noc_out"
 
     def test_describe_mentions_key_parameters(self):
         text = SystemConfig.paper_defaults().describe()
@@ -68,22 +69,55 @@ class TestDefaults:
 class TestDerivation:
     def test_with_design_returns_new_config(self):
         cfg = SystemConfig.paper_defaults()
-        derived = cfg.with_design(NIDesign.EDGE)
-        assert derived.ni.design is NIDesign.EDGE
-        assert cfg.ni.design is NIDesign.SPLIT  # original untouched
+        derived = cfg.with_design("edge")
+        assert derived.ni.design == "edge"
+        assert cfg.ni.design == "split"  # original untouched
 
     def test_with_routing(self):
         cfg = SystemConfig.paper_defaults().with_routing(RoutingAlgorithm.XY)
         assert cfg.noc.routing is RoutingAlgorithm.XY
 
     def test_with_topology(self):
-        cfg = SystemConfig.paper_defaults().with_topology(TopologyKind.NOC_OUT)
-        assert cfg.noc.topology is TopologyKind.NOC_OUT
+        cfg = SystemConfig.paper_defaults().with_topology("noc_out")
+        assert cfg.noc.topology == "noc_out"
 
     def test_messaging_designs_excludes_numa(self):
-        designs = NIDesign.messaging_designs()
-        assert NIDesign.NUMA not in designs
-        assert len(designs) == 3
+        designs = NI_DESIGNS.names(messaging=True)
+        assert "numa" not in designs
+        assert designs == ["edge", "per_tile", "split"]
+
+
+class TestFingerprintPins:
+    """Config and scenario fingerprints key cached results, so these literal
+    values must not move."""
+
+    @pytest.mark.parametrize("config, expected", [
+        (SystemConfig.paper_defaults(), "ece36d5292d4646c"),
+        (SystemConfig.noc_out_defaults(), "3d536f31ac288c08"),
+    ])
+    def test_default_configs(self, config, expected):
+        assert config.fingerprint() == expected
+
+    @pytest.mark.parametrize("design, expected", [
+        ("split", "ece36d5292d4646c"),
+        ("edge", "8418b8b9e67e07d3"),
+        ("per_tile", "3183a3b95d4a0dfa"),
+        ("numa", "2eb94191bcb54ac6"),
+    ])
+    def test_with_design(self, design, expected):
+        assert SystemConfig.paper_defaults().with_design(design).fingerprint() == expected
+
+    def test_scenario_spec_and_its_config(self):
+        spec = ScenarioSpec(design="edge", topology="noc_out", workload="kvstore")
+        assert spec.fingerprint() == "197497bea6fd5553"
+        assert spec.resolve_config().fingerprint() == "e95d4561131f04d9"
+
+    def test_enum_member_and_name_store_the_same_string(self):
+        by_member = SystemConfig.paper_defaults().with_design(NIDesign.EDGE)
+        by_name = SystemConfig.paper_defaults().with_design("edge")
+        assert by_member.fingerprint() == by_name.fingerprint()
+        assert type(by_member.ni.design) is str and by_member.ni.design == "edge"
+        assert type(by_name.ni.design) is str and by_name.ni.design == "edge"
 
 
 class TestValidation:

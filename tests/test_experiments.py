@@ -1,5 +1,7 @@
 """Tests for the experiment harness (tables/figures regeneration)."""
 
+import json
+
 import pytest
 
 from helpers import small_config
@@ -17,8 +19,7 @@ from repro.experiments import (
     run_table3,
 )
 from repro.experiments.base import ExperimentResult, ResultMetadata
-from repro.experiments.registry import EXPERIMENTS, get_experiment, get_spec, list_experiments
-from repro.experiments.runner import FAST_EXPERIMENTS, format_results, run_experiments
+from repro.experiments.registry import get_spec, iter_specs, list_specs
 from repro.experiments.spec import Parameter, experiment, unregister
 
 
@@ -75,7 +76,7 @@ class TestResultContainer:
 
 class TestSpec:
     def test_every_experiment_has_a_spec(self):
-        for name in list_experiments():
+        for name in list_specs():
             spec = get_spec(name)
             assert spec.name == name and callable(spec.runner)
 
@@ -227,30 +228,66 @@ class TestSimulatedExperiments:
 
 class TestRegistry:
     def test_every_table_and_figure_is_registered(self):
-        names = list_experiments()
+        names = list_specs()
         for expected in ("table1", "table2", "table3", "fig5", "fig6", "fig7", "fig9", "fig10"):
             assert expected in names
 
     def test_get_unknown_experiment_rejected(self):
         with pytest.raises(ExperimentError):
-            get_experiment("fig99")
+            get_spec("fig99")
 
     def test_registry_values_are_callable(self):
-        assert all(callable(runner) for runner in EXPERIMENTS.values())
+        assert all(callable(spec.runner) for spec in iter_specs())
 
     def test_legacy_runner_attribute_matches_spec(self):
-        assert get_experiment("fig6") is get_spec("fig6").runner
+        assert get_spec("fig6").runner is run_fig6
         assert run_fig6.spec is get_spec("fig6")
 
-    def test_runner_formats_fast_experiments(self):
-        results = run_experiments(["table1", "fig5"])
-        text = format_results(results)
-        assert "Table 1" in text and "Figure 5" in text
-
     def test_fast_experiments_are_analytical(self):
-        assert set(FAST_EXPERIMENTS) == {"table1", "table2", "table3", "fig5"}
+        fast = {spec.name for spec in iter_specs() if spec.fast}
+        assert fast == {"table1", "table2", "table3", "fig5"}
 
-    def test_run_experiments_applies_applicable_overrides(self):
-        results = run_experiments(["table1", "table3"], overrides={"hops": 2, "simulate": False})
-        assert results[0].metadata.params["hops"] == 2
-        assert results[1].metadata.params["hops"] == 2
+    def test_run_experiments_applies_applicable_overrides(self, capsys):
+        from repro.cli import main
+
+        assert main(["run", "table1", "table3", "--set", "hops=2",
+                     "--set", "simulate=false", "--json"]) == 0
+        entries = json.loads(capsys.readouterr().out)["entries"]
+        params = {entry["request"]["experiment"]: entry["request"]["params"]
+                  for entry in entries}
+        assert params == {"table1": {"hops": 2}, "table3": {"hops": 2, "simulate": False}}
+
+
+class TestRegistryOnlyDesign:
+    """A design that only the registry knows runs in every design-swept figure."""
+
+    def test_split_copy_reproduces_split_rows(self):
+        from repro.core.split import NISplitDesign
+        from repro.scenario.registry import NI_DESIGNS, register_ni_design
+        from repro.scenario.spec import ScenarioSpec
+
+        # Registered after repro.experiments was imported, so the figures'
+        # design choices must be evaluated late.
+        @register_ni_design("split_copy", label="NIsplit-copy", messaging=True)
+        class SplitCopyDesign(NISplitDesign):
+            """An exact copy of NIsplit under another name."""
+
+        window = dict(warmup_cycles=500.0, measure_cycles=1000.0)
+        runs = {
+            "fig6": dict(sizes=(64, 1024), iterations=2, warmup=1),
+            "fig7": dict(sizes=(256,), **window),
+            "routing": dict(transfer_bytes=256, policies=("xy", "cdr"), **window),
+        }
+        try:
+            for name, params in runs.items():
+                split = get_spec(name).run(config=small_config(), design="split", **params)
+                copy = get_spec(name).run(config=small_config(), design="split_copy", **params)
+                assert copy.rows == split.rows, name
+                assert [header.replace("NIsplit-copy", "NIsplit") for header in copy.headers] \
+                    == split.headers, name
+                if name != "routing":
+                    assert any("NIsplit-copy" in header for header in copy.headers), name
+            table2 = run_table2(ScenarioSpec(design="split_copy").resolve_config())
+            assert "design=split_copy" in dict(table2.rows)["NI"]
+        finally:
+            NI_DESIGNS.unregister("split_copy")

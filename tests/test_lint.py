@@ -275,9 +275,9 @@ class TestREP004RegistryDiscipline:
 
     def test_manifest_name_registered_nowhere(self, tmp_path):
         # The reverse check only fires on whole-package trees (identified by
-        # core/factory.py), so partial-tree lints don't false-positive.
+        # scenario/registry.py), so partial-tree lints don't false-positive.
         findings = run_fixture(tmp_path, {
-            "core/factory.py": "def build(services):\n    return None\n",
+            "scenario/registry.py": "NI_DESIGNS = None\n",
             "plugins.py": """
                 from repro.scenario.registry import register_workload
 
@@ -294,25 +294,15 @@ class TestREP004RegistryDiscipline:
                                rules=["REP004"], manifest={"workloads": ["ghost"]})
         assert findings == []
 
-    def test_factory_dispatch_branch_flagged(self, tmp_path):
-        findings = run_fixture(tmp_path, {"core/factory.py": """
-            def build(name, services, placement):
-                if name == "edge":
-                    return EdgeDesign(services, placement)
-                elif name == "split":
-                    return SplitDesign(services, placement)
-                return None
-        """}, rules=["REP004"])
-        assert codes(findings) == ["REP004", "REP004"]
-
-    def test_factory_registry_lookup_clean(self, tmp_path):
-        findings = run_fixture(tmp_path, {"core/factory.py": """
-            from repro.scenario.registry import NI_DESIGNS
-
-            def build(name, services, placement):
-                return NI_DESIGNS.get(name)(services, placement)
-        """}, rules=["REP004"])
-        assert findings == []
+    def test_real_tree_flags_a_ghost_manifest_design(self, tmp_path):
+        # The reverse check must recognise src/repro as the whole package.
+        manifest = lint_manifest.load_manifest(COMMITTED_MANIFEST)
+        manifest["designs"] = manifest["designs"] + ["ghost_design"]
+        manifest_path = tmp_path / "registry_manifest.json"
+        manifest_path.write_text(json.dumps(manifest))
+        findings = lint_paths([SRC_TREE], rules=["REP004"], manifest_path=str(manifest_path))
+        assert codes(findings) == ["REP004"]
+        assert "ghost_design" in findings[0].message
 
 
 # ----------------------------------------------------------------------
@@ -685,18 +675,10 @@ class TestLintGate:
         assert cli_main(["lint", SRC_TREE, "--rules", "NOPE"]) == 2
         assert "unknown lint rule" in capsys.readouterr().err
 
-    def test_live_inventory_includes_lint_rules(self):
+    def test_live_inventory_matches_committed_manifest(self):
+        # Every inventory key, experiments included, as `list --json` reports it.
         inventory = lint_manifest.live_inventory()
         assert inventory["lint_rules"] == LINT_RULES.names()
         failures = lint_manifest.compare_inventory(
             inventory, lint_manifest.load_manifest(COMMITTED_MANIFEST))
         assert failures == []
-
-    def test_manifest_shim_entry_point_still_works(self):
-        import importlib.util
-
-        shim_path = os.path.join(REPO_ROOT, "tools", "check_registry_manifest.py")
-        spec = importlib.util.spec_from_file_location("check_registry_manifest", shim_path)
-        shim = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(shim)
-        assert shim.main([COMMITTED_MANIFEST]) == 0

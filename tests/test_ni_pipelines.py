@@ -4,7 +4,6 @@ import pytest
 
 from helpers import small_config
 
-from repro.config import NIDesign
 from repro.core.base import TransferTable
 from repro.errors import PlacementError, ProtocolError
 from repro.node.soc import ManycoreSoc
@@ -134,14 +133,25 @@ class TestAssemblyRouting:
         from repro.core.edge import NIEdgeDesign
         from repro.core.per_tile import NIPerTileDesign
         from repro.core.split import NISplitDesign
-        assert NIEdgeDesign.design is NIDesign.EDGE
-        assert NIPerTileDesign.design is NIDesign.PER_TILE
-        assert NISplitDesign.design is NIDesign.SPLIT
+        from repro.scenario.registry import NI_DESIGNS
+        assert NI_DESIGNS.resolve(NIEdgeDesign) == "edge"
+        assert NI_DESIGNS.resolve(NIPerTileDesign) == "per_tile"
+        assert NI_DESIGNS.resolve(NISplitDesign) == "split"
 
     def test_factory_rejects_numa(self, split_config):
-        from repro.core.factory import build_ni_design
+        # The registry's messaging flag, not the design's name, decides
+        # whether ManycoreSoc can build a design.
+        from repro.core.split import NISplitDesign
         from repro.errors import ConfigurationError
-        soc = ManycoreSoc(split_config)
-        soc.config = small_config(NIDesign.NUMA)
-        with pytest.raises(ConfigurationError):
-            build_ni_design(soc, soc.placement)
+        from repro.scenario.registry import NI_DESIGNS, register_ni_design
+
+        @register_ni_design("test_loadstore", label="test", messaging=False)
+        class LoadStoreDesign(NISplitDesign):
+            pass
+
+        try:
+            for design in ("numa", "test_loadstore"):
+                with pytest.raises(ConfigurationError, match="no QP-based NI pipelines"):
+                    ManycoreSoc(small_config(design))
+        finally:
+            NI_DESIGNS.unregister("test_loadstore")

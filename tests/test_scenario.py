@@ -7,6 +7,7 @@ equivalence guarantee: registry-built machines produce byte-identical
 results to the direct (pre-refactor) construction path for fig6/table1.
 """
 
+import enum
 import json
 import os
 
@@ -14,7 +15,7 @@ import pytest
 
 from helpers import small_config
 
-from repro.config import NIDesign, SystemConfig, TopologyKind
+from repro.config import NIDesign, SystemConfig
 from repro.errors import (
     ConfigurationError,
     RegistryError,
@@ -41,6 +42,9 @@ from repro.workloads.hotspot import HotspotReadWorkload
 from repro.workloads.kvstore import KeyValueStoreWorkload
 from repro.workloads.microbench import UniformRandomReadWorkload
 from repro.workloads.rwmix import ReadWriteMixWorkload
+
+#: Stands in for any caller-side enum: ``resolve`` accepts a string ``.value``.
+ChipTopology = enum.Enum("ChipTopology", {"MESH": "mesh", "NOC_OUT": "noc_out"})
 
 SMALL = {"cores.count": 16}
 
@@ -77,7 +81,7 @@ class TestComponentRegistry:
     def test_resolve_accepts_name_enum_and_component(self):
         assert NI_DESIGNS.resolve("edge") == "edge"
         assert NI_DESIGNS.resolve(NIDesign.EDGE) == "edge"
-        assert TOPOLOGIES.resolve(TopologyKind.NOC_OUT) == "noc_out"
+        assert TOPOLOGIES.resolve(ChipTopology.NOC_OUT) == "noc_out"
         assert WORKLOADS.resolve(HotspotReadWorkload) == "hotspot"
         workload = HotspotReadWorkload(small_config())
         assert WORKLOADS.resolve(workload) == "hotspot"
@@ -89,10 +93,13 @@ class TestComponentRegistry:
             NI_DESIGNS.resolve(42)
 
     def test_config_coerce_goes_through_registry(self):
-        assert NIDesign.coerce("per_tile") is NIDesign.PER_TILE
+        config = SystemConfig.paper_defaults()
+        assert config.with_design("per_tile").ni.design == "per_tile"
+        with pytest.raises(ConfigurationError, match="did you mean 'per_tile'"):
+            config.with_design("per-tile")
+        assert config.with_topology(ChipTopology.MESH).noc.topology == "mesh"
         with pytest.raises(ConfigurationError, match="registered"):
-            NIDesign.coerce("per-tile")
-        assert TopologyKind.coerce("mesh") is TopologyKind.MESH
+            config.with_topology("hypercube")
 
     def test_unregister_allows_throwaway_plugins(self):
         @register_workload("throwaway_test_workload")
@@ -132,7 +139,7 @@ class TestScenarioSpec:
             config_overrides={"cores.count": 16}).fingerprint()
 
     def test_enum_inputs_are_canonicalized(self):
-        spec = ScenarioSpec(design=NIDesign.EDGE, topology=TopologyKind.MESH)
+        spec = ScenarioSpec(design=NIDesign.EDGE, topology=ChipTopology.MESH)
         assert spec.design == "edge" and spec.topology == "mesh"
 
     def test_unknown_names_fail_with_inventory(self):
@@ -145,14 +152,14 @@ class TestScenarioSpec:
         spec = ScenarioSpec(design="edge", topology="noc_out",
                             config_overrides={"ni.rrpp_count": 4, "memory.latency_ns": 60})
         config = spec.resolve_config()
-        assert config.ni.design is NIDesign.EDGE
-        assert config.noc.topology is TopologyKind.NOC_OUT
+        assert config.ni.design == "edge"
+        assert config.noc.topology == "noc_out"
         assert config.ni.rrpp_count == 4
         assert config.memory.latency_ns == 60.0
 
     def test_rack_topology_leaves_chip_topology_alone(self):
         config = ScenarioSpec(topology="torus3d").resolve_config()
-        assert config.noc.topology is TopologyKind.MESH
+        assert config.noc.topology == "mesh"
 
     def test_registry_only_chip_topology_resolves_to_its_raw_name(self):
         from repro.core.placement import _mesh_placement
@@ -181,7 +188,7 @@ class TestScenarioSpec:
 class TestMachineBuilder:
     def test_resolved_config_matches_legacy_with_design_path(self):
         spec = ScenarioSpec(design="edge")
-        legacy = SystemConfig.paper_defaults().with_design(NIDesign.EDGE)
+        legacy = SystemConfig.paper_defaults().with_design("edge")
         assert MachineBuilder(spec).resolve_config().fingerprint() == legacy.fingerprint()
 
     def test_builder_accepts_raw_dicts(self):
@@ -287,7 +294,7 @@ class TestEquivalence:
                             config_overrides=SMALL)
         builder = MachineBuilder(spec)
         registry_machine = builder.build_machine()
-        direct_machine = ManycoreSoc(small_config(NIDesign.EDGE))
+        direct_machine = ManycoreSoc(small_config("edge"))
         assert registry_machine.config.fingerprint() == direct_machine.config.fingerprint()
         via_registry = builder.build_workload().run_on(registry_machine)
         direct = UniformRandomReadWorkload(
@@ -350,7 +357,7 @@ class TestRegistryManifest:
     MANIFEST = os.path.join(os.path.dirname(__file__), "data", "registry_manifest.json")
 
     def test_inventory_matches_checked_in_manifest(self):
-        from repro.experiments.registry import list_experiments
+        from repro.experiments.registry import list_specs
 
         with open(self.MANIFEST, "r", encoding="utf-8") as handle:
             manifest = json.load(handle)
@@ -361,7 +368,7 @@ class TestRegistryManifest:
             "arrivals": ARRIVALS.names(),
             "faults": FAULT_MODELS.names(),
             "lint_rules": LINT_RULES.names(),
-            "experiments": list_experiments(),
+            "experiments": list_specs(),
         }
         assert actual == {key: manifest[key] for key in actual}, (
             "component inventory drifted from tests/data/registry_manifest.json; "

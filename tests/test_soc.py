@@ -4,7 +4,6 @@ import pytest
 
 from helpers import small_config
 
-from repro.config import NIDesign
 from repro.core.edge import NIEdgeDesign
 from repro.core.per_tile import NIPerTileDesign
 from repro.core.split import NISplitDesign
@@ -42,7 +41,7 @@ class TestConstruction:
 
     def test_numa_design_rejected(self):
         with pytest.raises(ConfigurationError):
-            ManycoreSoc(small_config(NIDesign.NUMA))
+            ManycoreSoc(small_config("numa"))
 
     def test_tile_complexes_registered_with_coherence(self, split_config):
         soc = ManycoreSoc(split_config)

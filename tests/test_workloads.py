@@ -4,7 +4,6 @@ import pytest
 
 from helpers import small_config
 
-from repro.config import NIDesign
 from repro.errors import WorkloadError
 from repro.workloads.graphproc import GraphTraversalWorkload, SyntheticPowerLawGraph
 from repro.workloads.kvstore import KeyValueStoreWorkload, ZipfKeySampler
@@ -35,7 +34,7 @@ class TestLatencyBenchmark:
     def test_single_size_run(self, split_config):
         bench = RemoteReadLatencyBenchmark(split_config, iterations=3, warmup=1, tile_ids=(5,))
         result = bench.run(64)
-        assert result.design is NIDesign.SPLIT
+        assert result.design == "split"
         assert len(result.samples_cycles) == 3
         assert result.mean_cycles > 300
         assert result.mean_ns == pytest.approx(result.mean_cycles / 2.0)
