@@ -51,13 +51,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.campaign import Campaign, CampaignReport, ResultCache, expand_grid, parse_sweep_axes
 from repro.campaign.report import load_report
 from repro.campaign.request import RunRequest
 from repro.errors import ExperimentError, ReproError
 from repro.experiments.registry import get_spec, iter_specs, list_specs
+from repro.scenario.registry import REGISTRIES, RegistryEntry
 from repro.version import PAPER_TITLE, PAPER_VENUE, __version__
 
 
@@ -75,22 +76,9 @@ def build_parser() -> argparse.ArgumentParser:
     list_parser.add_argument("--json", nargs="?", const="-", metavar="PATH", default=None,
                              help="emit the experiment + component catalog as JSON "
                                   "(to PATH, or stdout)")
-    list_parser.add_argument("--designs", action="store_true",
-                             help="list only the registered NI designs")
-    list_parser.add_argument("--topologies", action="store_true",
-                             help="list only the registered topologies")
-    list_parser.add_argument("--workloads", action="store_true",
-                             help="list only the registered workloads")
-    list_parser.add_argument("--arrivals", action="store_true",
-                             help="list only the registered arrival processes")
-    list_parser.add_argument("--faults", action="store_true",
-                             help="list only the registered fault models")
-    list_parser.add_argument("--lint-rules", action="store_true",
-                             help="list only the registered lint rules")
-    list_parser.add_argument("--strategies", action="store_true",
-                             help="list only the registered search strategies")
-    list_parser.add_argument("--probes", action="store_true",
-                             help="list only the registered telemetry probes")
+    for key, _registry, noun, _decorator in REGISTRIES:
+        list_parser.add_argument("--" + key.replace("_", "-"), action="store_true",
+                                 help="list only the registered %s" % noun)
 
     run_parser = subparsers.add_parser("run", help="run experiments once each")
     run_parser.add_argument("experiments", nargs="*",
@@ -243,69 +231,34 @@ def main(argv: Optional[List[str]] = None) -> int:
 # ----------------------------------------------------------------------
 # Subcommands
 # ----------------------------------------------------------------------
-def _registry_catalog() -> Dict[str, List[Dict[str, object]]]:
-    """The component registries as a JSON-native inventory."""
-    from repro.scenario.registry import (
-        ARRIVALS,
-        EXPLORE_STRATEGIES,
-        FAULT_MODELS,
-        LINT_RULES,
-        NI_DESIGNS,
-        PROBES,
-        TOPOLOGIES,
-        WORKLOADS,
-    )
-
-    designs = [
-        {
-            "name": entry.name,
-            "label": entry.metadata.get("label", entry.name),
-            "messaging": bool(entry.metadata.get("messaging", True)),
-            "summary": entry.summary,
+def _catalog_item(key: str, entry: RegistryEntry) -> Tuple[Dict[str, object], str]:
+    """One registered component: its JSON catalog item and its ``list`` details."""
+    if key == "designs":
+        fields = {"label": entry.metadata.get("label", entry.name),
+                  "messaging": bool(entry.metadata.get("messaging", True))}
+        details = "%s; %s" % (fields["label"],
+                              "messaging" if fields["messaging"] else "load/store baseline")
+    elif key == "topologies":
+        fields = {"scope": entry.metadata.get("scope", "chip")}
+        details = "%s-scope" % fields["scope"]
+    elif key == "lint_rules":
+        fields = {"title": entry.metadata.get("title", entry.name)}
+        details = fields["title"]
+    else:  # the other five registries share the param_defaults protocol
+        parameters = {
+            name: list(value) if isinstance(value, tuple) else value
+            for name, value in dict(entry.component.param_defaults).items()
         }
-        for entry in NI_DESIGNS.entries()
-    ]
-    topologies = [
-        {
-            "name": entry.name,
-            "scope": entry.metadata.get("scope", "chip"),
-            "summary": entry.summary,
-        }
-        for entry in TOPOLOGIES.entries()
-    ]
-    def parameterized(registry) -> List[Dict[str, object]]:
-        # Workloads, arrival processes, fault models and search strategies
-        # share the param_defaults protocol.
-        return [
-            {
-                "name": entry.name,
-                "parameters": {
-                    key: list(value) if isinstance(value, tuple) else value
-                    for key, value in dict(entry.component.param_defaults).items()
-                },
-                "summary": entry.summary,
-            }
-            for entry in registry.entries()
-        ]
-
-    lint_rules = [
-        {
-            "name": entry.name,
-            "title": entry.metadata.get("title", entry.name),
-            "summary": entry.summary,
-        }
-        for entry in LINT_RULES.entries()
-    ]
-
-    return {"designs": designs, "topologies": topologies,
-            "workloads": parameterized(WORKLOADS), "arrivals": parameterized(ARRIVALS),
-            "faults": parameterized(FAULT_MODELS), "lint_rules": lint_rules,
-            "strategies": parameterized(EXPLORE_STRATEGIES),
-            "probes": parameterized(PROBES)}
+        fields = {"parameters": parameters}
+        details = "params: %s" % (", ".join(sorted(parameters)) or "none")
+    return {"name": entry.name, **fields, "summary": entry.summary}, details
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
-    registries = _registry_catalog()
+    listed = {
+        key: [_catalog_item(key, entry) for entry in registry.entries()]
+        for key, registry, _noun, _decorator in REGISTRIES
+    }
     if args.json is not None:
         import json
         catalog = {
@@ -331,42 +284,20 @@ def _cmd_list(args: argparse.Namespace) -> int:
                 }
                 for spec in iter_specs()
             ],
-            "registries": registries,
+            "registries": {key: [item for item, _ in items] for key, items in listed.items()},
         }
         _emit(json.dumps(catalog, indent=2), args.json)
         return 0
-    selected = [
-        ("NI designs", "designs", args.designs),
-        ("Topologies", "topologies", args.topologies),
-        ("Workloads", "workloads", args.workloads),
-        ("Arrival processes", "arrivals", args.arrivals),
-        ("Fault models", "faults", args.faults),
-        ("Lint rules", "lint_rules", args.lint_rules),
-        ("Search strategies", "strategies", args.strategies),
-        ("Telemetry probes", "probes", args.probes),
-    ]
-    only_registries = any(flag for _, _, flag in selected)
-    if not only_registries:
+    selected = [row for row in REGISTRIES if getattr(args, row[0])]
+    if not selected:
         for spec in iter_specs():
             print(spec.describe())
         print()
-    for title, key, flag in selected:
-        if only_registries and not flag:
-            continue
-        print("%s:" % title)
-        for item in registries[key]:
-            details = []
-            if key == "designs":
-                details.append(item["label"])
-                details.append("messaging" if item["messaging"] else "load/store baseline")
-            elif key == "topologies":
-                details.append("%s-scope" % item["scope"])
-            elif key == "lint_rules":
-                details.append(item["title"])
-            else:  # workloads, arrivals, faults and strategies declare parameters
-                details.append("params: %s" % (", ".join(sorted(item["parameters"])) or "none"))
+    for key, _registry, noun, _decorator in selected or REGISTRIES:
+        print("%s:" % (noun[0].upper() + noun[1:]))
+        for item, details in listed[key]:
             summary = (" - %s" % item["summary"]) if item["summary"] else ""
-            print("  %s (%s)%s" % (item["name"], "; ".join(details), summary))
+            print("  %s (%s)%s" % (item["name"], details, summary))
     return 0
 
 

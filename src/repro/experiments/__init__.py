@@ -1,4 +1,4 @@
-"""Experiment harness: one module per table/figure of the paper's evaluation.
+"""Experiment harness: the tables and figures of the paper's evaluation.
 
 Every experiment is declared as an
 :class:`~repro.experiments.spec.ExperimentSpec` (typed parameters, defaults,
@@ -16,10 +16,7 @@ from repro.experiments.table1 import run_table1
 from repro.experiments.table2 import run_table2
 from repro.experiments.table3 import run_table3
 from repro.experiments.fig5 import run_fig5
-from repro.experiments.fig6 import run_fig6
-from repro.experiments.fig7 import run_fig7
-from repro.experiments.fig9 import run_fig9
-from repro.experiments.fig10 import run_fig10
+from repro.experiments.transfer_sweeps import run_fig6, run_fig7, run_fig9, run_fig10
 from repro.experiments.routing_ablation import run_routing_ablation
 from repro.experiments.owned_state_ablation import run_owned_state_ablation
 

@@ -13,10 +13,6 @@ from repro.experiments.spec import ExperimentSpec, get_spec, iter_specs, list_sp
 # Importing the experiment modules populates the spec registry.
 from repro.experiments import chaos_sweep as _chaos_sweep  # noqa: F401
 from repro.experiments import fig5 as _fig5  # noqa: F401
-from repro.experiments import fig6 as _fig6  # noqa: F401
-from repro.experiments import fig7 as _fig7  # noqa: F401
-from repro.experiments import fig9 as _fig9  # noqa: F401
-from repro.experiments import fig10 as _fig10  # noqa: F401
 from repro.experiments import load_sweep as _load_sweep  # noqa: F401
 from repro.experiments import owned_state_ablation as _owned  # noqa: F401
 from repro.experiments import routing_ablation as _routing  # noqa: F401
@@ -24,5 +20,6 @@ from repro.experiments import scenario_run as _scenario  # noqa: F401
 from repro.experiments import table1 as _table1  # noqa: F401
 from repro.experiments import table2 as _table2  # noqa: F401
 from repro.experiments import table3 as _table3  # noqa: F401
+from repro.experiments import transfer_sweeps as _transfer_sweeps  # noqa: F401
 
 __all__ = ["ExperimentSpec", "get_spec", "iter_specs", "list_specs"]

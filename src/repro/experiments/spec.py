@@ -240,8 +240,8 @@ class ExperimentSpec:
             result.metadata.perf = perf_session.summary()
         result.metadata.params = _jsonable_params(params)
         if not result.metadata.config_fingerprint:
-            # Runners that derive a different effective config (e.g. fig9's
-            # NOC-Out merge) stamp the fingerprint themselves.
+            # Runners that derive a different effective config (e.g. the
+            # NOC-Out figures) stamp the fingerprint themselves.
             effective = config if config is not None else self.default_config()
             result.metadata.config_fingerprint = effective.fingerprint()
         result.metadata.wall_time_s = elapsed

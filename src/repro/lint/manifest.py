@@ -21,10 +21,6 @@ import json
 from contextlib import redirect_stdout
 from typing import Dict, List
 
-#: Manifest inventory keys, in reporting order.
-INVENTORY_KEYS = ("designs", "topologies", "workloads", "arrivals", "faults",
-                  "lint_rules", "strategies", "probes", "experiments")
-
 
 def load_manifest(path: str) -> Dict[str, List[str]]:
     with open(path, "r", encoding="utf-8") as handle:
@@ -41,10 +37,8 @@ def live_inventory() -> Dict[str, List[str]]:
     if status != 0:
         raise SystemExit("repro-experiments list --json failed with status %d" % status)
     catalog = json.loads(buffer.getvalue())
-    registries = catalog["registries"]
     inventory = {
-        key: [item["name"] for item in registries.get(key, [])]
-        for key in INVENTORY_KEYS if key != "experiments"
+        key: [item["name"] for item in items] for key, items in catalog["registries"].items()
     }
     inventory["experiments"] = [item["name"] for item in catalog["experiments"]]
     return inventory
@@ -52,10 +46,16 @@ def live_inventory() -> Dict[str, List[str]]:
 
 def compare_inventory(actual: Dict[str, List[str]],
                       manifest: Dict[str, List[str]]) -> List[str]:
-    """Diff-style failure messages; empty when the inventory matches."""
+    """Diff-style failure messages; empty when the inventory matches.
+
+    Every key either side holds is compared, so a registry missing whole
+    from one side reports each of its names.
+    """
     failures = []
-    for key, names in actual.items():
-        expected = manifest.get(key, [])
+    for key in dict.fromkeys([*actual, *manifest]):
+        if key == "schema":
+            continue
+        names, expected = actual.get(key, []), manifest.get(key, [])
         missing = sorted(set(expected) - set(names))
         extra = sorted(set(names) - set(expected))
         if missing:

@@ -24,7 +24,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.lint.driver import LintContext, LintModule
 from repro.lint.finding import Finding
-from repro.scenario.registry import register_lint_rule
+from repro.scenario.registry import REGISTRIES, register_lint_rule
 
 
 class LintRule:
@@ -225,14 +225,7 @@ class RegistryDisciplineRule(LintRule):
 
     #: Registration decorator → manifest inventory key.
     REGISTRARS: Dict[str, str] = {
-        "register_ni_design": "designs",
-        "register_topology": "topologies",
-        "register_workload": "workloads",
-        "register_arrival_process": "arrivals",
-        "register_fault_model": "faults",
-        "register_lint_rule": "lint_rules",
-        "register_strategy": "strategies",
-        "register_probe": "probes",
+        **{decorator: key for key, _registry, _noun, decorator in REGISTRIES},
         "experiment": "experiments",
     }
 

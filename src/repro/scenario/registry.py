@@ -259,3 +259,20 @@ def register_strategy(name: str, **metadata: object):
 def register_probe(name: str, **metadata: object):
     """Register a telemetry probe, e.g. ``@register_probe("rolling_tails")``."""
     return PROBES.register(name, **metadata)
+
+
+#: The eight registries in listing order, one row each: catalog and manifest
+#: key, registry, plural noun and registration decorator.  The CLI's ``list``
+#: flags and JSON catalog, the manifest inventory and lint rule REP004's
+#: decorator map all read this table, so a new registry is one row here plus
+#: its key in ``tests/data/registry_manifest.json``.
+REGISTRIES = (
+    ("designs", NI_DESIGNS, "NI designs", "register_ni_design"),
+    ("topologies", TOPOLOGIES, "topologies", "register_topology"),
+    ("workloads", WORKLOADS, "workloads", "register_workload"),
+    ("arrivals", ARRIVALS, "arrival processes", "register_arrival_process"),
+    ("faults", FAULT_MODELS, "fault models", "register_fault_model"),
+    ("lint_rules", LINT_RULES, "lint rules", "register_lint_rule"),
+    ("strategies", EXPLORE_STRATEGIES, "search strategies", "register_strategy"),
+    ("probes", PROBES, "telemetry probes", "register_probe"),
+)

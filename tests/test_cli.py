@@ -6,6 +6,7 @@ import pytest
 
 from repro.campaign import load_report, load_results
 from repro.cli import build_parser, main
+from repro.scenario.registry import REGISTRIES
 
 
 class TestParser:
@@ -54,10 +55,19 @@ class TestList:
         assert "transfer_bytes" in workloads["hotspot"]["parameters"]
 
     def test_list_registry_flags(self, capsys):
+        headings = {key: noun[0].upper() + noun[1:] + ":"
+                    for key, _registry, noun, _decorator in REGISTRIES}
+        for key, registry, _noun, _decorator in REGISTRIES:
+            assert main(["list", "--" + key.replace("_", "-")]) == 0
+            output = capsys.readouterr().out
+            lines = output.splitlines()
+            assert [line for line in lines if line in headings.values()] == [headings[key]]
+            listed = [line.split()[0] for line in lines if line.startswith("  ")]
+            assert listed and listed == registry.names(), key
+            assert "fig6" not in output  # experiments suppressed by the flag
         assert main(["list", "--workloads"]) == 0
         output = capsys.readouterr().out
-        assert "hotspot" in output and "rw_mix" in output
-        assert "fig6" not in output  # experiments suppressed by the flag
+        assert "Workloads:" in output and "hotspot" in output and "rw_mix" in output
 
     def test_scenario_run_with_workload_override(self, capsys):
         assert main(["run", "scenario", "--set", "workload=hotspot",

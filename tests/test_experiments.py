@@ -175,13 +175,26 @@ class TestSimulatedExperiments:
         ]
 
     def test_fig9_fingerprint_matches_effective_config(self):
+        # Both NOC-Out figures simulate noc_out_defaults() with only the
+        # caller's calibration, NI and rack, and stamp that config.
         config = small_config()
-        result = get_spec("fig9").run(config=config, sizes=(64,), iterations=1, warmup=0)
         merged = SystemConfig.noc_out_defaults().replace(
             calibration=config.calibration, ni=config.ni, rack=config.rack
         )
-        assert result.metadata.config_fingerprint == merged.fingerprint()
-        assert result.metadata.config_fingerprint != config.fingerprint()
+        runs = {
+            "fig9": dict(sizes=(64,), iterations=1, warmup=0),
+            "fig10": dict(design="split", sizes=(64,), warmup_cycles=200, measure_cycles=300),
+        }
+        for name, params in runs.items():
+            result = get_spec(name).run(config=config, **params)
+            assert result.metadata.config_fingerprint == merged.fingerprint(), name
+            assert result.metadata.config_fingerprint != config.fingerprint(), name
+
+    def test_latency_figures_state_their_hop_count(self):
+        for name in ("fig6", "fig9"):
+            result = get_spec(name).run(config=small_config(), design="split", hops=2,
+                                        sizes=(64,), iterations=1, warmup=0)
+            assert "2 network hops per direction" in result.description, name
 
     def test_fig6_single_design_restricts_columns(self):
         result = run_fig6(config=small_config(), design="edge", sizes=(64,),

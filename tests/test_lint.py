@@ -294,6 +294,14 @@ class TestREP004RegistryDiscipline:
                                rules=["REP004"], manifest={"workloads": ["ghost"]})
         assert findings == []
 
+    def test_registrars_follow_the_registry_table(self):
+        from repro.lint.rules import RegistryDisciplineRule
+        from repro.scenario.registry import REGISTRIES
+
+        expected = {decorator: key for key, _registry, _noun, decorator in REGISTRIES}
+        expected["experiment"] = "experiments"
+        assert RegistryDisciplineRule.REGISTRARS == expected
+
     def test_real_tree_flags_a_ghost_manifest_design(self, tmp_path):
         # The reverse check must recognise src/repro as the whole package.
         manifest = lint_manifest.load_manifest(COMMITTED_MANIFEST)
@@ -682,3 +690,11 @@ class TestLintGate:
         failures = lint_manifest.compare_inventory(
             inventory, lint_manifest.load_manifest(COMMITTED_MANIFEST))
         assert failures == []
+
+    def test_inventory_missing_a_whole_registry_is_reported(self):
+        manifest = lint_manifest.load_manifest(COMMITTED_MANIFEST)
+        without_probes = {key: names for key, names in manifest.items()
+                          if key not in ("schema", "probes")}
+        assert lint_manifest.compare_inventory(without_probes, manifest) == [
+            "probes: missing from the live registry: " + ", ".join(manifest["probes"])
+        ]

@@ -27,10 +27,8 @@ from repro.node.soc import ManycoreSoc
 from repro.numa.machine import NumaMachine
 from repro.scenario.builder import MachineBuilder, Scenario, ScenarioResult
 from repro.scenario.registry import (
-    ARRIVALS,
-    FAULT_MODELS,
-    LINT_RULES,
     NI_DESIGNS,
+    REGISTRIES,
     TOPOLOGIES,
     WORKLOADS,
     ComponentRegistry,
@@ -100,6 +98,22 @@ class TestComponentRegistry:
         assert config.with_topology(ChipTopology.MESH).noc.topology == "mesh"
         with pytest.raises(ConfigurationError, match="registered"):
             config.with_topology("hypercube")
+
+    def test_registries_table_has_one_row_per_register_function(self):
+        from repro.scenario import registry as registry_module
+
+        decorators = sorted(name for name in vars(registry_module) if name.startswith("register_"))
+        assert sorted(row[3] for row in REGISTRIES) == decorators
+        assert len({row[0] for row in REGISTRIES}) == len(REGISTRIES)
+        registries = [value for value in vars(registry_module).values()
+                      if isinstance(value, ComponentRegistry)]
+        assert sorted(map(id, registries)) == sorted(id(row[1]) for row in REGISTRIES)
+        for _key, registry, _noun, decorator in REGISTRIES:
+            getattr(registry_module, decorator)("table_row_check")(object())
+            try:
+                assert "table_row_check" in registry, decorator
+            finally:
+                registry.unregister("table_row_check")
 
     def test_unregister_allows_throwaway_plugins(self):
         @register_workload("throwaway_test_workload")
@@ -361,16 +375,9 @@ class TestRegistryManifest:
 
         with open(self.MANIFEST, "r", encoding="utf-8") as handle:
             manifest = json.load(handle)
-        actual = {
-            "designs": NI_DESIGNS.names(),
-            "topologies": TOPOLOGIES.names(),
-            "workloads": WORKLOADS.names(),
-            "arrivals": ARRIVALS.names(),
-            "faults": FAULT_MODELS.names(),
-            "lint_rules": LINT_RULES.names(),
-            "experiments": list_specs(),
-        }
-        assert actual == {key: manifest[key] for key in actual}, (
+        actual = {key: registry.names() for key, registry, _noun, _decorator in REGISTRIES}
+        actual["experiments"] = list_specs()
+        assert actual == {key: names for key, names in manifest.items() if key != "schema"}, (
             "component inventory drifted from tests/data/registry_manifest.json; "
             "update the manifest if the change is intentional"
         )
