@@ -13,11 +13,13 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional
+from operator import attrgetter
+from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.errors import ExperimentError
 from repro.campaign.request import RunRequest
 from repro.experiments.base import ExperimentResult
+from repro.experiments.open_loop_sweeps import RESILIENCE_NOTE_PREFIX, SATURATION_NOTE_PREFIX
 
 
 @dataclass
@@ -119,17 +121,20 @@ class CampaignReport:
             if entry.ok and not entry.cached
         )
 
+    def _labelled(
+        self, lines: Callable[[ExperimentResult], Sequence[str]], prefix: str = ""
+    ) -> List[str]:
+        """Each successful result's ``lines`` starting with ``prefix``, labelled by request."""
+        return [
+            "%s: %s" % (entry.request.label(), line)
+            for entry in self.entries if entry.ok
+            for line in lines(entry.result) if line.startswith(prefix)
+        ]
+
     @property
     def warnings(self) -> List[str]:
         """Measurement-quality warnings gathered from every successful result."""
-        collected: List[str] = []
-        for entry in self.entries:
-            if entry.ok:
-                collected.extend(
-                    "%s: %s" % (entry.request.label(), warning)
-                    for warning in entry.result.metadata.warnings
-                )
-        return collected
+        return self._labelled(attrgetter("metadata.warnings"))
 
     @property
     def saturation_points(self) -> List[str]:
@@ -140,15 +145,7 @@ class CampaignReport:
         scenario, which is the headline comparison the paper's
         latency-under-load figures make.
         """
-        collected: List[str] = []
-        for entry in self.entries:
-            if entry.ok:
-                collected.extend(
-                    "%s: %s" % (entry.request.label(), note)
-                    for note in entry.result.notes
-                    if note.startswith("saturation throughput")
-                )
-        return collected
+        return self._labelled(attrgetter("notes"), SATURATION_NOTE_PREFIX)
 
     @property
     def resilience_points(self) -> List[str]:
@@ -159,15 +156,7 @@ class CampaignReport:
         transient; a campaign sweeping designs or fault models ends with the
         side-by-side resilience comparison.
         """
-        collected: List[str] = []
-        for entry in self.entries:
-            if entry.ok:
-                collected.extend(
-                    "%s: %s" % (entry.request.label(), note)
-                    for note in entry.result.notes
-                    if note.startswith("resilience")
-                )
-        return collected
+        return self._labelled(attrgetter("notes"), RESILIENCE_NOTE_PREFIX)
 
     # ------------------------------------------------------------------
     # Rendering
@@ -181,14 +170,11 @@ class CampaignReport:
         warnings = self.warnings
         if warnings:
             parts.append("\n".join("warning: %s" % warning for warning in warnings))
-        saturation = self.saturation_points
-        if saturation:
-            # The cross-run digest carries the request labels the raw notes
-            # lack, so it earns its place even for a single load sweep.
-            parts.append("\n".join(saturation))
-        resilience = self.resilience_points
-        if len(resilience) > 1:
-            parts.append("\n".join(resilience))
+        # The cross-run digests carry the request labels the raw notes lack,
+        # so they earn their place even for a single sweep.
+        for digest in (self.saturation_points, self.resilience_points):
+            if digest:
+                parts.append("\n".join(digest))
         parts.append(self.summary())
         return "\n\n".join(parts)
 

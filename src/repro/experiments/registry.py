@@ -11,9 +11,8 @@ from __future__ import annotations
 from repro.experiments.spec import ExperimentSpec, get_spec, iter_specs, list_specs
 
 # Importing the experiment modules populates the spec registry.
-from repro.experiments import chaos_sweep as _chaos_sweep  # noqa: F401
 from repro.experiments import fig5 as _fig5  # noqa: F401
-from repro.experiments import load_sweep as _load_sweep  # noqa: F401
+from repro.experiments import open_loop_sweeps as _open_loop_sweeps  # noqa: F401
 from repro.experiments import owned_state_ablation as _owned  # noqa: F401
 from repro.experiments import routing_ablation as _routing  # noqa: F401
 from repro.experiments import scenario_run as _scenario  # noqa: F401

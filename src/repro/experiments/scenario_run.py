@@ -67,25 +67,28 @@ def _parse_value(text: str) -> object:
     return text
 
 
+# The scenario axes, shared with the open-loop sweeps (which default the
+# workload to kvstore).  Late-bound (callable) choices: components
+# registered after this module was imported — e.g. a user plugin — stay
+# runnable.
+DESIGN = Parameter("design", str, default="split",
+                   choices=lambda: NI_DESIGNS.names(messaging=True),
+                   help="NI design (from the design registry)")
+TOPOLOGY = Parameter("topology", str, default="mesh",
+                     choices=lambda: TOPOLOGIES.names(scope="chip"),
+                     help="on-chip topology (from the topology registry)")
+WORKLOAD = Parameter("workload", str, default="uniform_random",
+                     choices=lambda: WORKLOADS.names(),
+                     help="workload (from the workload registry)")
+WORKLOAD_PARAMS = Parameter("params", str, default=(), repeated=True,
+                            help="workload parameter overrides as key=value pairs")
+
+
 @experiment(
     name="scenario",
     title="Scenario",
     description="Any registered workload on any registered machine composition.",
-    parameters=(
-        # Late-bound (callable) choices: components registered after this
-        # module was imported — e.g. a user plugin — stay runnable.
-        Parameter("design", str, default="split",
-                  choices=lambda: NI_DESIGNS.names(messaging=True),
-                  help="NI design (from the design registry)"),
-        Parameter("topology", str, default="mesh",
-                  choices=lambda: TOPOLOGIES.names(scope="chip"),
-                  help="on-chip topology (from the topology registry)"),
-        Parameter("workload", str, default="uniform_random",
-                  choices=lambda: WORKLOADS.names(),
-                  help="workload (from the workload registry)"),
-        Parameter("params", str, default=(), repeated=True,
-                  help="workload parameter overrides as key=value pairs"),
-    ),
+    parameters=(DESIGN, TOPOLOGY, WORKLOAD, WORKLOAD_PARAMS),
     tags=("simulated", "scenario"),
 )
 def run_scenario(

@@ -8,15 +8,16 @@ follow-up:
 
 * ``saturation`` — SLO-saturation throughput in req/kcycle (maximize),
   parsed from the ``load_sweep`` saturation note (or ``chaos_sweep``'s
-  fault-free baseline digest);
+  fault-free baseline digest) by
+  :func:`repro.experiments.open_loop_sweeps.saturation_from_notes`;
 * ``p99`` — the p99 latency in ns at the lowest measured load (minimize),
   the unloaded tail;
 * ``cost`` — simulated events per run (minimize), the discrete-event proxy
   for how much machine the scenario spends producing its throughput;
 * ``degraded_saturation`` — the worst SLO-preserving degraded throughput
   across injected fault intensities (maximize), via
-  :func:`repro.faults.metrics.worst_degraded_saturation` — chaos points as
-  a searchable objective, not just a swept one.
+  :func:`repro.experiments.open_loop_sweeps.worst_degraded_saturation` —
+  chaos points as a searchable objective, not just a swept one.
 
 Extractors return ``None`` when a result does not carry the metric at all
 (e.g. asking ``degraded_saturation`` of a fault-free experiment); the
@@ -28,21 +29,15 @@ across repeat runs and worker counts.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ExploreError
 from repro.experiments.base import ExperimentResult
-from repro.faults.metrics import worst_degraded_saturation
-
-#: Matches the ``load_sweep`` saturation note (and ``chaos_sweep``'s
-#: fault-free twin, which prefixes it with ``resilience baseline:``).
-_SATURATION_NOTE = re.compile(
-    r"(?:saturation throughput|fault-free saturation)(?::)? "
-    r"(?P<throughput>[0-9.]+) req/kcycle"
+from repro.experiments.open_loop_sweeps import (
+    saturation_from_notes,
+    worst_degraded_saturation,
 )
-_SATURATION_NOT_MET = re.compile(r"saturation throughput: not met")
 
 
 @dataclass(frozen=True)
@@ -79,13 +74,7 @@ class Objective:
 # Built-in extractors
 # ----------------------------------------------------------------------
 def _extract_saturation(result: ExperimentResult) -> Optional[float]:
-    for note in result.notes:
-        match = _SATURATION_NOTE.search(note)
-        if match is not None:
-            return float(match.group("throughput"))
-        if _SATURATION_NOT_MET.search(note) is not None:
-            return 0.0
-    return None
+    return saturation_from_notes(result.notes)
 
 
 def _extract_p99(result: ExperimentResult) -> Optional[float]:

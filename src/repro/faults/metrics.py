@@ -7,8 +7,9 @@ twin (same spec, same seed, same arrival schedule):
   the same offered load; the headline "how much worse is the tail when
   things break" number.
 * **SLO-preserving degraded throughput** — the highest achieved throughput a
-  faulted run sustains while still meeting the fault-free SLO; computed by
-  the ``chaos_sweep`` experiment from per-point results.
+  faulted run sustains while still meeting the fault-free SLO; the
+  ``chaos_sweep`` experiment (:mod:`repro.experiments.open_loop_sweeps`)
+  walks it from per-cell results and parses it back out of result notes.
 * **recovery transient** — after each fault window recovers, how long until
   the rolling p99 is back within a tolerance of the fault-free baseline.
 
@@ -22,19 +23,9 @@ be merged into an exact tail on demand.
 
 from __future__ import annotations
 
-import re
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.sim.stats import LatencyHistogram
-
-#: Matches the per-intensity resilience digest ``chaos_sweep`` notes, e.g.
-#: ``resilience: link_down intensity 0.50: degraded saturation 4.93
-#: req/kcycle (offered 5.00); ...`` — or its ``SLO not met at any measured
-#: load`` form.
-_RESILIENCE_NOTE = re.compile(
-    r"^resilience: \S+ intensity (?P<intensity>[0-9.]+): "
-    r"(?:degraded saturation (?P<throughput>[0-9.]+) req/kcycle|SLO not met)"
-)
 
 
 class WindowedTails:
@@ -86,39 +77,6 @@ class WindowedTails:
             (index * self.window_cycles, bucket.count, bucket.percentile(p))
             for index, bucket in sorted(self._buckets.items())
         ]
-
-
-def degraded_saturation_points(notes: Sequence[str]) -> Dict[float, float]:
-    """Per-intensity degraded saturation parsed from ``chaos_sweep`` notes.
-
-    Maps each fault intensity to the SLO-preserving degraded throughput its
-    resilience digest reports (0.0 when the note says the SLO was not met at
-    any measured load).  Intensity 0.0 — the fault-free baseline digest —
-    is not a resilience note and is therefore never included.
-    """
-    points: Dict[float, float] = {}
-    for note in notes:
-        match = _RESILIENCE_NOTE.match(note)
-        if match is None:
-            continue
-        throughput = match.group("throughput")
-        points[float(match.group("intensity"))] = \
-            float(throughput) if throughput is not None else 0.0
-    return points
-
-
-def worst_degraded_saturation(notes: Sequence[str]) -> Optional[float]:
-    """The lowest degraded saturation across every reported fault intensity.
-
-    This is the conservative resilience number a design-space search should
-    maximize: the throughput the design still sustains under its *worst*
-    injected intensity while meeting the fault-free SLO.  Returns None when
-    the notes carry no resilience digests at all.
-    """
-    points = degraded_saturation_points(notes)
-    if not points:
-        return None
-    return min(points[intensity] for intensity in sorted(points))
 
 
 def tail_amplification(faulted_p99: float, baseline_p99: float) -> float:

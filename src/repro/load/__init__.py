@@ -14,11 +14,12 @@ needs:
   queues and drop accounting, and measures arrival-to-completion latency
   into exact :class:`~repro.sim.stats.LatencyHistogram` recorders (with
   per-tenant breakdowns for multi-tenant mixes);
-* **The saturation sweep** (:mod:`repro.experiments.load_sweep`) — the
-  ``load_sweep`` experiment walks offered load across load points, reports
-  exact p50/p95/p99/p99.9 per point and finds the saturation throughput:
-  the highest load whose p99 still meets the SLO relative to the
-  lowest-load latency.
+* **The saturation sweep** (:mod:`repro.experiments.open_loop_sweeps`) —
+  the ``load_sweep`` experiment walks offered load across load points,
+  reports exact p50/p95/p99/p99.9 per point and finds the saturation
+  throughput: the highest load whose p99 still meets the SLO relative to
+  the lowest-load latency (``chaos_sweep`` applies the same rule under
+  injected faults).
 """
 
 from repro.load.arrivals import (

@@ -34,7 +34,7 @@ from repro.explore.strategies import (
 )
 from repro.explore.surrogate import QuadraticSurrogate, quadratic_features
 from repro.campaign import ResultCache, RunRequest
-from repro.faults.metrics import degraded_saturation_points, worst_degraded_saturation
+from repro.experiments.open_loop_sweeps import degraded_saturation_points, worst_degraded_saturation
 from repro.scenario.registry import EXPLORE_STRATEGIES
 
 #: Fixed overrides that make a real load_sweep evaluation fast enough for
@@ -674,3 +674,15 @@ class TestCampaignSaturationDigest:
         ])
         text = report.format()
         assert "load_sweep: saturation throughput: 4.00 req/kcycle" in text
+
+    def test_single_resilience_point_still_printed(self):
+        from repro.campaign.report import CampaignEntry, CampaignReport
+
+        result = ExperimentResult("t", "t", headers=["x"])
+        result.add_row(1.0)
+        result.add_note("resilience: link_down intensity 0.50: degraded "
+                        "saturation 2.50 req/kcycle (offered 5.00)")
+        report = CampaignReport(entries=[
+            CampaignEntry(request=RunRequest("chaos_sweep"), result=result),
+        ])
+        assert "chaos_sweep: resilience: link_down intensity 0.50" in report.format()

@@ -918,6 +918,44 @@ class TestChaosSweepDeterminism:
         assert "fault window(s)" in report.summary()
 
 
+class TestChaosSweepSloWalk:
+    """chaos_sweep judges its grid by load_sweep's SLO rule and walk."""
+
+    # Fault-free ladder: load 3 completes nothing, 6 passes, 9 violates and
+    # 12 passes again (a non-monotone tail).
+    DRIFT = dict(design="edge", arrivals="bursty", loads=(3.0, 6.0, 9.0, 12.0),
+                 slo_factor=2.0, warmup_cycles=1000.0, measure_cycles=5000.0)
+
+    def _run(self, monkeypatch, name, **params):
+        with monkeypatch.context() as patch:
+            patch.setattr(packet_module, "_packet_ids", itertools.count())
+            return get_spec(name).run(**params)
+
+    def test_saturation_walk_matches_load_sweep(self, monkeypatch):
+        from repro.explore import OBJECTIVES
+
+        load = self._run(monkeypatch, "load_sweep", **self.DRIFT)
+        chaos = self._run(monkeypatch, "chaos_sweep", faults="router_degrade",
+                          intensities=(0.5,), **self.DRIFT)
+        saturation = OBJECTIVES["saturation"]
+        assert saturation.extract(load) == saturation.extract(chaos) == 2.2
+        assert any(warning.startswith("fault-free: ") and "non-monotone" in warning
+                   for warning in chaos.metadata.warnings)
+        # The (3.0, 0.5) cell completed requests below the reference load;
+        # it is judged against the grid's one SLO reference, not against none.
+        cells = {(row[0], row[1]): row for row in chaos.rows}
+        assert cells[3.0, 0.5][chaos.headers.index("SLO ok")] is True
+
+    def test_unmet_baseline_reads_as_zero_saturation(self, monkeypatch):
+        from repro.explore import OBJECTIVES
+
+        chaos = self._run(monkeypatch, "chaos_sweep", slo_factor=1.0, loads=(5.0, 20.0),
+                          intensities=(0.5,), warmup_cycles=1000.0, measure_cycles=3000.0)
+        assert ("resilience baseline: fault-free saturation not met at any measured load"
+                in chaos.notes)
+        assert OBJECTIVES["saturation"].extract(chaos) == 0.0
+
+
 class TestCliSurfacing:
     def test_list_faults_flag(self, capsys):
         from repro.cli import main
