@@ -16,7 +16,7 @@ LLC.
 """
 
 from repro.coherence.states import CacheState
-from repro.coherence.messages import CoherenceMessageType, CoherenceMessage
+from repro.coherence.messages import CoherenceMessageType
 from repro.coherence.caches import CacheArray, L1Cache, NICache, TileCacheComplex
 from repro.coherence.directory import DirectoryController, DirectoryEntry
 from repro.coherence.protocol import CoherenceProtocol, AccessResult
@@ -24,7 +24,6 @@ from repro.coherence.protocol import CoherenceProtocol, AccessResult
 __all__ = [
     "CacheState",
     "CoherenceMessageType",
-    "CoherenceMessage",
     "CacheArray",
     "L1Cache",
     "NICache",

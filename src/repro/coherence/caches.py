@@ -26,7 +26,7 @@ NI's data (non-QP) accesses").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, Optional, Set, Tuple
+from typing import Dict, Hashable, Optional, Set
 
 from repro.coherence.states import CacheState
 from repro.errors import CoherenceError
@@ -72,10 +72,6 @@ class CacheArray:
     def clean(self, addr: int) -> None:
         """Clear the dirty bit (after a write-back)."""
         self._dirty.discard(addr)
-
-    def resident_blocks(self) -> Tuple[int, ...]:
-        """Addresses currently cached (mainly for tests/diagnostics)."""
-        return tuple(sorted(self._present))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "%s(%s, %d blocks)" % (type(self).__name__, self.name, len(self._present))

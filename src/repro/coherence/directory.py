@@ -98,7 +98,3 @@ class DirectoryController:
         the very first access does not pay an unrepresentative DRAM fill.
         """
         self.entry(addr).in_llc = True
-
-    def tracked_blocks(self) -> int:
-        """Number of blocks with directory state (for diagnostics)."""
-        return len(self._entries)

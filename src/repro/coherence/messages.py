@@ -10,8 +10,6 @@ them YX (§4.3).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Hashable
 
 from repro.config import CACHE_BLOCK_BYTES, MessageClass
 
@@ -64,18 +62,3 @@ def message_class(msg_type: CoherenceMessageType, from_directory: bool) -> Messa
     if msg_type in (CoherenceMessageType.GET_EXCLUSIVE, CoherenceMessageType.GET_READ_ONLY):
         return MessageClass.COHERENCE_REQUEST
     return MessageClass.COHERENCE_RESPONSE
-
-
-@dataclass
-class CoherenceMessage:
-    """A coherence message in flight (carried as a NOC packet payload)."""
-
-    msg_type: CoherenceMessageType
-    addr: int
-    src: Hashable
-    dst: Hashable
-    transaction_id: int
-
-    @property
-    def payload_bytes(self) -> int:
-        return self.msg_type.payload_bytes

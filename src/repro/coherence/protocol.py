@@ -24,17 +24,12 @@ protocol message.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, Optional
 
 from repro.coherence.caches import TileCacheComplex
 from repro.coherence.directory import DirectoryController, DirectoryEntry
-from repro.coherence.messages import (
-    CoherenceMessage,
-    CoherenceMessageType,
-    message_class,
-)
+from repro.coherence.messages import CoherenceMessageType, message_class
 from repro.coherence.states import CacheState
 from repro.errors import CoherenceError
 from repro.noc.fabric import NocFabric
@@ -67,7 +62,6 @@ class AccessResult:
 class _Transaction:
     """Book-keeping for one outstanding remote coherence transaction."""
 
-    txn_id: int
     complex: TileCacheComplex
     requester_kind: str
     addr: int
@@ -105,7 +99,6 @@ class CoherenceProtocol:
         self.memory_access = memory_access
         self.fallback_memory_latency_cycles = fallback_memory_latency_cycles
         self._complexes: Dict[Hashable, TileCacheComplex] = {}
-        self._txn_ids = itertools.count()
         #: Fault-state attachment point (set by the FaultInjector; None on
         #: fault-free runs, which must stay byte-identical).
         self.faults = None
@@ -176,7 +169,6 @@ class CoherenceProtocol:
         # Miss inside the complex: start a remote transaction after the
         # local lookup latency (miss determination).
         txn = _Transaction(
-            txn_id=next(self._txn_ids),
             complex=complex_,
             requester_kind=requester_kind,
             addr=self.directory.block_address(addr),
@@ -188,12 +180,6 @@ class CoherenceProtocol:
         txn.home_node = self.home_node_of_tile(txn.home_tile)
         self.remote_transactions += 1
         self.sim.schedule(lookup.latency + CONTROLLER_OVERHEAD_CYCLES, self._send_request, txn)
-
-    def zero_load_miss_latency_estimate(self, src_node: Hashable, home_node: Hashable) -> float:
-        """Analytical helper: request + data reply latency on an idle NOC."""
-        request = self.fabric.zero_load_latency(src_node, home_node, 8)
-        reply = self.fabric.zero_load_latency(home_node, src_node, 64)
-        return request + self.llc_latency_cycles + 2 * CONTROLLER_OVERHEAD_CYCLES + reply
 
     # ------------------------------------------------------------------
     # Local completion paths
@@ -269,7 +255,6 @@ class CoherenceProtocol:
             msg_type.payload_bytes,
             message_class(msg_type, from_directory=False),
             lambda pkt: self._arrive_at_directory(txn),
-            payload=CoherenceMessage(msg_type, txn.addr, txn.complex.node, txn.home_node, txn.txn_id),
         )
 
     def _arrive_at_directory(self, txn: _Transaction) -> None:

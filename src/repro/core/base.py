@@ -89,10 +89,6 @@ class TransferRecord:
     def is_complete(self) -> bool:
         return self.blocks_completed >= self.total_blocks
 
-    @property
-    def bytes_total(self) -> int:
-        return self.entry.length
-
 
 class TransferTable:
     """Chip-wide registry of in-flight transfers, indexed by transfer id."""

@@ -31,10 +31,6 @@ class InterconnectModel:
         return cls(config.rack, config.cores.frequency_ghz)
 
     @property
-    def hop_latency_ns(self) -> float:
-        return self.rack.network_hop_ns
-
-    @property
     def hop_latency_cycles(self) -> int:
         return self._hop_latency_cycles
 

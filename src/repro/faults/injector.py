@@ -77,7 +77,7 @@ class FaultState:
         self.window_until = 0.0
         self.windows = 0
         self.hits = 0
-        self._perf = perf.register_faults(self)
+        self._perf = perf.register()
 
     # ------------------------------------------------------------------
     # Hot-path hooks (thin active-gated wrappers over the model's)

@@ -1,7 +1,7 @@
 """Packet-granularity NOC contention model.
 
 Every directed link of the topology is backed by a FIFO
-:class:`~repro.sim.resource.Channel`; a packet occupies each link it crosses
+:class:`~repro.sim.resource.Resource`; a packet occupies each link it crosses
 for its flit count (one flit per cycle on the 16-byte links of Table 2).  The
 head of the packet advances one hop per ``hop_cycles`` after it is granted a
 link, and the tail arrives ``flits - 1`` cycles after the head at the final
@@ -56,6 +56,21 @@ boundary — falling back to per-hop events exactly like the queue-head tie
 case.  Since every link *acquisition* time is lookahead-guarded, the
 fault state a fused walk observes is identical to the one the per-hop event
 chain would observe, hop for hop.
+
+Statistics
+----------
+
+The fabric keeps only the counters something reads:
+
+* ``packets_sent``, ``wire_bytes_sent`` and ``fused_hops`` (window counts
+  since :meth:`NocFabric.reset_stats`), each link's ``grants`` and
+  ``busy_cycles`` and :meth:`NocFabric.max_link_utilization` — the
+  bandwidth benchmark, the workload metrics and perfbench's layer counts;
+* ``lifetime_packets_sent`` — the obs throughput probe;
+* ``packets_delivered`` and ``lifetime_fused_hops`` — the hot-path
+  profiler, the engine microbenchmarks and the packet-conservation tests;
+* :meth:`NocFabric.link_utilization` and :meth:`NocFabric.zero_load_latency`
+  — the reference checks of the fusion and NOC tests.
 """
 
 from __future__ import annotations
@@ -63,21 +78,21 @@ from __future__ import annotations
 import os
 
 from heapq import heappush
-from typing import Any, Callable, Dict, Hashable, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Optional, Sequence, Tuple
 
 from repro.config import MessageClass, NocConfig
 from repro.noc.packet import Packet
 from repro.noc.topology import Link, Topology
 from repro.sim import perf
 from repro.sim.engine import Simulator
-from repro.sim.resource import Channel
+from repro.sim.resource import Resource
 
 DeliveryCallback = Callable[[Packet], None]
 
-#: One channel-bound hop: (channel, hop_cycles, crosses_bisection, link_key).
-#: The link key rides along so fault models can target specific routers
-#: without any topology lookups on the hot path.
-BoundHop = Tuple[Channel, int, bool, Tuple[Hashable, Hashable]]
+#: One channel-bound hop: (channel, hop_cycles, link_key).  The link key
+#: rides along so fault models can target specific routers without any
+#: topology lookups on the hot path.
+BoundHop = Tuple[Resource, int, Tuple[Hashable, Hashable]]
 
 
 def hop_fusion_default() -> bool:
@@ -105,26 +120,22 @@ class NocFabric:
         self.config = noc_config
         self.hop_fusion = hop_fusion_default()
         self.link_bytes = noc_config.link_bytes
-        self._channels: Dict[Tuple[Hashable, Hashable], Channel] = {}
+        self._channels: Dict[Tuple[Hashable, Hashable], Resource] = {}
         #: Fault state installed by a FaultInjector (None on healthy runs).
         self.faults = None
         # Channel-bound route cache: route_cache_key -> tuple of
-        # (channel, hop_cycles, crosses_bisection, link_key) hops, so the
-        # per-hop fast path does no topology or channel-dict lookups.
+        # (channel, hop_cycles, link_key) hops, so the per-hop fast path does
+        # no topology or channel-dict lookups.
         self._bound_routes: Dict[Hashable, Tuple[BoundHop, ...]] = {}
         # payload_bytes -> (flits, wire_bytes); the handful of distinct
         # payload sizes an experiment sends makes this a near-perfect cache.
         self._flit_sizes: Dict[int, Tuple[int, int]] = {}
         # Statistics
         self.packets_delivered = 0
-        self.payload_bytes_delivered = 0
         self.wire_bytes_sent = 0
-        self.bytes_by_class: Dict[MessageClass, int] = {cls: 0 for cls in MessageClass}
-        self._bisection_keys = self._compute_bisection_keys()
-        self.bisection_bytes = 0
         #: Lifetime packet and fused-hop counts live in the perf record only;
         #: the stats window subtracts these snapshots taken by reset_stats.
-        self._perf = perf.register_fabric(self)
+        self._perf = perf.register()
         self._packets_at_reset = 0
         self._fused_at_reset = 0
 
@@ -159,17 +170,9 @@ class NocFabric:
         payload_bytes: int,
         msg_class: MessageClass,
         callback: Optional[DeliveryCallback] = None,
-        payload: Any = None,
     ) -> Packet:
         """Inject a packet; ``callback(packet)`` fires at delivery time."""
-        packet = Packet(
-            src=src,
-            dst=dst,
-            payload_bytes=payload_bytes,
-            msg_class=msg_class,
-            payload=payload,
-            created_at=self.sim._now,
-        )
+        packet = Packet(src, dst, payload_bytes, msg_class)
         self._perf.packets += 1
         size = self._flit_sizes.get(payload_bytes)
         if size is None:
@@ -177,7 +180,6 @@ class NocFabric:
             size = self._flit_sizes[payload_bytes] = (flits, flits * self.link_bytes)
         flits, wire = size
         self.wire_bytes_sent += wire
-        self.bytes_by_class[msg_class] += wire
         if src != dst:
             hops = self._bound_route(src, dst, msg_class, packet.packet_id)
             if hops:
@@ -186,7 +188,7 @@ class NocFabric:
                 # first channels FIFO.  The rest of the walk runs as a
                 # scheduled event, where fusion is safe (see module
                 # docstring).
-                self._hop(packet, hops, 0, flits, wire, callback, False)
+                self._hop(packet, hops, 0, flits, callback, False)
                 return packet
         self.sim.schedule(self.LOCAL_DELIVERY_CYCLES, self._deliver, packet, callback)
         return packet
@@ -206,20 +208,6 @@ class NocFabric:
     # ------------------------------------------------------------------
     # Statistics
     # ------------------------------------------------------------------
-    def aggregate_wire_gbps(self, frequency_ghz: float, elapsed_cycles: Optional[float] = None) -> float:
-        """Total NOC bandwidth consumed (header + padding included), in GBps."""
-        elapsed = self.sim.now if elapsed_cycles is None else elapsed_cycles
-        if elapsed <= 0:
-            return 0.0
-        return self.wire_bytes_sent / elapsed * frequency_ghz
-
-    def bisection_gbps(self, frequency_ghz: float, elapsed_cycles: Optional[float] = None) -> float:
-        """Bandwidth crossing the mesh bisection, in GBps (0 for non-mesh topologies)."""
-        elapsed = self.sim.now if elapsed_cycles is None else elapsed_cycles
-        if elapsed <= 0:
-            return 0.0
-        return self.bisection_bytes / elapsed * frequency_ghz
-
     def link_utilization(self) -> Dict[Tuple[Hashable, Hashable], float]:
         """Utilization of every link that has carried at least one packet."""
         return {key: channel.utilization() for key, channel in self._channels.items()}
@@ -245,31 +233,23 @@ class NocFabric:
         self._packets_at_reset = self._perf.packets
         self._fused_at_reset = self._perf.fused_hops
         self.packets_delivered = 0
-        self.payload_bytes_delivered = 0
         self.wire_bytes_sent = 0
-        self.bisection_bytes = 0
-        self.bytes_by_class = {cls: 0 for cls in MessageClass}
         for channel in self._channels.values():
             channel.reset_stats()
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _channel(self, link: Link) -> Channel:
+    def _channel(self, link: Link) -> Resource:
         channel = self._channels.get(link.key)
         if channel is None:
-            channel = Channel(self.sim, bytes_per_cycle=self.link_bytes,
-                              name="link %r->%r" % (link.src, link.dst))
+            channel = Resource(self.sim, name="link %r->%r" % (link.src, link.dst))
             self._channels[link.key] = channel
         return channel
 
     def _bind_links(self, links: Sequence[Link]) -> Tuple[BoundHop, ...]:
         """Resolve each link of a route to its channel once."""
-        return tuple(
-            (self._channel(link), link.hop_cycles,
-             link.key in self._bisection_keys, link.key)
-            for link in links
-        )
+        return tuple((self._channel(link), link.hop_cycles, link.key) for link in links)
 
     def _bound_route(
         self, src: Hashable, dst: Hashable, msg_class: MessageClass, packet_id: int
@@ -289,7 +269,7 @@ class NocFabric:
         return bound
 
     def _hop(self, packet: Packet, hops: Sequence[BoundHop], index: int,
-             flits: int, wire: int, callback: Optional[DeliveryCallback],
+             flits: int, callback: Optional[DeliveryCallback],
              fuse: bool = True) -> None:
         """Walk the remaining hops, fusing as far as the lookahead allows.
 
@@ -324,12 +304,12 @@ class NocFabric:
         fused = 0
         faults = self.faults
         while True:
-            channel, hop_cycles, crosses_bisection, link_key = hops[index]
+            channel, hop_cycles, link_key = hops[index]
             if faults is not None:
                 extra = faults.hop_delay(link_key, arrival, hop_cycles)
                 if extra > 0.0:
                     arrival = arrival + extra
-            # Inlined Channel.acquire(flits, earliest=arrival) — one call per
+            # Inlined Resource.acquire(flits, earliest=arrival) — one call per
             # hop is the hottest path in the whole simulator; keep in sync
             # with repro.sim.resource.Resource.acquire.
             start = channel._free_at
@@ -342,9 +322,6 @@ class NocFabric:
             while open_grants and open_grants[0][1] <= now:
                 open_grants.popleft()
             open_grants.append((start, start + flits))
-            channel.bytes_transferred += wire
-            if crosses_bisection:
-                self.bisection_bytes += wire
             arrival = start + hop_cycles
             index += 1
             if index == nhops:
@@ -366,7 +343,7 @@ class NocFabric:
                 fused += 1
                 continue
             entry = (now + (arrival - now), next(sim._seq), self._hop,
-                     (packet, hops, index, flits, wire, callback))
+                     (packet, hops, index, flits, callback))
             break
         if fused:
             self._perf.fused_hops += fused
@@ -379,14 +356,6 @@ class NocFabric:
             counters.peak_pending = len(queue)
 
     def _deliver(self, packet: Packet, callback: Optional[DeliveryCallback]) -> None:
-        packet.delivered_at = self.sim.now
         self.packets_delivered += 1
-        self.payload_bytes_delivered += packet.payload_bytes
         if callback is not None:
             callback(packet)
-
-    def _compute_bisection_keys(self) -> set:
-        bisection = getattr(self.topology, "bisection_links", None)
-        if bisection is None:
-            return set()
-        return set(bisection())

@@ -7,7 +7,7 @@ column ``side - 1`` is the memory-controller edge (§4.3, Fig. 2).
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Hashable, Iterable, Optional, Sequence, Tuple
 
 from repro.config import MessageClass, NocConfig, RoutingAlgorithm
 from repro.errors import TopologyError
@@ -120,16 +120,6 @@ class MeshTopology(Topology):
         if column not in (self.ni_edge_column(), self.mc_edge_column()):
             raise TopologyError("column %d is not a chip edge" % column)
         return (column, row)
-
-    def bisection_links(self) -> List[Tuple[Coord, Coord]]:
-        """Directed links crossing the vertical bisection of the mesh."""
-        left = self.side // 2 - 1
-        right = self.side // 2
-        links: List[Tuple[Coord, Coord]] = []
-        for y in range(self.side):
-            links.append(((left, y), (right, y)))
-            links.append(((right, y), (left, y)))
-        return links
 
     def _check(self, node: Hashable) -> None:
         if node not in self._node_set:

@@ -138,9 +138,6 @@ class NocOutTopology(Topology):
             raise TopologyError("MC %d outside NOC-Out" % index)
         return (NOCOUT_MC, index)
 
-    def edge_node(self) -> Tuple[str, int]:
-        return (NOCOUT_EDGE, 0)
-
     def tree_depth(self, core_node: Hashable) -> int:
         """Tree hops between a core and its column's LLC tile."""
         if core_node[0] != NOCOUT_CORE:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Any, Hashable, Optional
+from typing import Hashable
 
 from repro.config import MessageClass
 
@@ -27,10 +27,7 @@ class Packet:
     dst: Hashable
     payload_bytes: int
     msg_class: MessageClass
-    payload: Any = None
     packet_id: int = field(default_factory=lambda: next(_packet_ids))
-    created_at: float = 0.0
-    delivered_at: Optional[float] = None
 
     def flits(self, link_bytes: int) -> int:
         """Number of flits occupied on a link of ``link_bytes`` width."""
@@ -41,13 +38,6 @@ class Packet:
     def wire_bytes(self, link_bytes: int) -> int:
         """Total bytes occupied on the wire (header + padded payload)."""
         return self.flits(link_bytes) * link_bytes
-
-    @property
-    def latency(self) -> Optional[float]:
-        """End-to-end NOC latency, available once delivered."""
-        if self.delivered_at is None:
-            return None
-        return self.delivered_at - self.created_at
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "Packet(#%d %s->%s %dB %s)" % (

@@ -99,11 +99,6 @@ class Topology(abc.ABC):
         """Zero-load head latency between two nodes."""
         return sum(link.hop_cycles for link in self.route_cached(src, dst, MessageClass.MEMORY_REQUEST))
 
-    def validate_node(self, node: Hashable) -> None:
-        """Raise :class:`TopologyError` if ``node`` is not part of the topology."""
-        if node not in set(self.nodes()):
-            raise TopologyError("node %r is not part of this topology" % (node,))
-
 
 def build_path_links(path: List[Hashable], hop_cycles: int) -> List[Link]:
     """Convert a node path [a, b, c] into directed links [a->b, b->c]."""

@@ -313,9 +313,9 @@ class ManycoreSoc(NodeServices):
     # ------------------------------------------------------------------
     # Convenience
     # ------------------------------------------------------------------
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
+    def run(self, until: Optional[float] = None) -> float:
         """Advance the simulation."""
-        return self.sim.run(until=until, max_events=max_events)
+        return self.sim.run(until=until)
 
     def llc_bank_utilization(self) -> float:
         """Utilization of the most loaded LLC bank."""

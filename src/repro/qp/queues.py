@@ -57,14 +57,6 @@ class _RingQueue:
     def is_full(self) -> bool:
         return self._count == self.capacity
 
-    @property
-    def head_index(self) -> int:
-        return self._head
-
-    @property
-    def tail_index(self) -> int:
-        return self._tail
-
     # ------------------------------------------------------------------
     # Address mapping
     # ------------------------------------------------------------------

@@ -5,13 +5,10 @@ Components schedule callbacks at absolute or relative times; the simulator
 executes them in order and advances the clock.  Time is measured in core
 clock cycles (integers or floats are both accepted; the kernel never rounds).
 
-Two styles of modelling are supported:
-
-* **callback style** — ``sim.schedule(delay, fn, *args)``; used by most of
-  the NOC, coherence and NI models because it has the lowest overhead, and
-* **process style** — generator-based coroutines wrapped in
-  :class:`Process`, which ``yield`` delays; used by workload drivers where
-  sequential code is clearer.
+Every model is written in one style, callbacks:
+``sim.schedule(delay, fn, *args)`` runs ``fn(*args)`` ``delay`` cycles from
+now, and a multi-step behaviour (a NOC hop walk, a coherence transaction, an
+NI pipeline) is a chain of callbacks that schedule their successors.
 
 Scheduling returns no handle and events cannot be removed from the heap.  A
 component that may need to revoke pending work keeps a flag its callbacks
@@ -23,7 +20,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.obs import hooks as obs_hooks
@@ -51,7 +48,6 @@ class Simulator:
         "_now",
         "_queue",
         "_seq",
-        "_stop_requested",
         "_run_horizon",
         "_perf",
         "_obs_index",
@@ -61,14 +57,13 @@ class Simulator:
         self._now: float = 0.0
         self._queue: List[Tuple[Any, ...]] = []
         self._seq = itertools.count()
-        self._stop_requested = False
         #: The ``until`` horizon of the :meth:`run` currently executing
         #: (+inf otherwise).  Lookahead optimisations must not commit work at
         #: virtual times past it: the run may stop there and the caller may
         #: sample statistics that the unfused event chain would not yet have
         #: accumulated.
         self._run_horizon = float("inf")
-        self._perf = perf.register_simulator(self)
+        self._perf = perf.register()
         #: Deterministic per-run index handed out by the active obs session
         #: (``None`` when observability is disabled — the common case; the
         #: hook costs one truthiness check and allocates nothing).
@@ -137,27 +132,23 @@ class Simulator:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
-        """Run until the queue drains, ``until`` is reached, or ``max_events`` fire.
+    def run(self, until: Optional[float] = None) -> float:
+        """Run until the queue drains or ``until`` is reached.
 
         Returns the simulation time at which execution stopped.
         """
-        self._stop_requested = False
         executed = 0
         queue = self._queue
         pop = heapq.heappop
         horizon = float("inf") if until is None else until
-        limit = float("inf") if max_events is None else max_events
         self._run_horizon = horizon
         try:
-            while queue and not self._stop_requested:
+            while queue:
                 if queue[0][0] > horizon:
                     # Clamp: a horizon already in the past must not move the
                     # clock backwards.
                     if until > self._now:
                         self._now = until
-                    break
-                if executed >= limit:
                     break
                 self._now, _seq, callback, args = pop(queue)
                 executed += 1
@@ -167,108 +158,8 @@ class Simulator:
             # The executed-event count is kept in a local inside the loop;
             # fold it into the lifetime counter even on an exception.
             self._perf.events += executed
-        if until is not None and not queue and not self._stop_requested and self._now < until:
+        if until is not None and not queue and self._now < until:
             # The model went idle before the horizon; advance the clock so
             # rate computations over [0, until] stay meaningful.
             self._now = until
         return self._now
-
-    def stop(self) -> None:
-        """Request that :meth:`run` return after the current event."""
-        self._stop_requested = True
-
-    # ------------------------------------------------------------------
-    # Process (coroutine) support
-    # ------------------------------------------------------------------
-    def process(self, generator: Generator[float, float, Any]) -> "Process":
-        """Wrap a generator as a :class:`Process` and start it immediately."""
-        proc = Process(self, generator)
-        proc.start()
-        return proc
-
-
-class Process:
-    """A generator-based simulation process.
-
-    The wrapped generator yields delays (in cycles); the process resumes after
-    each delay with the simulation time at resumption.  When the generator
-    returns, :attr:`finished` becomes True and :attr:`result` holds the return
-    value.  Completion callbacks can be registered with :meth:`on_complete`.
-    """
-
-    __slots__ = ("_sim", "_generator", "_advance_bound", "_started", "finished", "result",
-                 "_completion_callbacks")
-
-    def __init__(self, sim: Simulator, generator: Generator[float, float, Any]) -> None:
-        self._sim = sim
-        self._generator = generator
-        #: The bound step method, created once instead of per yield (stepping
-        #: a process schedules an event per yield, and binding is the only
-        #: per-event allocation the kernel itself can avoid).
-        self._advance_bound = self._advance
-        self._started = False
-        self.finished = False
-        self.result: Any = None
-        self._completion_callbacks: List[Callable[["Process"], None]] = []
-
-    def start(self) -> None:
-        """Schedule the first step of the process at the current time."""
-        self._sim.schedule(0, self._advance_bound, None)
-
-    def on_complete(self, callback: Callable[["Process"], None]) -> None:
-        """Register a callback invoked when the process finishes."""
-        if self.finished:
-            callback(self)
-        else:
-            self._completion_callbacks.append(callback)
-
-    def _advance(self, value: Any) -> None:
-        try:
-            if not self._started:
-                self._started = True
-                delay = next(self._generator)
-            else:
-                delay = self._generator.send(value if value is not None else self._sim.now)
-        except StopIteration as stop:
-            self.finished = True
-            self.result = stop.value
-            for callback in self._completion_callbacks:
-                callback(self)
-            return
-        if delay is None:
-            delay = 0
-        if delay < 0:
-            raise SimulationError("a process yielded a negative delay: %r" % delay)
-        self._sim.schedule(delay, self._advance_bound, None)
-
-
-def drain(sim: Simulator, processes: Iterable[Process], until: Optional[float] = None) -> None:
-    """Run the simulator until every process in ``processes`` has finished.
-
-    Completion is tracked with an ``on_complete`` counter rather than
-    rescanning every process per event (which made draining quadratic in
-    the process count for large workload sets); the last completion stops
-    the run.
-    """
-    remaining = [0]
-
-    def finished(_process: Process) -> None:
-        remaining[0] -= 1
-        if not remaining[0]:
-            sim.stop()
-
-    for process in processes:
-        if not process.finished:
-            remaining[0] += 1
-            process.on_complete(finished)
-    while remaining[0]:
-        sim.run(until)
-        if not remaining[0]:
-            break
-        head = sim.next_event_time()
-        if head is None:
-            raise SimulationError(
-                "simulation went idle with %d unfinished process(es)" % remaining[0]
-            )
-        if until is not None and head > until:
-            raise SimulationError("processes did not finish before t=%.1f" % until)

@@ -8,10 +8,12 @@ layer:
 
 * a :class:`PerfSession` accumulates counters over a region of wall time,
 * :func:`session` opens one as a context manager,
-* :class:`~repro.sim.engine.Simulator` and
-  :class:`~repro.noc.fabric.NocFabric` register a small
-  :class:`PerfCounters` record with every open session at construction
-  time, and the session sums those records when it closes.
+* :class:`~repro.sim.engine.Simulator`,
+  :class:`~repro.noc.fabric.NocFabric` and
+  :class:`~repro.faults.injector.FaultState` each call :func:`register` at
+  construction time, which hands out a small :class:`PerfCounters` record
+  and adds it to every open session; the session sums those records when
+  it closes.
 
 Sessions hold only the counter records — never the simulators or fabrics
 themselves — so a sweep that builds one SoC per data point lets each SoC be
@@ -19,10 +21,9 @@ garbage-collected as usual while its counters keep contributing to the
 session totals.
 
 Registration is process-local (campaign workers each get their own module
-state) and costs one list append per constructed simulator/fabric, so it is
-safe to leave enabled unconditionally.  When no session is open,
-:func:`register_simulator`/:func:`register_fabric` only hand out a counter
-record.
+state) and costs one list append per constructed component and open session,
+so it is safe to leave enabled unconditionally.  When no session is open,
+:func:`register` only hands out a counter record.
 
 The numbers surface in two places: ``ExperimentResult.metadata.perf`` (every
 spec-driven run is wrapped in a session) and the campaign report summary.
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List
+from typing import Dict, Iterator, List
 
 #: Sessions currently collecting (a stack; nested sessions each observe the
 #: simulators/fabrics created while they are open).
@@ -149,22 +150,12 @@ def session() -> Iterator[PerfSession]:
         current.close()
 
 
-def register_simulator(sim: Any) -> PerfCounters:
-    """Called by ``Simulator.__init__``; returns the sim's counter record."""
-    return _register()
+def register() -> PerfCounters:
+    """Hand out a fresh counter record, watched by every open session.
 
-
-def register_fabric(fabric: Any) -> PerfCounters:
-    """Called by ``NocFabric.__init__``; returns the fabric's counter record."""
-    return _register()
-
-
-def register_faults(state: Any) -> PerfCounters:
-    """Called by ``FaultState.__init__``; returns the state's counter record."""
-    return _register()
-
-
-def _register() -> PerfCounters:
+    Called once by each ``Simulator``, ``NocFabric`` and ``FaultState`` at
+    construction; the component keeps the record as its only counter copy.
+    """
     counters = PerfCounters()
     for active in _ACTIVE_SESSIONS:
         active.watch(counters)

@@ -122,35 +122,23 @@ class Resource:
 class Channel(Resource):
     """A resource with a fixed bandwidth, occupied proportionally to bytes sent."""
 
-    __slots__ = ("bytes_per_cycle", "bytes_transferred")
+    __slots__ = ("bytes_per_cycle",)
 
     def __init__(self, sim: Simulator, bytes_per_cycle: float, name: str = "channel") -> None:
         super().__init__(sim, name)
         if bytes_per_cycle <= 0:
             raise SimulationError("channel bandwidth must be positive (%s)" % name)
         self.bytes_per_cycle = bytes_per_cycle
-        self.bytes_transferred = 0
 
     def send(self, nbytes: int, earliest: Optional[float] = None) -> float:
         """Reserve the channel for a message of ``nbytes``; return the grant time."""
         if nbytes < 0:
             raise SimulationError("cannot send a negative number of bytes on %s" % self.name)
-        self.bytes_transferred += nbytes
         return self.acquire(nbytes / self.bytes_per_cycle, earliest=earliest)
 
     def serialization_cycles(self, nbytes: int) -> float:
         """Cycles needed to serialize ``nbytes`` onto this channel."""
         return nbytes / self.bytes_per_cycle
-
-    def reset_stats(self) -> None:
-        """Reset counters, crediting in-flight grants' post-reset portion.
-
-        Bytes flow at ``bytes_per_cycle`` while the channel is busy, so the
-        bytes attributable to the new window are the carried-over busy cycles
-        times the link rate (mirrors :meth:`Resource.reset_stats`).
-        """
-        super().reset_stats()
-        self.bytes_transferred = self.busy_cycles * self.bytes_per_cycle
 
 
 class Pipeline(Resource):

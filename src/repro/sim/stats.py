@@ -353,40 +353,6 @@ class LatencyRecorder(StatAccumulator):
         return summary
 
 
-class ThroughputMeter:
-    """Counts bytes (or events) delivered and converts them to rates."""
-
-    __slots__ = ("name", "bytes_delivered", "events", "_start_time")
-
-    def __init__(self, name: str = "throughput", start_time: float = 0.0) -> None:
-        self.name = name
-        self.bytes_delivered = 0
-        self.events = 0
-        self._start_time = start_time
-
-    def record(self, nbytes: int) -> None:
-        """Record a delivery of ``nbytes``."""
-        self.bytes_delivered += nbytes
-        self.events += 1
-
-    def reset(self, now: float) -> None:
-        """Zero the counters and restart the measurement window at ``now``."""
-        self.bytes_delivered = 0
-        self.events = 0
-        self._start_time = now
-
-    def bytes_per_cycle(self, now: float) -> float:
-        """Average delivery rate since the window start."""
-        elapsed = now - self._start_time
-        if elapsed <= 0:
-            return 0.0
-        return self.bytes_delivered / elapsed
-
-    def gbps(self, now: float, frequency_ghz: float) -> float:
-        """Average delivery rate in GBps given the core clock frequency."""
-        return self.bytes_per_cycle(now) * frequency_ghz
-
-
 class WindowedMonitor:
     """Implements the paper's convergence criterion (§5).
 

@@ -75,12 +75,3 @@ class TestRoutingIntegration:
         xy_links = xy_mesh.route((0, 0), (3, 3), MessageClass.NI_DATA)
         yx_links = yx_mesh.route((0, 0), (3, 3), MessageClass.NI_DATA)
         assert [l.key for l in xy_links] != [l.key for l in yx_links]
-
-
-class TestBisection:
-    def test_bisection_link_count(self, mesh):
-        links = mesh.bisection_links()
-        # 8 rows x 2 directions.
-        assert len(links) == 16
-        for src, dst in links:
-            assert {src[0], dst[0]} == {3, 4}

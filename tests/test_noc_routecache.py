@@ -134,7 +134,7 @@ class TestFabricFastPath:
             fabric.send(
                 src, dst, 64 * (1 + i % 3), classes[i % len(classes)],
                 callback=lambda pkt: deliveries.append(
-                    (pkt.packet_id, pkt.src, pkt.dst, pkt.created_at, pkt.delivered_at)
+                    (pkt.packet_id, pkt.src, pkt.dst, sim.now)
                 ),
             )
             if i % 16 == 15:
@@ -143,7 +143,6 @@ class TestFabricFastPath:
         return {
             "deliveries": deliveries,
             "wire_bytes": fabric.wire_bytes_sent,
-            "bisection_bytes": fabric.bisection_bytes,
             "link_utilization": fabric.link_utilization(),
             "events": sim.events_executed,
             "now": sim.now,

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.engine import Process, Simulator, drain
+from repro.sim.engine import Simulator
 
 
 class TestScheduling:
@@ -86,14 +86,6 @@ class TestRunBounds:
         sim.run(until=100)
         assert sim.now == 100
 
-    def test_max_events(self):
-        sim = Simulator()
-        fired = []
-        for i in range(5):
-            sim.schedule(i + 1, fired.append, i)
-        sim.run(max_events=2)
-        assert fired == [0, 1]
-
     def test_run_until_in_the_past_does_not_rewind_the_clock(self):
         # Regression: run(until=X) with X < now used to set now = X, moving
         # simulation time backwards.
@@ -114,15 +106,6 @@ class TestRunBounds:
         sim.run(until=3)
         assert fired == []
         assert sim.now == 10
-
-    def test_stop_from_within_event(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule(1, fired.append, "a")
-        sim.schedule(2, sim.stop)
-        sim.schedule(3, fired.append, "b")
-        sim.run()
-        assert fired == ["a"]
 
     def test_events_executed_counter(self):
         sim = Simulator()
@@ -196,124 +179,3 @@ class TestNextEventTime:
         sim.schedule_at(3, lambda: None)
         assert sim.next_event_time() == 3
         assert sim.pending_events == 2
-
-
-class TestProcess:
-    def test_process_yields_delays(self):
-        sim = Simulator()
-        trace = []
-
-        def worker():
-            trace.append(("start", sim.now))
-            yield 10
-            trace.append(("mid", sim.now))
-            yield 5
-            trace.append(("end", sim.now))
-            return "done"
-
-        proc = sim.process(worker())
-        sim.run()
-        assert proc.finished
-        assert proc.result == "done"
-        assert trace == [("start", 0.0), ("mid", 10.0), ("end", 15.0)]
-
-    def test_process_completion_callback(self):
-        sim = Simulator()
-        seen = []
-
-        def worker():
-            yield 1
-            return 42
-
-        proc = sim.process(worker())
-        proc.on_complete(lambda p: seen.append(p.result))
-        sim.run()
-        assert seen == [42]
-
-    def test_negative_yield_raises(self):
-        sim = Simulator()
-
-        def worker():
-            yield -5
-
-        sim.process(worker())
-        with pytest.raises(SimulationError):
-            sim.run()
-
-    def test_drain_runs_until_all_processes_finish(self):
-        sim = Simulator()
-
-        def worker(delay):
-            yield delay
-            return delay
-
-        procs = [sim.process(worker(d)) for d in (3, 7, 1)]
-        drain(sim, procs)
-        assert all(p.finished for p in procs)
-        assert sim.now == 7
-
-    def test_drain_accepts_already_finished_processes(self):
-        sim = Simulator()
-
-        def worker():
-            yield 1
-            return "ok"
-
-        done = sim.process(worker())
-        sim.run()
-        assert done.finished
-        drain(sim, [done])  # must not raise or run anything
-        assert sim.now == 1
-
-    def test_drain_stops_as_soon_as_the_last_process_finishes(self):
-        # The completion counter must not keep stepping unrelated events
-        # once every tracked process is done.
-        sim = Simulator()
-
-        def worker():
-            yield 2
-
-        proc = sim.process(worker())
-        unrelated = []
-        sim.schedule(100, unrelated.append, "straggler")
-        drain(sim, [proc])
-        assert proc.finished
-        assert unrelated == []
-
-    def test_drain_with_a_bound_keeps_the_clock_at_the_last_completion(self):
-        sim = Simulator()
-
-        def worker(delay):
-            yield delay
-
-        procs = [sim.process(worker(d)) for d in (3, 7)]
-        drain(sim, procs, until=50)
-        assert all(p.finished for p in procs)
-        assert sim.now == 7
-
-    def test_drain_raises_when_the_simulation_goes_idle(self):
-        sim = Simulator()
-
-        def forever():
-            yield 1
-            while True:
-                received = yield  # never resumed: no one sends to us
-                del received
-
-        # A generator pending on an event that never comes: emulate by a
-        # process whose chain we cut off with stop(), then drain directly.
-        proc = Process(sim, forever())
-        # Never started: it can never finish, and the queue is empty.
-        with pytest.raises(SimulationError, match="1 unfinished"):
-            drain(sim, [proc])
-
-    def test_drain_until_bound_raises(self):
-        sim = Simulator()
-
-        def slow():
-            yield 100
-
-        proc = sim.process(slow())
-        with pytest.raises(SimulationError, match="did not finish"):
-            drain(sim, [proc], until=10)
-

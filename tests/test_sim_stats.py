@@ -8,7 +8,6 @@ from repro.sim.stats import (
     LatencyHistogram,
     LatencyRecorder,
     StatAccumulator,
-    ThroughputMeter,
     WindowedMonitor,
 )
 
@@ -79,25 +78,6 @@ class TestLatencyRecorder:
 
     def test_empty_percentile_is_zero(self):
         assert LatencyRecorder().percentile(99) == 0.0
-
-
-class TestThroughputMeter:
-    def test_rates(self):
-        meter = ThroughputMeter()
-        meter.record(1000)
-        meter.record(1000)
-        assert meter.bytes_per_cycle(now=100) == pytest.approx(20.0)
-        assert meter.gbps(now=100, frequency_ghz=2.0) == pytest.approx(40.0)
-
-    def test_reset_restarts_window(self):
-        meter = ThroughputMeter()
-        meter.record(500)
-        meter.reset(now=50)
-        assert meter.bytes_delivered == 0
-        assert meter.bytes_per_cycle(now=100) == 0.0
-
-    def test_zero_elapsed_is_safe(self):
-        assert ThroughputMeter().bytes_per_cycle(now=0) == 0.0
 
 
 class TestWindowedMonitor:

@@ -10,6 +10,8 @@ from repro.core.split import NISplitDesign
 from repro.errors import ConfigurationError, SimulationError
 from repro.node.soc import ManycoreSoc
 from repro.node.traffic import RemoteEndEmulator
+from repro.scenario.builder import MachineBuilder
+from repro.scenario.spec import ScenarioSpec
 
 
 class TestConstruction:
@@ -134,3 +136,19 @@ class TestRemotePort:
         assert emulator.outgoing_requests == 1
         assert emulator.responses_delivered == 1
         assert qp.cq.count == 1
+
+
+class TestPacketConservation:
+    """Every packet a whole SoC run injects is delivered by the time it drains."""
+
+    @pytest.mark.parametrize("workload", ["uniform_random", "rw_mix"])
+    @pytest.mark.parametrize("design", ["edge", "per_tile", "split"])
+    def test_drained_run_delivers_every_packet(self, design, workload):
+        spec = ScenarioSpec(design=design, workload=workload,
+                            workload_params={"active_cores": 2, "ops_per_core": 3})
+        scenario = MachineBuilder(spec, base_config=small_config()).build()
+        scenario.run()
+        fabric = scenario.machine.fabric
+        assert fabric.packets_sent > 0
+        assert fabric.packets_delivered == fabric.packets_sent
+        assert scenario.machine.sim.pending_events == 0
