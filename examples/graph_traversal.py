@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from repro.analysis.report import format_table
 from repro.config import SystemConfig
+from repro.node.soc import ManycoreSoc
 from repro.workloads.graphproc import GraphTraversalWorkload, SyntheticPowerLawGraph
 
 DESIGNS = ("split", "per_tile")
@@ -28,22 +29,23 @@ def main() -> None:
     graph = SyntheticPowerLawGraph(vertices=4096, edges_per_vertex=12, seed=3)
     rows = []
     for design in DESIGNS:
+        design_config = config.with_design(design)
         workload = GraphTraversalWorkload(
-            config.with_design(design),
+            design_config,
             graph=graph,
             rack_nodes=64,
             active_cores=4,
             max_vertices=120,
         )
-        result = workload.run()
+        metrics = workload.run_on(ManycoreSoc(design_config))
         rows.append([
             design,
-            result.vertices_visited,
-            result.remote_vertex_fetches,
-            result.edges_traversed,
-            result.bytes_fetched // 1024,
-            result.edges_per_microsecond,
-            result.fetch_bandwidth_gbps,
+            metrics["vertices_visited"],
+            metrics["remote_vertex_fetches"],
+            metrics["edges_traversed"],
+            metrics["bytes_fetched"] // 1024,
+            metrics["edges_per_microsecond"],
+            metrics["fetch_bandwidth_gbps"],
         ])
     print("Bounded BFS over a hash-partitioned power-law graph (4 cores active)")
     print(format_table(

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from repro.analysis.report import format_table
 from repro.config import SystemConfig
+from repro.node.soc import ManycoreSoc
 from repro.workloads.kvstore import KeyValueStoreWorkload
 
 VALUE_SIZES = (128, 512)
@@ -27,21 +28,22 @@ def main() -> None:
     rows = []
     for value_bytes in VALUE_SIZES:
         for design in DESIGNS:
+            design_config = config.with_design(design)
             workload = KeyValueStoreWorkload(
-                config.with_design(design),
+                design_config,
                 value_bytes=value_bytes,
                 active_cores=8,
                 gets_per_core=16,
                 rack_nodes=64,
             )
-            result = workload.run()
+            metrics = workload.run_on(ManycoreSoc(design_config))
             rows.append([
                 value_bytes,
                 design,
-                result.remote_gets,
-                100.0 * result.remote_fraction,
-                result.mean_latency_ns,
-                result.throughput_mops,
+                metrics["remote_gets"],
+                100.0 * metrics["remote_fraction"],
+                metrics["mean_latency_ns"],
+                metrics["throughput_mops"],
             ])
     print("Key-value store GETs from the simulated node (8 cores active)")
     print(format_table(

@@ -3,13 +3,34 @@
 All exceptions raised by the library derive from :class:`ReproError` so that
 callers can catch library failures without masking programming errors such as
 ``TypeError`` or ``KeyError`` raised by the standard library.
+:func:`reject_unknown_params` is the one check every ``param_defaults``
+protocol raises its own error class through.
 """
 
 from __future__ import annotations
 
+from typing import Iterable, Mapping, Type
+
 
 class ReproError(Exception):
     """Base class for all errors raised by the repro library."""
+
+
+def reject_unknown_params(owner: str, params: Iterable[str], accepted: Mapping[str, object],
+                          error: Type[ReproError]) -> None:
+    """Raise ``error`` naming ``owner`` if ``params`` holds a name ``accepted`` lacks.
+
+    The one unknown-parameter check of every ``param_defaults`` protocol
+    (workloads, arrival processes, fault models and schedules, telemetry
+    probes); the message lists the accepted names so a typo is easy to fix.
+    """
+    unknown = sorted(set(params) - set(accepted))
+    if unknown:
+        raise error(
+            "%s: unknown parameter(s) %s (accepted: %s)"
+            % (owner, ", ".join(repr(name) for name in unknown),
+               ", ".join(sorted(accepted)) or "none")
+        )
 
 
 class ConfigurationError(ReproError):

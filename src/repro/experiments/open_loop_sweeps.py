@@ -178,8 +178,8 @@ def _measure_cells(config: Optional[SystemConfig], load_points: Tuple[float, ...
     """Run every (load, intensity) cell; return the machine config and the cells.
 
     Loads ascend, and within each load the fault-free twin runs first, then
-    the intensities ascending; obs streams, simulator indices and packet ids
-    follow this order.  A fresh machine per cell (``from_spec`` runs
+    the intensities ascending; obs streams and simulator indices follow
+    this order.  A fresh machine per cell (``from_spec`` runs
     MachineBuilder) keeps cells from contaminating each other through
     residual queue, cache or fault-target state, and the same seed
     everywhere keeps arrival schedules identical across the grid, so a

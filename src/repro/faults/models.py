@@ -27,7 +27,7 @@ import abc
 import random
 from typing import Callable, FrozenSet, Hashable, List, Mapping, Sequence
 
-from repro.errors import FaultError
+from repro.errors import FaultError, reject_unknown_params
 from repro.faults.seeds import derive_seed
 from repro.scenario.registry import register_fault_model
 
@@ -75,22 +75,9 @@ class FaultModel(abc.ABC):
     @classmethod
     def from_params(cls, intensity: float, seed: int = 0, **params: object) -> "FaultModel":
         """Instantiate with validated parameters (unknown names fail loudly)."""
-        cls.validate_params(params)
+        reject_unknown_params("fault model %r" % (cls.name or cls.__name__,),
+                              params, cls.param_defaults, FaultError)
         return cls(intensity, seed=seed, **params)
-
-    @classmethod
-    def validate_params(cls, params: Mapping[str, object]) -> None:
-        """Raise :class:`FaultError` for names not in ``param_defaults``."""
-        unknown = sorted(set(params) - set(cls.param_defaults))
-        if unknown:
-            raise FaultError(
-                "fault model %r does not accept parameter(s) %s (accepted: %s)"
-                % (
-                    cls.name or cls.__name__,
-                    ", ".join(repr(name) for name in unknown),
-                    ", ".join(sorted(cls.param_defaults)) or "none",
-                )
-            )
 
     # ------------------------------------------------------------------
     # Target binding

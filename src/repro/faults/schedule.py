@@ -21,7 +21,7 @@ import hashlib
 import random
 from typing import Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from repro.errors import FaultError
+from repro.errors import FaultError, reject_unknown_params
 
 
 class FaultSchedule:
@@ -91,13 +91,7 @@ class FaultSchedule:
     @classmethod
     def from_params(cls, seed: int = 0, **params: object) -> "FaultSchedule":
         """Instantiate with validated parameters (unknown names fail loudly)."""
-        unknown = sorted(set(params) - set(cls.param_defaults))
-        if unknown:
-            raise FaultError(
-                "fault schedule does not accept parameter(s) %s (accepted: %s)"
-                % (", ".join(repr(name) for name in unknown),
-                   ", ".join(sorted(cls.param_defaults)))
-            )
+        reject_unknown_params("fault schedule", params, cls.param_defaults, FaultError)
         return cls(seed=seed, **params)  # type: ignore[arg-type]
 
     # ------------------------------------------------------------------

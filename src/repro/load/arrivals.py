@@ -34,7 +34,7 @@ import json
 import random
 from typing import Dict, Iterator, List, Mapping, Optional
 
-from repro.errors import WorkloadError
+from repro.errors import WorkloadError, reject_unknown_params
 from repro.scenario.registry import register_arrival_process
 
 #: The rate unit used throughout the load subsystem: requests per 1000 cycles
@@ -107,22 +107,9 @@ class ArrivalProcess(abc.ABC):
     def from_params(cls, rate_per_kcycle: float, seed: int = 0,
                     **params: object) -> "ArrivalProcess":
         """Instantiate with validated parameters (unknown names fail loudly)."""
-        cls.validate_params(params)
+        reject_unknown_params("arrival process %r" % (cls.name or cls.__name__,),
+                              params, cls.param_defaults, WorkloadError)
         return cls(rate_per_kcycle, seed=seed, **params)
-
-    @classmethod
-    def validate_params(cls, params: Mapping[str, object]) -> None:
-        """Raise :class:`WorkloadError` for names not in ``param_defaults``."""
-        unknown = sorted(set(params) - set(cls.param_defaults))
-        if unknown:
-            raise WorkloadError(
-                "arrival process %r does not accept parameter(s) %s (accepted: %s)"
-                % (
-                    cls.name or cls.__name__,
-                    ", ".join(repr(name) for name in unknown),
-                    ", ".join(sorted(cls.param_defaults)) or "none",
-                )
-            )
 
 
 @register_arrival_process("deterministic")

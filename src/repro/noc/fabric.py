@@ -81,7 +81,7 @@ from heapq import heappush
 from typing import Callable, Dict, Hashable, Optional, Sequence, Tuple
 
 from repro.config import MessageClass, NocConfig
-from repro.noc.packet import Packet
+from repro.noc.packet import Packet, flit_count
 from repro.noc.topology import Link, Topology
 from repro.sim import perf
 from repro.sim.engine import Simulator
@@ -172,11 +172,12 @@ class NocFabric:
         callback: Optional[DeliveryCallback] = None,
     ) -> Packet:
         """Inject a packet; ``callback(packet)`` fires at delivery time."""
-        packet = Packet(src, dst, payload_bytes, msg_class)
-        self._perf.packets += 1
+        counters = self._perf
+        packet = Packet(src, dst, payload_bytes, msg_class, counters.packets)
+        counters.packets += 1
         size = self._flit_sizes.get(payload_bytes)
         if size is None:
-            flits = packet.flits(self.link_bytes)
+            flits = flit_count(payload_bytes, self.link_bytes)
             size = self._flit_sizes[payload_bytes] = (flits, flits * self.link_bytes)
         flits, wire = size
         self.wire_bytes_sent += wire
@@ -202,8 +203,7 @@ class NocFabric:
         if not links:
             return float(self.LOCAL_DELIVERY_CYCLES)
         head = sum(link.hop_cycles for link in links)
-        flits = Packet(src, dst, payload_bytes, msg_class).flits(self.link_bytes)
-        return head + (flits - 1)
+        return head + (flit_count(payload_bytes, self.link_bytes) - 1)
 
     # ------------------------------------------------------------------
     # Statistics

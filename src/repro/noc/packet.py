@@ -2,17 +2,21 @@
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Hashable
 
 from repro.config import MessageClass
 
-_packet_ids = itertools.count()
-
 #: Bytes of NOC header per packet (one 16-byte flit in the paper's NOC).
 HEADER_BYTES = 16
+
+
+def flit_count(payload_bytes: int, link_bytes: int) -> int:
+    """Flits a ``payload_bytes`` packet occupies on a ``link_bytes``-wide link."""
+    if payload_bytes < 0:
+        raise ValueError("packet payload cannot be negative")
+    return 1 + math.ceil(payload_bytes / link_bytes)
 
 
 @dataclass(slots=True)
@@ -20,20 +24,21 @@ class Packet:
     """One message travelling over the on-chip network.
 
     ``payload_bytes`` is the application/protocol payload; the header flit is
-    accounted for separately when computing the flit count.
+    accounted for separately when computing the flit count.  ``packet_id``
+    is the packet's send order on its fabric (O1Turn routing and
+    ``packet_loss`` hash it), so a run's packets are numbered the same
+    whatever the process simulated before.
     """
 
     src: Hashable
     dst: Hashable
     payload_bytes: int
     msg_class: MessageClass
-    packet_id: int = field(default_factory=lambda: next(_packet_ids))
+    packet_id: int = 0
 
     def flits(self, link_bytes: int) -> int:
         """Number of flits occupied on a link of ``link_bytes`` width."""
-        if self.payload_bytes < 0:
-            raise ValueError("packet payload cannot be negative")
-        return 1 + math.ceil(self.payload_bytes / link_bytes)
+        return flit_count(self.payload_bytes, link_bytes)
 
     def wire_bytes(self, link_bytes: int) -> int:
         """Total bytes occupied on the wire (header + padded payload)."""

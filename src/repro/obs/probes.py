@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Mapping, Optional
 
-from repro.errors import ObsError
+from repro.errors import ObsError, reject_unknown_params
 from repro.scenario.registry import register_probe
 
 
@@ -62,23 +62,9 @@ class TelemetryProbe:
     param_defaults: Mapping[str, object] = {}
 
     @classmethod
-    def validate_params(cls, params: Mapping[str, object]) -> None:
-        """Reject parameter names the probe does not declare."""
-        unknown = sorted(set(params) - set(cls.param_defaults))
-        if unknown:
-            raise ObsError(
-                "unknown parameter(s) %s for probe %r (known: %s)"
-                % (
-                    ", ".join(repr(name) for name in unknown),
-                    cls.name,
-                    ", ".join(sorted(cls.param_defaults)) or "none",
-                )
-            )
-
-    @classmethod
     def from_params(cls, **params: object) -> "TelemetryProbe":
         """Build the probe from registry-style keyword parameters."""
-        cls.validate_params(params)
+        reject_unknown_params("probe %r" % (cls.name,), params, cls.param_defaults, ObsError)
         merged = dict(cls.param_defaults)
         merged.update(params)
         return cls(**merged)  # type: ignore[arg-type]

@@ -23,8 +23,8 @@ registry-backed extension point:
   (setup / inject / drain / metrics) defined in
   :mod:`repro.scenario.workload`.
 
-Registering and running a custom workload takes ~15 lines; see the
-"Composing scenarios" section of the README.
+Registering and running a custom workload takes about twenty lines; see
+the "Composing scenarios" section of the README.
 """
 
 from repro.scenario.registry import (

@@ -108,7 +108,6 @@ class MachineBuilder:
         """Instantiate the spec's workload with validated parameters."""
         config = config if config is not None else self.resolve_config()
         workload_cls = WORKLOADS.get(self.spec.workload)
-        workload_cls.validate_params(self.spec.workload_params)
         return workload_cls.from_params(config=config, **self.spec.workload_params)
 
     # ------------------------------------------------------------------

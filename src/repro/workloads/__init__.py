@@ -14,12 +14,8 @@ from repro.workloads.microbench import (
     RemoteReadBandwidthBenchmark,
     UniformRandomReadWorkload,
 )
-from repro.workloads.kvstore import KeyValueStoreWorkload, KVStoreResult, ZipfKeySampler
-from repro.workloads.graphproc import (
-    GraphTraversalWorkload,
-    GraphResult,
-    SyntheticPowerLawGraph,
-)
+from repro.workloads.kvstore import KeyValueStoreWorkload, ZipfKeySampler
+from repro.workloads.graphproc import GraphTraversalWorkload, SyntheticPowerLawGraph
 from repro.workloads.hotspot import HotspotReadWorkload
 from repro.workloads.rwmix import ReadWriteMixWorkload
 
@@ -30,10 +26,8 @@ __all__ = [
     "RemoteReadBandwidthBenchmark",
     "UniformRandomReadWorkload",
     "KeyValueStoreWorkload",
-    "KVStoreResult",
     "ZipfKeySampler",
     "GraphTraversalWorkload",
-    "GraphResult",
     "SyntheticPowerLawGraph",
     "HotspotReadWorkload",
     "ReadWriteMixWorkload",

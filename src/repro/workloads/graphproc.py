@@ -17,48 +17,17 @@ requests by the RGP).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.config import SystemConfig
 from repro.errors import WorkloadError
-from repro.node.core_model import CoreModel
-from repro.node.soc import ManycoreSoc
-from repro.node.traffic import RemoteEndEmulator
 from repro.qp.entries import RemoteOp, WorkQueueEntry
 from repro.scenario.registry import register_workload
-from repro.scenario.workload import Workload
+from repro.scenario.workload import CTX_ID, REGION_BYTES, Workload
 
-GRAPH_CTX_ID = 0
-PARTITION_BYTES = 64 * 1024 * 1024
 LOCAL_BUFFER_BASE = 0xB000_0000
 #: Bytes per encoded edge (destination vertex id).
 EDGE_BYTES = 8
-
-
-@dataclass
-class GraphResult:
-    """Outcome of one graph-traversal run."""
-
-    design: str
-    vertices_visited: int
-    remote_vertex_fetches: int
-    edges_traversed: int
-    bytes_fetched: int
-    elapsed_cycles: float
-    frequency_ghz: float
-
-    @property
-    def edges_per_microsecond(self) -> float:
-        if self.elapsed_cycles <= 0:
-            return 0.0
-        return self.edges_traversed / self.elapsed_cycles * self.frequency_ghz * 1e3
-
-    @property
-    def fetch_bandwidth_gbps(self) -> float:
-        if self.elapsed_cycles <= 0:
-            return 0.0
-        return self.bytes_fetched / self.elapsed_cycles * self.frequency_ghz
 
 
 class SyntheticPowerLawGraph:
@@ -93,18 +62,23 @@ class SyntheticPowerLawGraph:
 
 @register_workload("graph_traversal")
 class GraphTraversalWorkload(Workload):
-    """Bounded BFS over a hash-partitioned synthetic graph."""
+    """Bounded BFS over a hash-partitioned synthetic graph.
+
+    The traversal is planned up front and dealt round-robin to the active
+    cores.  It is bounded by nature, so the workload defines no endless
+    :meth:`entries` stream and cannot be driven open loop.
+    """
 
     name = "graph_traversal"
     param_defaults = {
         "rack_nodes": None,
         "active_cores": 4,
         "max_vertices": 200,
-        "seed": 5,
         "graph_vertices": 4096,
         "graph_edges_per_vertex": 16,
         "graph_seed": 3,
     }
+    hops = 2
 
     def __init__(
         self,
@@ -113,10 +87,17 @@ class GraphTraversalWorkload(Workload):
         rack_nodes: Optional[int] = None,
         active_cores: int = 4,
         max_vertices: int = 200,
-        seed: int = 5,
+        graph_vertices: int = 4096,
+        graph_edges_per_vertex: int = 16,
+        graph_seed: int = 3,
     ) -> None:
+        """``graph`` overrides the synthetic graph the ``graph_*`` parameters shape."""
         super().__init__(config)
-        self.graph = graph if graph is not None else SyntheticPowerLawGraph()
+        if graph is None:
+            graph = SyntheticPowerLawGraph(
+                int(graph_vertices), int(graph_edges_per_vertex), int(graph_seed)
+            )
+        self.graph = graph
         self.rack_nodes = rack_nodes if rack_nodes is not None else self.config.rack.nodes
         if active_cores <= 0 or active_cores > self.config.cores.count:
             raise WorkloadError("active core count must be in [1, %d]" % self.config.cores.count)
@@ -124,29 +105,16 @@ class GraphTraversalWorkload(Workload):
             raise WorkloadError("must visit at least one vertex")
         self.active_cores = active_cores
         self.max_vertices = max_vertices
-        self._rng = random.Random(seed)
-        self._cores: List[CoreModel] = []
+        order = self._plan_traversal()
+        self._shards = [order[i::active_cores] for i in range(active_cores)]
         self._stats = {"visited": 0, "remote": 0, "edges": 0, "bytes": 0}
-
-    @classmethod
-    def from_params(cls, config: Optional[SystemConfig] = None, **params: object) -> "GraphTraversalWorkload":
-        """Scenario construction: the graph shape is part of the parameters."""
-        cls.validate_params(params)
-        graph = SyntheticPowerLawGraph(
-            vertices=int(params.pop("graph_vertices", cls.param_defaults["graph_vertices"])),
-            edges_per_vertex=int(
-                params.pop("graph_edges_per_vertex", cls.param_defaults["graph_edges_per_vertex"])
-            ),
-            seed=int(params.pop("graph_seed", cls.param_defaults["graph_seed"])),
-        )
-        return cls(config=config, graph=graph, **params)
 
     def owner_node(self, vertex: int) -> int:
         """Hash partitioning of vertices across the rack."""
         return (vertex * 2654435761) % self.rack_nodes
 
     def vertex_offset(self, vertex: int) -> int:
-        slots = PARTITION_BYTES // 4096
+        slots = REGION_BYTES // 4096
         return (vertex % slots) * 4096
 
     # ------------------------------------------------------------------
@@ -166,8 +134,10 @@ class GraphTraversalWorkload(Workload):
                     frontier.append(neighbour)
         return order
 
-    def _entries_for_core(self, core_id: int, vertices: List[int], stats: dict) -> Iterator[WorkQueueEntry]:
-        for index, vertex in enumerate(vertices):
+    def _visit(self, core_id: int) -> Iterator[WorkQueueEntry]:
+        """Remote adjacency-list reads for one core's shard of the traversal."""
+        stats = self._stats
+        for index, vertex in enumerate(self._shards[core_id]):
             stats["visited"] += 1
             stats["edges"] += self.graph.degree(vertex)
             owner = self.owner_node(vertex)
@@ -178,7 +148,7 @@ class GraphTraversalWorkload(Workload):
             stats["bytes"] += nbytes
             yield WorkQueueEntry(
                 op=RemoteOp.READ,
-                ctx_id=GRAPH_CTX_ID,
+                ctx_id=CTX_ID,
                 dst_node=owner,
                 remote_offset=self.vertex_offset(vertex),
                 local_buffer=LOCAL_BUFFER_BASE + core_id * (1 << 20) + index * 4096,
@@ -188,63 +158,28 @@ class GraphTraversalWorkload(Workload):
     # ------------------------------------------------------------------
     # Workload lifecycle
     # ------------------------------------------------------------------
-    def setup(self, machine) -> None:
-        self.machine = machine
-        machine.register_context(GRAPH_CTX_ID, PARTITION_BYTES)
-        RemoteEndEmulator(
-            machine,
-            hops=2,
-            rate_match_incoming=True,
-            incoming_ctx_id=GRAPH_CTX_ID,
-            incoming_region_bytes=PARTITION_BYTES,
-        )
-        order = self._plan_traversal()
-        self._shards = [order[i::self.active_cores] for i in range(self.active_cores)]
-        self._stats = {"visited": 0, "remote": 0, "edges": 0, "bytes": 0}
-        self._cores = []
-        for core_id, shard in enumerate(self._shards):
-            if not shard:
-                continue
-            qp = machine.create_queue_pair(core_id)
-            self._cores.append(CoreModel(core_id, machine, qp))
+    def core_ids(self) -> Sequence[int]:
+        """Only cores whose shard holds at least one vertex."""
+        return [core_id for core_id, shard in enumerate(self._shards) if shard]
 
     def inject(self) -> None:
-        shards = {core_id: shard for core_id, shard in enumerate(self._shards) if shard}
         for core in self._cores:
-            core.start(
-                self._entries_for_core(core.core_id, shards[core.core_id], self._stats),
-                max_outstanding=8,
-            )
-
-    def result(self) -> GraphResult:
-        """The finished run as the legacy typed result record."""
-        return GraphResult(
-            design=self.config.ni.design,
-            vertices_visited=self._stats["visited"],
-            remote_vertex_fetches=self._stats["remote"],
-            edges_traversed=self._stats["edges"],
-            bytes_fetched=self._stats["bytes"],
-            elapsed_cycles=self.machine.sim.now,
-            frequency_ghz=self.config.cores.frequency_ghz,
-        )
+            core.start(self._visit(core.core_id), max_outstanding=self.max_outstanding)
 
     def metrics(self) -> dict:
-        result = self.result()
+        """Traversal counts, edge throughput and adjacency fetch bandwidth."""
+        stats = self._stats
+        elapsed = self.machine.sim.now
+        frequency = self.config.cores.frequency_ghz
         return {
-            "design": result.design,
-            "vertices_visited": result.vertices_visited,
-            "remote_vertex_fetches": result.remote_vertex_fetches,
-            "edges_traversed": result.edges_traversed,
-            "bytes_fetched": result.bytes_fetched,
-            "elapsed_cycles": result.elapsed_cycles,
-            "edges_per_microsecond": result.edges_per_microsecond,
-            "fetch_bandwidth_gbps": result.fetch_bandwidth_gbps,
+            "design": self.config.ni.design,
+            "vertices_visited": stats["visited"],
+            "remote_vertex_fetches": stats["remote"],
+            "edges_traversed": stats["edges"],
+            "bytes_fetched": stats["bytes"],
+            "elapsed_cycles": elapsed,
+            "edges_per_microsecond": (
+                stats["edges"] / elapsed * frequency * 1e3 if elapsed > 0 else 0.0
+            ),
+            "fetch_bandwidth_gbps": stats["bytes"] / elapsed * frequency if elapsed > 0 else 0.0,
         }
-
-    def run(self) -> GraphResult:
-        """Traverse the graph and report edge throughput and fetch bandwidth."""
-        soc = ManycoreSoc(self.config)
-        self.setup(soc)
-        self.inject()
-        self.drain()
-        return self.result()

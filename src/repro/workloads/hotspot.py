@@ -11,27 +11,21 @@ links feeding it saturate first.  The reported ``max_link_utilization`` and
 ``llc_bank_utilization`` make that imbalance visible next to the uniform
 numbers.
 
-Registered as ``hotspot``; the README's "Composing scenarios" section shows
-the equivalent custom-workload recipe.
+Registered as ``hotspot``.  It binds to the machine like every workload,
+except that it narrows ``incoming_region_bytes`` to the hot window.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Iterator, List, Optional
+from typing import Iterator, Optional
 
 from repro.config import SystemConfig
 from repro.errors import WorkloadError
-from repro.node.core_model import CoreModel
-from repro.node.traffic import RemoteEndEmulator
 from repro.qp.entries import RemoteOp, WorkQueueEntry
 from repro.scenario.registry import register_workload
-from repro.scenario.workload import Workload
+from repro.scenario.workload import CTX_ID, Workload
 
-#: Context exporting the (large) local region; incoming traffic is confined
-#: to the hot window at its start.
-HOTSPOT_CTX_ID = 0
-REGION_BYTES = 64 * 1024 * 1024
 LOCAL_BUFFER_BASE = 0xC000_0000
 
 
@@ -79,7 +73,6 @@ class HotspotReadWorkload(Workload):
         self.max_outstanding = max_outstanding
         self.hops = hops
         self.seed = seed
-        self._cores: List[CoreModel] = []
 
     @property
     def hot_window_bytes(self) -> int:
@@ -87,8 +80,13 @@ class HotspotReadWorkload(Workload):
         block = self.config.cache_block_bytes
         return max(self.hot_blocks * block, self.transfer_bytes)
 
-    def _entries_for_core(self, core_id: int,
-                          count: Optional[int]) -> Iterator[WorkQueueEntry]:
+    @property
+    def incoming_region_bytes(self) -> int:
+        """Incoming traffic is confined to the hot window too, so the local
+        RRPP/LLC row serving it becomes the bottleneck."""
+        return self.hot_window_bytes
+
+    def entries(self, core_id: int, count: Optional[int]) -> Iterator[WorkQueueEntry]:
         """Hot-window read entries for one core (``count=None`` = endless)."""
         rng = random.Random(self.seed * 1000003 + core_id)
         block = self.config.cache_block_bytes
@@ -99,7 +97,7 @@ class HotspotReadWorkload(Workload):
         while count is None or index < count:
             yield WorkQueueEntry(
                 op=RemoteOp.READ,
-                ctx_id=HOTSPOT_CTX_ID,
+                ctx_id=CTX_ID,
                 dst_node=1,
                 remote_offset=rng.randrange(slots) * block,
                 local_buffer=local_base + (index * self.transfer_bytes) % (1 << 21),
@@ -107,37 +105,8 @@ class HotspotReadWorkload(Workload):
             )
             index += 1
 
-    # ------------------------------------------------------------------
-    # Workload lifecycle
-    # ------------------------------------------------------------------
-    def setup(self, machine) -> None:
-        self.machine = machine
-        machine.register_context(HOTSPOT_CTX_ID, REGION_BYTES)
-        RemoteEndEmulator(
-            machine,
-            hops=self.hops,
-            rate_match_incoming=True,
-            incoming_ctx_id=HOTSPOT_CTX_ID,
-            # Incoming traffic is confined to the hot window too, so the
-            # local RRPP/LLC-row serving it becomes the bottleneck.
-            incoming_region_bytes=self.hot_window_bytes,
-        )
-        self._cores = []
-        for core_id in range(self.active_cores):
-            qp = machine.create_queue_pair(core_id)
-            self._cores.append(CoreModel(core_id, machine, qp))
-
-    def inject(self) -> None:
-        for core in self._cores:
-            core.start(self._entries_for_core(core.core_id, self.ops_per_core),
-                       max_outstanding=self.max_outstanding)
-
-    def request_stream(self, core_id: int) -> Iterator[WorkQueueEntry]:
-        """Endless hot-window reads for open-loop driving."""
-        return self._entries_for_core(core_id, None)
-
     def metrics(self) -> dict:
-        stats = self.core_traffic_metrics(self._cores)
+        stats = self.core_traffic_metrics()
         stats.update({
             "transfer_bytes": self.transfer_bytes,
             "hot_window_bytes": self.hot_window_bytes,

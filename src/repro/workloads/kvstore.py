@@ -19,56 +19,15 @@ reports GET throughput and latency percentiles per NI design.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Iterator, List, Optional
 
 from repro.config import SystemConfig
 from repro.errors import WorkloadError
-from repro.node.core_model import CoreModel
-from repro.node.soc import ManycoreSoc
-from repro.node.traffic import RemoteEndEmulator
 from repro.qp.entries import RemoteOp, WorkQueueEntry
 from repro.scenario.registry import register_workload
-from repro.scenario.workload import Workload
+from repro.scenario.workload import CTX_ID, REGION_BYTES, Workload
 
-#: Context exporting each node's key-value partition.
-KV_CTX_ID = 0
-#: Size of the exported partition (large enough to always miss on-chip caches).
-PARTITION_BYTES = 64 * 1024 * 1024
 LOCAL_BUFFER_BASE = 0xA000_0000
-
-
-@dataclass
-class KVStoreResult:
-    """Outcome of one key-value store run."""
-
-    design: str
-    value_bytes: int
-    gets_issued: int
-    remote_gets: int
-    local_gets: int
-    elapsed_cycles: float
-    mean_latency_cycles: float
-    p99_latency_cycles: float
-    frequency_ghz: float
-
-    @property
-    def remote_fraction(self) -> float:
-        if self.gets_issued == 0:
-            return 0.0
-        return self.remote_gets / self.gets_issued
-
-    @property
-    def throughput_mops(self) -> float:
-        """Completed remote GETs per microsecond... reported in MOPS."""
-        if self.elapsed_cycles <= 0:
-            return 0.0
-        ops_per_cycle = self.remote_gets / self.elapsed_cycles
-        return ops_per_cycle * self.frequency_ghz * 1e3
-
-    @property
-    def mean_latency_ns(self) -> float:
-        return self.mean_latency_cycles / self.frequency_ghz
 
 
 class ZipfKeySampler:
@@ -137,10 +96,9 @@ class KeyValueStoreWorkload(Workload):
         self.keys = keys
         self.rack_nodes = rack_nodes if rack_nodes is not None else self.config.rack.nodes
         self.active_cores = active_cores
-        self.gets_per_core = gets_per_core
+        #: Each GET attempt is one operation of :meth:`entries`.
+        self.ops_per_core = gets_per_core
         self.sampler = ZipfKeySampler(keys, skew=skew, seed=seed)
-        self._rng = random.Random(seed)
-        self._cores: List[CoreModel] = []
         self._stats = {"gets": 0, "remote": 0, "local": 0}
 
     # ------------------------------------------------------------------
@@ -152,17 +110,17 @@ class KeyValueStoreWorkload(Workload):
 
     def key_offset(self, key: int) -> int:
         """Offset of the key's value inside its owner's partition context."""
-        slots = PARTITION_BYTES // max(self.value_bytes, 64)
+        slots = REGION_BYTES // max(self.value_bytes, 64)
         return (key % slots) * max(self.value_bytes, 64)
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _entries_for_core(self, core_id: int, stats: dict,
-                          count: Optional[int]) -> Iterator[WorkQueueEntry]:
+    def entries(self, core_id: int, count: Optional[int]) -> Iterator[WorkQueueEntry]:
         """Remote-GET entries for one core (``count`` sampled GET attempts;
         ``None`` = endless).  Local keys are counted and skipped — they are
         served from local memory and carry no remote latency."""
+        stats = self._stats
         local_node = 0
         index = 0
         while count is None or index < count:
@@ -179,7 +137,7 @@ class KeyValueStoreWorkload(Workload):
                     buffer_offset %= (1 << 20)
                 yield WorkQueueEntry(
                     op=RemoteOp.READ,
-                    ctx_id=KV_CTX_ID,
+                    ctx_id=CTX_ID,
                     dst_node=owner,
                     remote_offset=self.key_offset(key),
                     local_buffer=LOCAL_BUFFER_BASE + core_id * (1 << 20) + buffer_offset,
@@ -198,70 +156,29 @@ class KeyValueStoreWorkload(Workload):
                 "kvstore open-loop driving needs rack_nodes > 1 (with %d node(s) "
                 "no GET is remote)" % self.rack_nodes
             )
-        return self._entries_for_core(core_id, self._stats, None)
+        return super().request_stream(core_id)
 
-    # ------------------------------------------------------------------
-    # Workload lifecycle
-    # ------------------------------------------------------------------
-    def setup(self, machine) -> None:
-        self.machine = machine
-        machine.register_context(KV_CTX_ID, PARTITION_BYTES)
-        RemoteEndEmulator(
-            machine,
-            hops=1,
-            rate_match_incoming=True,
-            incoming_ctx_id=KV_CTX_ID,
-            incoming_region_bytes=PARTITION_BYTES,
-        )
-        self._stats = {"gets": 0, "remote": 0, "local": 0}
-        self._cores = []
-        for core_id in range(self.active_cores):
-            qp = machine.create_queue_pair(core_id)
-            self._cores.append(CoreModel(core_id, machine, qp))
-
-    def inject(self) -> None:
-        for core in self._cores:
-            core.start(self._entries_for_core(core.core_id, self._stats, self.gets_per_core),
-                       max_outstanding=8)
-
-    def result(self) -> KVStoreResult:
-        """The finished run as the legacy typed result record."""
+    def metrics(self) -> dict:
+        """GET counts, remote-GET throughput (MOPS) and latency."""
         latencies: List[float] = []
         for core in self._cores:
             latencies.extend(core.latency.samples)
         mean = sum(latencies) / len(latencies) if latencies else 0.0
         p99 = sorted(latencies)[int(0.99 * (len(latencies) - 1))] if latencies else 0.0
-        return KVStoreResult(
-            design=self.config.ni.design,
-            value_bytes=self.value_bytes,
-            gets_issued=self._stats["gets"],
-            remote_gets=self._stats["remote"],
-            local_gets=self._stats["local"],
-            elapsed_cycles=self.machine.sim.now,
-            mean_latency_cycles=mean,
-            p99_latency_cycles=p99,
-            frequency_ghz=self.config.cores.frequency_ghz,
-        )
-
-    def metrics(self) -> dict:
-        result = self.result()
+        stats = self._stats
+        elapsed = self.machine.sim.now
+        frequency = self.config.cores.frequency_ghz
         return {
-            "design": result.design,
-            "value_bytes": result.value_bytes,
-            "gets_issued": result.gets_issued,
-            "remote_gets": result.remote_gets,
-            "local_gets": result.local_gets,
-            "remote_fraction": result.remote_fraction,
-            "elapsed_cycles": result.elapsed_cycles,
-            "throughput_mops": result.throughput_mops,
-            "mean_latency_ns": result.mean_latency_ns,
-            "p99_latency_cycles": result.p99_latency_cycles,
+            "design": self.config.ni.design,
+            "value_bytes": self.value_bytes,
+            "gets_issued": stats["gets"],
+            "remote_gets": stats["remote"],
+            "local_gets": stats["local"],
+            "remote_fraction": stats["remote"] / stats["gets"] if stats["gets"] else 0.0,
+            "elapsed_cycles": elapsed,
+            "throughput_mops": (
+                stats["remote"] / elapsed * frequency * 1e3 if elapsed > 0 else 0.0
+            ),
+            "mean_latency_ns": mean / frequency,
+            "p99_latency_cycles": p99,
         }
-
-    def run(self) -> KVStoreResult:
-        """Run the GET mix to completion and report throughput/latency."""
-        soc = ManycoreSoc(self.config)
-        self.setup(soc)
-        self.inject()
-        self.drain()
-        return self.result()

@@ -18,7 +18,7 @@ so that results for different transfer sizes and designs are independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.config import SystemConfig
@@ -28,15 +28,9 @@ from repro.node.soc import ManycoreSoc
 from repro.node.traffic import RemoteEndEmulator
 from repro.qp.entries import RemoteOp, WorkQueueEntry
 from repro.scenario.registry import register_workload
-from repro.scenario.workload import Workload
+from repro.scenario.workload import CTX_ID, REGION_BYTES, Workload
 from repro.sim.stats import WindowedMonitor
 
-#: Context id used for the benchmark's exported memory region.
-BENCH_CTX_ID = 0
-#: Size of the exported region / remote region: large enough that every data
-#: access misses the on-chip caches (the paper sizes both regions and the
-#: local buffers to exceed aggregate cache capacity, §5).
-BENCH_REGION_BYTES = 64 * 1024 * 1024
 #: Base address of the local destination buffers.
 LOCAL_BUFFER_BASE = 0x8000_0000
 #: Per-core stride between local buffer regions.
@@ -112,7 +106,7 @@ class BandwidthResult:
 
 
 def _read_entries(count: Optional[int], transfer_bytes: int, core_id: int,
-                  region_bytes: int = BENCH_REGION_BYTES) -> Iterator[WorkQueueEntry]:
+                  region_bytes: int = REGION_BYTES) -> Iterator[WorkQueueEntry]:
     """Generate remote-read WQ entries walking the remote region."""
     if transfer_bytes <= 0:
         raise WorkloadError("transfer size must be positive")
@@ -124,7 +118,7 @@ def _read_entries(count: Optional[int], transfer_bytes: int, core_id: int,
             offset = 0
         yield WorkQueueEntry(
             op=RemoteOp.READ,
-            ctx_id=BENCH_CTX_ID,
+            ctx_id=CTX_ID,
             dst_node=1,
             remote_offset=offset,
             local_buffer=local_base + (produced * transfer_bytes) % LOCAL_BUFFER_STRIDE,
@@ -177,38 +171,12 @@ class UniformRandomReadWorkload(Workload):
         self.ops_per_core = ops_per_core
         self.max_outstanding = max_outstanding
         self.hops = hops
-        self._cores: List[CoreModel] = []
 
-    # -- lifecycle -------------------------------------------------------
-    def setup(self, machine) -> None:
-        self.machine = machine
-        machine.register_context(BENCH_CTX_ID, BENCH_REGION_BYTES)
-        RemoteEndEmulator(
-            machine,
-            hops=self.hops,
-            rate_match_incoming=True,
-            incoming_ctx_id=BENCH_CTX_ID,
-            incoming_region_bytes=BENCH_REGION_BYTES,
-        )
-        self._cores = []
-        count = self.active_cores or machine.config.cores.count
-        for core_id in range(count):
-            qp = machine.create_queue_pair(core_id)
-            self._cores.append(CoreModel(core_id, machine, qp))
-
-    def inject(self) -> None:
-        for core in self._cores:
-            core.start(
-                _read_entries(self.ops_per_core, self.transfer_bytes, core.core_id),
-                max_outstanding=self.max_outstanding,
-            )
-
-    def request_stream(self, core_id: int) -> Iterator[WorkQueueEntry]:
-        """Endless uniform-random reads for open-loop driving."""
-        return _read_entries(None, self.transfer_bytes, core_id)
+    def entries(self, core_id: int, count: Optional[int]) -> Iterator[WorkQueueEntry]:
+        return _read_entries(count, self.transfer_bytes, core_id)
 
     def metrics(self) -> dict:
-        stats = self.core_traffic_metrics(self._cores)
+        stats = self.core_traffic_metrics()
         stats.update({
             "transfer_bytes": self.transfer_bytes,
             "active_cores": len(self._cores),
@@ -264,7 +232,7 @@ class RemoteReadLatencyBenchmark:
 
     def _run_single_tile(self, tile_id: int, transfer_bytes: int) -> List[float]:
         soc = ManycoreSoc(self.config)
-        soc.register_context(BENCH_CTX_ID, BENCH_REGION_BYTES)
+        soc.register_context(CTX_ID, REGION_BYTES)
         RemoteEndEmulator(soc, hops=self.hops, rate_match_incoming=False)
         qp = soc.create_queue_pair(tile_id)
         core = CoreModel(tile_id, soc, qp)
@@ -282,7 +250,12 @@ class RemoteReadLatencyBenchmark:
 
 
 class RemoteReadBandwidthBenchmark:
-    """Asynchronous remote reads from every core (Figures 7 and 10)."""
+    """Asynchronous remote reads from every core (Figures 7 and 10).
+
+    Every core binds to the machine through
+    :meth:`UniformRandomReadWorkload.setup` and reads its endless
+    :meth:`~repro.scenario.workload.Workload.request_stream`.
+    """
 
     #: Per-core bytes kept in flight; enough to cover the round-trip latency
     #: at full bandwidth while keeping the event count tractable.
@@ -324,24 +297,15 @@ class RemoteReadBandwidthBenchmark:
     def run(self, transfer_bytes: int) -> BandwidthResult:
         """Measure the aggregate application bandwidth for one transfer size."""
         soc = ManycoreSoc(self.config)
-        soc.register_context(BENCH_CTX_ID, BENCH_REGION_BYTES)
-        RemoteEndEmulator(
-            soc,
-            hops=self.hops,
-            rate_match_incoming=True,
-            incoming_ctx_id=BENCH_CTX_ID,
-            incoming_region_bytes=BENCH_REGION_BYTES,
-        )
-        cores: List[CoreModel] = []
         outstanding = self.max_outstanding_for(transfer_bytes)
-        for core_id in range(self.config.cores.count):
-            qp = soc.create_queue_pair(core_id)
-            core = CoreModel(core_id, soc, qp)
-            core.start(
-                _read_entries(None, transfer_bytes, core_id),
-                max_outstanding=outstanding,
-            )
-            cores.append(core)
+        workload = UniformRandomReadWorkload(
+            self.config, transfer_bytes=transfer_bytes, max_outstanding=outstanding,
+            hops=self.hops,
+        )
+        workload.setup(soc)
+        cores = workload.driven_cores
+        for core in cores:
+            core.start(workload.request_stream(core.core_id), max_outstanding=outstanding)
         # Warm up, then measure (§5 monitors fixed-size windows until
         # convergence; the default is a single shortened window so the
         # pure-Python model stays fast, ``converge=True`` enables the full

@@ -14,18 +14,14 @@ Registered as ``rw_mix``.
 from __future__ import annotations
 
 import random
-from typing import Iterator, List, Optional
+from typing import Iterator, Optional
 
 from repro.config import SystemConfig
 from repro.errors import WorkloadError
-from repro.node.core_model import CoreModel
-from repro.node.traffic import RemoteEndEmulator
 from repro.qp.entries import RemoteOp, WorkQueueEntry
 from repro.scenario.registry import register_workload
-from repro.scenario.workload import Workload
+from repro.scenario.workload import CTX_ID, REGION_BYTES, Workload
 
-RWMIX_CTX_ID = 0
-REGION_BYTES = 64 * 1024 * 1024
 LOCAL_BUFFER_BASE = 0xD000_0000
 
 
@@ -73,11 +69,9 @@ class ReadWriteMixWorkload(Workload):
         self.max_outstanding = max_outstanding
         self.hops = hops
         self.seed = seed
-        self._cores: List[CoreModel] = []
         self._issued = {"read": 0, "write": 0}
 
-    def _entries_for_core(self, core_id: int,
-                          count: Optional[int]) -> Iterator[WorkQueueEntry]:
+    def entries(self, core_id: int, count: Optional[int]) -> Iterator[WorkQueueEntry]:
         """Mixed read/write entries for one core (``count=None`` = endless)."""
         rng = random.Random(self.seed * 7919 + core_id)
         local_base = LOCAL_BUFFER_BASE + core_id * (1 << 21)
@@ -90,7 +84,7 @@ class ReadWriteMixWorkload(Workload):
             self._issued["write" if op is RemoteOp.WRITE else "read"] += 1
             yield WorkQueueEntry(
                 op=op,
-                ctx_id=RWMIX_CTX_ID,
+                ctx_id=CTX_ID,
                 dst_node=1,
                 remote_offset=offset,
                 local_buffer=local_base + (index * self.transfer_bytes) % (1 << 21),
@@ -99,36 +93,8 @@ class ReadWriteMixWorkload(Workload):
             offset += self.transfer_bytes
             index += 1
 
-    # ------------------------------------------------------------------
-    # Workload lifecycle
-    # ------------------------------------------------------------------
-    def setup(self, machine) -> None:
-        self.machine = machine
-        machine.register_context(RWMIX_CTX_ID, REGION_BYTES)
-        RemoteEndEmulator(
-            machine,
-            hops=self.hops,
-            rate_match_incoming=True,
-            incoming_ctx_id=RWMIX_CTX_ID,
-            incoming_region_bytes=REGION_BYTES,
-        )
-        self._issued = {"read": 0, "write": 0}
-        self._cores = []
-        for core_id in range(self.active_cores):
-            qp = machine.create_queue_pair(core_id)
-            self._cores.append(CoreModel(core_id, machine, qp))
-
-    def inject(self) -> None:
-        for core in self._cores:
-            core.start(self._entries_for_core(core.core_id, self.ops_per_core),
-                       max_outstanding=self.max_outstanding)
-
-    def request_stream(self, core_id: int) -> Iterator[WorkQueueEntry]:
-        """Endless read/write mix for open-loop driving."""
-        return self._entries_for_core(core_id, None)
-
     def metrics(self) -> dict:
-        stats = self.core_traffic_metrics(self._cores)
+        stats = self.core_traffic_metrics()
         stats.update({
             "transfer_bytes": self.transfer_bytes,
             "active_cores": self.active_cores,

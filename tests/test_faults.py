@@ -9,12 +9,10 @@ metrics, chaos_sweep determinism across reruns and parallel campaign
 workers, and the CLI/catalog surfacing.
 """
 
-import itertools
 import json
 
 import pytest
 
-import repro.noc.packet as packet_module
 from repro.analysis import render_fault_profile
 from repro.campaign import Campaign, RunRequest
 from repro.errors import FaultError, RegistryError, ScenarioError, WorkloadError
@@ -43,7 +41,7 @@ def build_scenario(**spec_kwargs):
 
 
 def run_driver(monkeypatch, fusion=True, rate=12.0, seed=1, design="split", **kwargs):
-    """One open-loop run on a fresh machine with pinned packet ids.
+    """One open-loop run on a fresh machine.
 
     ``design`` defaults to split; coherence-fault tests pass ``edge``, the
     only design whose kvstore accesses reach the directory (split/per_tile
@@ -52,7 +50,6 @@ def run_driver(monkeypatch, fusion=True, rate=12.0, seed=1, design="split", **kw
     """
     with monkeypatch.context() as patch:
         patch.setenv("REPRO_HOP_FUSION", "1" if fusion else "0")
-        patch.setattr(packet_module, "_packet_ids", itertools.count())
         scenario = build_scenario(design=design)
         kwargs.setdefault("warmup_cycles", 1_000)
         kwargs.setdefault("measure_cycles", 6_000)
@@ -163,6 +160,19 @@ class TestFaultModels:
         second = [model.loss_delay(None, pid) for pid in range(200)]
         assert first == second
         assert 0.0 < sum(1 for d in first if d) < 200
+
+
+class TestPacketIdsPerFabric:
+    """Packets are numbered per fabric, so hashed faults ignore process history."""
+
+    def test_packet_loss_run_ignores_earlier_machines(self, monkeypatch):
+        params = {"intensity": 0.5, "mtbf_cycles": 1200.0, "mttr_cycles": 600.0}
+        first = run_driver(monkeypatch, faults="packet_loss", fault_params=params)
+        build_scenario().run()  # another machine sends packets in this process
+        second = run_driver(monkeypatch, faults="packet_loss", fault_params=params)
+        assert first.fault_hits > 0
+        assert json.dumps(first.to_dict(), sort_keys=True) == \
+            json.dumps(second.to_dict(), sort_keys=True)
 
 
 class TestInjector:
@@ -372,7 +382,6 @@ class TestFusedFaultEquivalence:
         for fusion in (True, False):
             with monkeypatch.context() as patch:
                 patch.setenv("REPRO_HOP_FUSION", "1" if fusion else "0")
-                patch.setattr(packet_module, "_packet_ids", itertools.count())
                 result = get_spec("chaos_sweep").run(**params)
             result.metadata.wall_time_s = 0.0
             result.metadata.perf = {}
@@ -809,30 +818,26 @@ class TestChaosSweepDeterminism:
         measure_cycles=3000.0, mtbf_cycles=1200.0, mttr_cycles=600.0,
     )
 
-    def _run(self, monkeypatch):
-        with monkeypatch.context() as patch:
-            patch.setattr(packet_module, "_packet_ids", itertools.count())
-            result = get_spec("chaos_sweep").run(**self.PARAMS)
+    def _run(self):
+        result = get_spec("chaos_sweep").run(**self.PARAMS)
         result.metadata.wall_time_s = 0.0
         result.metadata.perf = {}
         return result
 
-    def test_reruns_are_byte_identical(self, monkeypatch):
-        first = self._run(monkeypatch)
-        second = self._run(monkeypatch)
+    def test_reruns_are_byte_identical(self):
+        first = self._run()
+        second = self._run()
         assert first.to_csv() == second.to_csv()
         assert json.dumps(first.to_dict(), sort_keys=True) == \
             json.dumps(second.to_dict(), sort_keys=True)
 
-    def test_fault_counters_surface_in_metadata(self, monkeypatch):
-        with monkeypatch.context() as patch:
-            patch.setattr(packet_module, "_packet_ids", itertools.count())
-            result = get_spec("chaos_sweep").run(**self.PARAMS)
+    def test_fault_counters_surface_in_metadata(self):
+        result = get_spec("chaos_sweep").run(**self.PARAMS)
         assert result.metadata.events["fault_windows"] > 0
         assert result.metadata.perf["fault_windows"] > 0
         assert result.metadata.perf["fault_hits"] > 0
 
-    def test_parallel_campaign_workers_match_serial_run(self, monkeypatch):
+    def test_parallel_campaign_workers_match_serial_run(self):
         request_params = {key: list(value) if isinstance(value, tuple) else value
                           for key, value in self.PARAMS.items()}
 
@@ -842,9 +847,7 @@ class TestChaosSweepDeterminism:
                 RunRequest("chaos_sweep", dict(request_params, intensities=[1.0])),
             ]
 
-        monkeypatch.setattr(packet_module, "_packet_ids", itertools.count())
         serial = Campaign(requests()).run()
-        monkeypatch.setattr(packet_module, "_packet_ids", itertools.count())
         parallel = Campaign(requests(), max_workers=2).run()
         assert serial.succeeded == parallel.succeeded == 2
         for entry_s, entry_p in zip(serial.entries, parallel.entries):
@@ -858,13 +861,11 @@ class TestChaosSweepDeterminism:
         "cascade_delay_cycles=150", "blast_decay=0.6",
     ]
 
-    def test_cascade_blast_sweep_reruns_byte_identical(self, monkeypatch):
+    def test_cascade_blast_sweep_reruns_byte_identical(self):
         def run():
-            with monkeypatch.context() as patch:
-                patch.setattr(packet_module, "_packet_ids", itertools.count())
-                result = get_spec("chaos_sweep").run(
-                    fault_params=self.CASCADE_FAULT_PARAMS, **self.PARAMS
-                )
+            result = get_spec("chaos_sweep").run(
+                fault_params=self.CASCADE_FAULT_PARAMS, **self.PARAMS
+            )
             result.metadata.wall_time_s = 0.0
             result.metadata.perf = {}
             return result
@@ -876,7 +877,7 @@ class TestChaosSweepDeterminism:
             json.dumps(second.to_dict(), sort_keys=True)
         assert any(note.startswith("fault_profile:") for note in first.notes)
 
-    def test_cascade_blast_parallel_workers_match_serial(self, monkeypatch):
+    def test_cascade_blast_parallel_workers_match_serial(self):
         request_params = {key: list(value) if isinstance(value, tuple) else value
                           for key, value in self.PARAMS.items()}
         request_params["fault_params"] = list(self.CASCADE_FAULT_PARAMS)
@@ -887,9 +888,7 @@ class TestChaosSweepDeterminism:
                 RunRequest("chaos_sweep", dict(request_params, intensities=[1.0])),
             ]
 
-        monkeypatch.setattr(packet_module, "_packet_ids", itertools.count())
         serial = Campaign(requests()).run()
-        monkeypatch.setattr(packet_module, "_packet_ids", itertools.count())
         parallel = Campaign(requests(), max_workers=2).run()
         assert serial.succeeded == parallel.succeeded == 2
         for entry_s, entry_p in zip(serial.entries, parallel.entries):
@@ -900,8 +899,7 @@ class TestChaosSweepDeterminism:
             assert any(note.startswith("fault_profile:")
                        for note in entry_s.result.notes)
 
-    def test_campaign_report_digests_resilience(self, monkeypatch):
-        monkeypatch.setattr(packet_module, "_packet_ids", itertools.count())
+    def test_campaign_report_digests_resilience(self):
         report = Campaign([
             RunRequest("chaos_sweep", {
                 "loads": [8.0], "intensities": [0.5], "warmup_cycles": 1000.0,
@@ -926,17 +924,12 @@ class TestChaosSweepSloWalk:
     DRIFT = dict(design="edge", arrivals="bursty", loads=(3.0, 6.0, 9.0, 12.0),
                  slo_factor=2.0, warmup_cycles=1000.0, measure_cycles=5000.0)
 
-    def _run(self, monkeypatch, name, **params):
-        with monkeypatch.context() as patch:
-            patch.setattr(packet_module, "_packet_ids", itertools.count())
-            return get_spec(name).run(**params)
-
-    def test_saturation_walk_matches_load_sweep(self, monkeypatch):
+    def test_saturation_walk_matches_load_sweep(self):
         from repro.explore import OBJECTIVES
 
-        load = self._run(monkeypatch, "load_sweep", **self.DRIFT)
-        chaos = self._run(monkeypatch, "chaos_sweep", faults="router_degrade",
-                          intensities=(0.5,), **self.DRIFT)
+        load = get_spec("load_sweep").run(**self.DRIFT)
+        chaos = get_spec("chaos_sweep").run(faults="router_degrade",
+                                            intensities=(0.5,), **self.DRIFT)
         saturation = OBJECTIVES["saturation"]
         assert saturation.extract(load) == saturation.extract(chaos) == 2.2
         assert any(warning.startswith("fault-free: ") and "non-monotone" in warning
@@ -946,11 +939,11 @@ class TestChaosSweepSloWalk:
         cells = {(row[0], row[1]): row for row in chaos.rows}
         assert cells[3.0, 0.5][chaos.headers.index("SLO ok")] is True
 
-    def test_unmet_baseline_reads_as_zero_saturation(self, monkeypatch):
+    def test_unmet_baseline_reads_as_zero_saturation(self):
         from repro.explore import OBJECTIVES
 
-        chaos = self._run(monkeypatch, "chaos_sweep", slo_factor=1.0, loads=(5.0, 20.0),
-                          intensities=(0.5,), warmup_cycles=1000.0, measure_cycles=3000.0)
+        chaos = get_spec("chaos_sweep").run(slo_factor=1.0, loads=(5.0, 20.0), intensities=(0.5,),
+                                            warmup_cycles=1000.0, measure_cycles=3000.0)
         assert ("resilience baseline: fault-free saturation not met at any measured load"
                 in chaos.notes)
         assert OBJECTIVES["saturation"].extract(chaos) == 0.0

@@ -8,10 +8,8 @@ campaign workers, so performance counters can be compared between machines
 and runs.
 """
 
-import itertools
 import json
 
-import repro.noc.packet as packet_module
 from repro.campaign import Campaign, RunRequest
 from repro.experiments.registry import get_spec
 
@@ -26,7 +24,6 @@ def _strip_timing(result):
 def _run(monkeypatch, fusion, spec_name, **params):
     with monkeypatch.context() as patch:
         patch.setenv("REPRO_HOP_FUSION", "1" if fusion else "0")
-        patch.setattr(packet_module, "_packet_ids", itertools.count())
         return get_spec(spec_name).run(**params)
 
 
@@ -83,7 +80,7 @@ class TestFusedHopDeterminism:
         assert result.metadata.perf["fused_hops"] == 0
         assert result.metadata.perf["events"] > 0
 
-    def test_parallel_campaign_workers_match_serial_run(self, monkeypatch):
+    def test_parallel_campaign_workers_match_serial_run(self):
         """--parallel fans entries over processes; counters must not move."""
         def requests():
             return [
@@ -91,9 +88,7 @@ class TestFusedHopDeterminism:
                 RunRequest("fig6", {"sizes": [1024], "iterations": 1, "warmup": 0}),
             ]
 
-        monkeypatch.setattr(packet_module, "_packet_ids", itertools.count())
         serial = Campaign(requests()).run()
-        monkeypatch.setattr(packet_module, "_packet_ids", itertools.count())
         parallel = Campaign(requests(), max_workers=2).run()
         assert serial.succeeded == parallel.succeeded == 2
         for entry_s, entry_p in zip(serial.entries, parallel.entries):
@@ -105,8 +100,7 @@ class TestFusedHopDeterminism:
 
 
 class TestCampaignFusedHopSurfacing:
-    def test_report_aggregates_and_prints_fused_hops(self, monkeypatch):
-        monkeypatch.setattr(packet_module, "_packet_ids", itertools.count())
+    def test_report_aggregates_and_prints_fused_hops(self):
         report = Campaign(
             [RunRequest("fig6", {"sizes": [64], "iterations": 1, "warmup": 0})]
         ).run()

@@ -150,12 +150,7 @@ class TestFabricFastPath:
 
     @pytest.mark.parametrize("algorithm", ALL_ALGORITHMS)
     def test_cached_and_uncached_fabric_behaviour_identical(self, algorithm):
-        import repro.noc.packet as packet_module
-        import itertools
-
-        packet_module._packet_ids = itertools.count()
         cached = self._drive(algorithm, disable_cache=False)
-        packet_module._packet_ids = itertools.count()
         uncached = self._drive(algorithm, disable_cache=True)
         assert cached == uncached
 

@@ -11,12 +11,10 @@ The two contracts under test, straight from the subsystem's charter:
 """
 
 import io
-import itertools
 import json
 
 import pytest
 
-import repro.noc.packet as packet_module
 from repro.campaign import Campaign, RunRequest, expand_grid
 from repro.errors import ExperimentError, ObsError, RegistryError
 from repro.experiments.registry import get_spec
@@ -54,10 +52,6 @@ SWEEP_PARAMS = {"loads": [5.0, 20.0], "warmup_cycles": 1000.0,
 def _session(tmp_path, name="stream.jsonl", **kwargs):
     path = str(tmp_path / name)
     return ObsSession(ObsStream.open(path), **kwargs), path
-
-
-def _reset_packet_ids(patch):
-    patch.setattr(packet_module, "_packet_ids", itertools.count())
 
 
 class TestProbeRegistry:
@@ -332,9 +326,8 @@ class TestSampler:
 
 
 class TestDriverIntegration:
-    def test_load_sweep_stream_has_expected_probes(self, tmp_path, monkeypatch):
+    def test_load_sweep_stream_has_expected_probes(self, tmp_path):
         session, path = _session(tmp_path)
-        _reset_packet_ids(monkeypatch)
         with session.activate(run="load_sweep"):
             get_spec("load_sweep").run(**SWEEP_PARAMS)
         session.close()
@@ -350,9 +343,8 @@ class TestDriverIntegration:
         assert "fault_windows" not in probes_seen
         assert all(r["run"] == "load_sweep" for r in records)
 
-    def test_chaos_sweep_streams_fault_windows(self, tmp_path, monkeypatch):
+    def test_chaos_sweep_streams_fault_windows(self, tmp_path):
         session, path = _session(tmp_path, probes=["fault_windows"])
-        _reset_packet_ids(monkeypatch)
         with session.activate(run="chaos"):
             get_spec("chaos_sweep").run(
                 faults="router_degrade", loads=(5.0,), intensities=(0.5,),
@@ -362,10 +354,9 @@ class TestDriverIntegration:
         assert records and all(r["probe"] == "fault_windows" for r in records)
         assert {r["data"]["model"] for r in records} == {"router_degrade"}
 
-    def test_sample_times_follow_cadence(self, tmp_path, monkeypatch):
+    def test_sample_times_follow_cadence(self, tmp_path):
         session, path = _session(tmp_path, probes=["heap_health"],
                                  sample_cycles=1000.0)
-        _reset_packet_ids(monkeypatch)
         with session.activate(run="r"):
             get_spec("load_sweep").run(loads=[5.0], warmup_cycles=1000.0,
                                        measure_cycles=3000.0)
@@ -377,41 +368,38 @@ class TestDriverIntegration:
 class TestObsOffEquivalence:
     """Obs disabled must be byte-identical to obs never having existed."""
 
-    def _run(self, monkeypatch, spec_name, obs, tmp_path, **params):
-        with monkeypatch.context() as patch:
-            _reset_packet_ids(patch)
-            if not obs:
+    def _run(self, spec_name, obs, tmp_path, **params):
+        if not obs:
+            result = get_spec(spec_name).run(**params)
+        else:
+            session, _ = _session(tmp_path, name="eq-%s.jsonl" % spec_name)
+            with session.activate(run=spec_name):
                 result = get_spec(spec_name).run(**params)
-            else:
-                session, _ = _session(tmp_path, name="eq-%s.jsonl" % spec_name)
-                with session.activate(run=spec_name):
-                    result = get_spec(spec_name).run(**params)
-                session.close()
+            session.close()
         result.metadata.wall_time_s = 0.0
         result.metadata.perf = {}
         return result
 
-    def _compare(self, monkeypatch, tmp_path, spec_name, **params):
-        on = self._run(monkeypatch, spec_name, True, tmp_path, **params)
-        off = self._run(monkeypatch, spec_name, False, tmp_path, **params)
+    def _compare(self, tmp_path, spec_name, **params):
+        on = self._run(spec_name, True, tmp_path, **params)
+        off = self._run(spec_name, False, tmp_path, **params)
         assert on.to_csv() == off.to_csv()
         assert on.format() == off.format()
         assert json.dumps(on.to_dict(), sort_keys=True) == \
             json.dumps(off.to_dict(), sort_keys=True)
 
-    def test_fig6_unperturbed_by_obs(self, monkeypatch, tmp_path):
-        self._compare(monkeypatch, tmp_path, "fig6", sizes=(64, 1024),
-                      iterations=2, warmup=1)
+    def test_fig6_unperturbed_by_obs(self, tmp_path):
+        self._compare(tmp_path, "fig6", sizes=(64, 1024), iterations=2, warmup=1)
 
-    def test_table1_unperturbed_by_obs(self, monkeypatch, tmp_path):
-        self._compare(monkeypatch, tmp_path, "table1")
+    def test_table1_unperturbed_by_obs(self, tmp_path):
+        self._compare(tmp_path, "table1")
 
-    def test_load_sweep_unperturbed_by_obs(self, monkeypatch, tmp_path):
-        self._compare(monkeypatch, tmp_path, "load_sweep", **SWEEP_PARAMS)
+    def test_load_sweep_unperturbed_by_obs(self, tmp_path):
+        self._compare(tmp_path, "load_sweep", **SWEEP_PARAMS)
 
-    def test_fingerprints_unperturbed_by_obs(self, monkeypatch, tmp_path):
-        on = self._run(monkeypatch, "load_sweep", True, tmp_path, **SWEEP_PARAMS)
-        off = self._run(monkeypatch, "load_sweep", False, tmp_path, **SWEEP_PARAMS)
+    def test_fingerprints_unperturbed_by_obs(self, tmp_path):
+        on = self._run("load_sweep", True, tmp_path, **SWEEP_PARAMS)
+        off = self._run("load_sweep", False, tmp_path, **SWEEP_PARAMS)
         assert on.metadata.config_fingerprint == off.metadata.config_fingerprint
 
 

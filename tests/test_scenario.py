@@ -37,7 +37,6 @@ from repro.scenario.registry import (
 from repro.scenario.spec import ScenarioSpec
 from repro.scenario.workload import Workload
 from repro.workloads.hotspot import HotspotReadWorkload
-from repro.workloads.kvstore import KeyValueStoreWorkload
 from repro.workloads.microbench import UniformRandomReadWorkload
 from repro.workloads.rwmix import ReadWriteMixWorkload
 
@@ -259,11 +258,6 @@ class TestWorkloadProtocol:
         workload = UniformRandomReadWorkload(config, active_cores=2, ops_per_core=4)
         metrics = workload.run_on(ManycoreSoc(config))
         assert metrics["completed_ops"] == 8
-
-    def test_legacy_run_entrypoints_still_work(self):
-        result = KeyValueStoreWorkload(
-            small_config(), active_cores=2, gets_per_core=4, rack_nodes=16).run()
-        assert result.gets_issued == 8
 
     def test_hotspot_concentrates_load(self):
         config = small_config()

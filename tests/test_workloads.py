@@ -5,6 +5,7 @@ import pytest
 from helpers import small_config
 
 from repro.errors import WorkloadError
+from repro.node.soc import ManycoreSoc
 from repro.workloads.graphproc import GraphTraversalWorkload, SyntheticPowerLawGraph
 from repro.workloads.kvstore import KeyValueStoreWorkload, ZipfKeySampler
 from repro.workloads.microbench import (
@@ -99,12 +100,12 @@ class TestKeyValueStore:
         workload = KeyValueStoreWorkload(
             split_config, value_bytes=256, active_cores=2, gets_per_core=6, rack_nodes=16
         )
-        result = workload.run()
-        assert result.gets_issued == 12
-        assert result.remote_gets + result.local_gets == result.gets_issued
-        assert result.remote_gets > 0
-        assert result.throughput_mops > 0
-        assert result.mean_latency_cycles > 0
+        metrics = workload.run_on(ManycoreSoc(split_config))
+        assert metrics["gets_issued"] == 12
+        assert metrics["remote_gets"] + metrics["local_gets"] == metrics["gets_issued"]
+        assert metrics["remote_gets"] > 0
+        assert metrics["throughput_mops"] > 0
+        assert metrics["mean_latency_ns"] > 0
 
     def test_key_partitioning_is_deterministic(self, split_config):
         workload = KeyValueStoreWorkload(split_config, rack_nodes=8)
@@ -131,12 +132,12 @@ class TestGraphWorkload:
         workload = GraphTraversalWorkload(
             split_config, graph=graph, rack_nodes=16, active_cores=2, max_vertices=20
         )
-        result = workload.run()
-        assert result.vertices_visited == 20
-        assert result.remote_vertex_fetches > 0
-        assert result.edges_traversed > 0
-        assert result.bytes_fetched > 0
-        assert result.edges_per_microsecond > 0
+        metrics = workload.run_on(ManycoreSoc(split_config))
+        assert metrics["vertices_visited"] == 20
+        assert metrics["remote_vertex_fetches"] > 0
+        assert metrics["edges_traversed"] > 0
+        assert metrics["bytes_fetched"] > 0
+        assert metrics["edges_per_microsecond"] > 0
 
     def test_invalid_parameters(self, split_config):
         with pytest.raises(WorkloadError):
