@@ -188,7 +188,7 @@ def test_bench_packet_injection_fused(monkeypatch):
         fabric = NocFabric(sim, topology, config.noc)
         send = fabric.send
 
-        def inject(_packet=None):
+        def inject():
             request = next(requests, None)
             if request is not None:
                 send(request[0], request[1], request[2], request[3], inject)

@@ -12,27 +12,34 @@ removed lazily when an invalidation discovers the copy already gone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Set
+from dataclasses import dataclass
+from typing import AbstractSet, Dict, Hashable, List, Optional, Set
 
 from repro.errors import CoherenceError
 
+#: The sharer set of a block nobody shares.  One shared immutable instance
+#: (``frozenset()`` is not a singleton), so the many entries without sharers —
+#: every prewarmed QP block of a collocated NI — allocate no set of their own.
+NO_SHARERS: AbstractSet[Hashable] = frozenset()
 
-@dataclass
+
+@dataclass(slots=True)
 class DirectoryEntry:
     """Directory state for one cache block."""
 
     addr: int
     #: Entity id of the complex holding the block in M/E, if any.
     owner: Optional[Hashable] = None
-    #: Entity ids of complexes holding the block in S.
-    sharers: Set[Hashable] = field(default_factory=set)
+    #: Entity ids of complexes holding the block in S (:data:`NO_SHARERS`
+    #: when there are none; :meth:`add_sharer` swaps in a set).
+    sharers: AbstractSet[Hashable] = NO_SHARERS
     #: Whether the LLC slice has a (clean) copy of the data.
     in_llc: bool = False
     #: A transaction is currently in flight for this block.
     busy: bool = False
-    #: Transactions waiting for the block to become free (FIFO).
-    pending: List[object] = field(default_factory=list)
+    #: Transactions waiting for the block to become free (FIFO); None until
+    #: the first one queues.
+    pending: Optional[List[object]] = None
 
     def holders(self) -> Set[Hashable]:
         """Every complex that may hold a copy."""
@@ -41,10 +48,24 @@ class DirectoryEntry:
             holders.add(self.owner)
         return holders
 
+    def add_sharer(self, entity: Hashable) -> None:
+        """``entity`` now holds the block in S."""
+        if self.sharers is NO_SHARERS:
+            self.sharers = {entity}
+        else:
+            self.sharers.add(entity)
+
+    def queue(self, transaction: object) -> None:
+        """Park a transaction until the block's in-flight one completes."""
+        if self.pending is None:
+            self.pending = [transaction]
+        else:
+            self.pending.append(transaction)
+
     def record_exclusive(self, entity: Hashable) -> None:
         """The block is now exclusively owned by ``entity``."""
         self.owner = entity
-        self.sharers = set()
+        self.sharers = NO_SHARERS
 
     def record_shared(self, entities: Set[Hashable]) -> None:
         """The block is now shared by ``entities`` (no exclusive owner)."""

@@ -41,7 +41,7 @@ from repro.sim.engine import Simulator
 CONTROLLER_OVERHEAD_CYCLES = 2
 
 
-@dataclass
+@dataclass(slots=True)
 class AccessResult:
     """Completion record handed to the requester's callback."""
 
@@ -58,7 +58,7 @@ class AccessResult:
         return self.complete_time - self.start_time
 
 
-@dataclass
+@dataclass(slots=True)
 class _Transaction:
     """Book-keeping for one outstanding remote coherence transaction."""
 
@@ -67,7 +67,9 @@ class _Transaction:
     addr: int
     write: bool
     start_time: float
-    on_done: Callable[[AccessResult], None]
+    on_done: Callable[..., None]
+    #: Extra arguments ``on_done`` receives after the :class:`AccessResult`.
+    on_done_args: tuple = ()
     home_tile: int = 0
     home_node: Hashable = None
     acks_needed: int = 0
@@ -88,7 +90,7 @@ class CoherenceProtocol:
         directory: DirectoryController,
         home_node_of_tile: Callable[[int], Hashable],
         llc_latency_cycles: int = 6,
-        memory_access: Optional[Callable[[Hashable, int, Callable[[], None]], None]] = None,
+        memory_access: Optional[Callable[..., None]] = None,
         fallback_memory_latency_cycles: int = 100,
     ) -> None:
         self.sim = sim
@@ -96,6 +98,8 @@ class CoherenceProtocol:
         self.directory = directory
         self.home_node_of_tile = home_node_of_tile
         self.llc_latency_cycles = llc_latency_cycles
+        #: LLC-miss fill, called as ``memory_access(home_node, addr, callback,
+        #: *args)``; ``callback(*args)`` runs when the block is at the home.
         self.memory_access = memory_access
         self.fallback_memory_latency_cycles = fallback_memory_latency_cycles
         self._complexes: Dict[Hashable, TileCacheComplex] = {}
@@ -139,14 +143,15 @@ class CoherenceProtocol:
         requester_kind: str,
         addr: int,
         write: bool,
-        on_done: Callable[[AccessResult], None],
+        on_done: Callable[..., None],
+        *args,
     ) -> None:
         """Perform a coherent read (``write=False``) or write to ``addr``.
 
         ``requester_kind`` identifies which side of the complex issues the
         access: "core" (through the L1) or "ni" (through the NI cache).
-        ``on_done`` is invoked, at completion time, with an
-        :class:`AccessResult`.
+        ``on_done(result, *args)`` is invoked at completion time, with an
+        :class:`AccessResult` as ``result``.
         """
         complex_ = self.complex_of(entity_id)
         start = self.sim.now
@@ -158,12 +163,12 @@ class CoherenceProtocol:
                 # back to the LLC before the local forward may complete.
                 self.local_writeback_roundtrips += 1
                 self._writeback_roundtrip(complex_, addr, lookup.latency, start, write,
-                                          lookup.source, on_done)
+                                          lookup.source, on_done, args)
                 return
             self.sim.schedule(
                 lookup.latency,
                 self._complete_local,
-                complex_, addr, write, start, lookup.source, on_done,
+                complex_, addr, write, start, lookup.source, on_done, args,
             )
             return
         # Miss inside the complex: start a remote transaction after the
@@ -175,6 +180,7 @@ class CoherenceProtocol:
             write=write,
             start_time=start,
             on_done=on_done,
+            on_done_args=args,
         )
         txn.home_tile = self.directory.home_tile(addr)
         txn.home_node = self.home_node_of_tile(txn.home_tile)
@@ -191,7 +197,8 @@ class CoherenceProtocol:
         write: bool,
         start: float,
         source: Optional[str],
-        on_done: Callable[[AccessResult], None],
+        on_done: Callable[..., None],
+        args: tuple,
     ) -> None:
         on_done(
             AccessResult(
@@ -201,7 +208,8 @@ class CoherenceProtocol:
                 complete_time=self.sim.now,
                 served_locally=True,
                 local_source=source,
-            )
+            ),
+            *args,
         )
 
     def _writeback_roundtrip(
@@ -212,35 +220,33 @@ class CoherenceProtocol:
         start: float,
         write: bool,
         source: Optional[str],
-        on_done: Callable[[AccessResult], None],
+        on_done: Callable[..., None],
+        args: tuple,
     ) -> None:
-        home_tile = self.directory.home_tile(addr)
-        home_node = self.home_node_of_tile(home_tile)
+        home_node = self.home_node_of_tile(self.directory.home_tile(addr))
         entry = self.directory.entry(addr)
+        local = (complex_, addr, write, start, source, on_done, args)
+        self.sim.schedule(local_latency, self._send_writeback, home_node, entry, local)
 
-        def after_ack(_packet) -> None:
-            self._complete_local(complex_, addr, write, start, source, on_done)
+    def _send_writeback(self, home_node: Hashable, entry: DirectoryEntry, local: tuple) -> None:
+        wb = CoherenceMessageType.WRITEBACK
+        self.fabric.send(
+            local[0].node, home_node, wb.payload_bytes,
+            message_class(wb, from_directory=False),
+            self._writeback_arrived, home_node, entry, local,
+        )
 
-        def at_home(_packet) -> None:
-            entry.in_llc = True
-            self.fabric.send(
-                home_node,
-                complex_.node,
-                CoherenceMessageType.UNBLOCK.payload_bytes,
-                message_class(CoherenceMessageType.UNBLOCK, from_directory=True),
-                after_ack,
-            )
+    def _writeback_arrived(self, home_node: Hashable, entry: DirectoryEntry, local: tuple) -> None:
+        self.sim.schedule(self.llc_latency_cycles, self._writeback_at_home, home_node, entry, local)
 
-        def send_writeback() -> None:
-            self.fabric.send(
-                complex_.node,
-                home_node,
-                CoherenceMessageType.WRITEBACK.payload_bytes,
-                message_class(CoherenceMessageType.WRITEBACK, from_directory=False),
-                lambda pkt: self.sim.schedule(self.llc_latency_cycles, at_home, pkt),
-            )
-
-        self.sim.schedule(local_latency, send_writeback)
+    def _writeback_at_home(self, home_node: Hashable, entry: DirectoryEntry, local: tuple) -> None:
+        entry.in_llc = True
+        unblock = CoherenceMessageType.UNBLOCK
+        self.fabric.send(
+            home_node, local[0].node, unblock.payload_bytes,
+            message_class(unblock, from_directory=True),
+            self._complete_local, *local,
+        )
 
     # ------------------------------------------------------------------
     # Remote transaction choreography
@@ -254,14 +260,14 @@ class CoherenceProtocol:
             txn.home_node,
             msg_type.payload_bytes,
             message_class(msg_type, from_directory=False),
-            lambda pkt: self._arrive_at_directory(txn),
+            self._arrive_at_directory, txn,
         )
 
     def _arrive_at_directory(self, txn: _Transaction) -> None:
         entry = self.directory.entry(txn.addr)
         if entry.busy:
             self.directory.transactions_queued += 1
-            entry.pending.append(txn)
+            entry.queue(txn)
             return
         entry.busy = True
         self.directory.transactions_started += 1
@@ -327,38 +333,44 @@ class CoherenceProtocol:
             if owner is not None:
                 # Clean-exclusive owner: silently downgrade it to shared.
                 self.complex_of(owner).downgrade(txn.addr)
-                entry.sharers.add(owner)
+                entry.add_sharer(owner)
                 entry.owner = None
             txn.acks_needed = 0
             self._send_data_from_home(txn, entry)
-            entry.sharers.add(requester_id)
+            entry.add_sharer(requester_id)
 
     # -- message helpers ------------------------------------------------
+    @staticmethod
+    def _controller_delay(target: TileCacheComplex) -> int:
+        """Cycles a complex takes to act on a directory message."""
+        delay = CONTROLLER_OVERHEAD_CYCLES
+        if target.l1 is not None:
+            delay += target.l1.access_latency
+        elif target.ni_cache is not None:
+            delay += target.ni_cache.access_latency
+        return delay
+
     def _send_invalidate(self, txn: _Transaction, entry: DirectoryEntry,
                          target: TileCacheComplex) -> None:
         self.invalidations_sent += 1
         msg = CoherenceMessageType.INVALIDATE
-
-        def at_target(_packet) -> None:
-            delay = CONTROLLER_OVERHEAD_CYCLES
-            if target.l1 is not None:
-                delay += target.l1.access_latency
-            elif target.ni_cache is not None:
-                delay += target.ni_cache.access_latency
-            target.invalidate(txn.addr)
-            self.sim.schedule(delay, self._send_inv_ack, txn, target)
-
         self.fabric.send(
             txn.home_node, target.node, msg.payload_bytes,
-            message_class(msg, from_directory=True), at_target,
+            message_class(msg, from_directory=True),
+            self._invalidate_at_target, txn, target,
         )
+
+    def _invalidate_at_target(self, txn: _Transaction, target: TileCacheComplex) -> None:
+        delay = self._controller_delay(target)
+        target.invalidate(txn.addr)
+        self.sim.schedule(delay, self._send_inv_ack, txn, target)
 
     def _send_inv_ack(self, txn: _Transaction, target: TileCacheComplex) -> None:
         msg = CoherenceMessageType.INV_ACK
         self.fabric.send(
             target.node, txn.complex.node, msg.payload_bytes,
             message_class(msg, from_directory=False),
-            lambda pkt: self._ack_arrived(txn),
+            self._ack_arrived, txn,
         )
 
     def _ack_arrived(self, txn: _Transaction) -> None:
@@ -366,59 +378,56 @@ class CoherenceProtocol:
         self._maybe_complete(txn)
 
     def _send_data_from_home(self, txn: _Transaction, entry: DirectoryEntry) -> None:
-        msg = CoherenceMessageType.MISS_NOTIFY_DATA
-
-        def dispatch() -> None:
-            self.fabric.send(
-                txn.home_node, txn.complex.node, msg.payload_bytes,
-                message_class(msg, from_directory=True),
-                lambda pkt: self._data_arrived(txn),
-            )
-
         if entry.in_llc:
-            dispatch()
+            self._dispatch_data(txn)
+            return
+        # The LLC slice does not have the block: fetch it from memory.
+        self.directory.memory_fetches += 1
+        entry.in_llc = True
+        if self.memory_access is not None:
+            self.memory_access(txn.home_node, txn.addr, self._dispatch_data, txn)
         else:
-            # The LLC slice does not have the block: fetch it from memory.
-            self.directory.memory_fetches += 1
-            entry.in_llc = True
-            if self.memory_access is not None:
-                self.memory_access(txn.home_node, txn.addr, dispatch)
-            else:
-                self.sim.schedule(self.fallback_memory_latency_cycles, dispatch)
+            self.sim.schedule(self.fallback_memory_latency_cycles, self._dispatch_data, txn)
+
+    def _dispatch_data(self, txn: _Transaction) -> None:
+        msg = CoherenceMessageType.MISS_NOTIFY_DATA
+        self.fabric.send(
+            txn.home_node, txn.complex.node, msg.payload_bytes,
+            message_class(msg, from_directory=True),
+            self._data_arrived, txn,
+        )
 
     def _send_forward(self, txn: _Transaction, entry: DirectoryEntry,
                       owner_complex: TileCacheComplex, invalidate_owner: bool) -> None:
         fwd = CoherenceMessageType.FWD_GET
-
-        def at_owner(_packet) -> None:
-            delay = CONTROLLER_OVERHEAD_CYCLES
-            if owner_complex.l1 is not None:
-                delay += owner_complex.l1.access_latency
-            elif owner_complex.ni_cache is not None:
-                delay += owner_complex.ni_cache.access_latency
-            self.sim.schedule(delay, owner_responds)
-
-        def owner_responds() -> None:
-            if invalidate_owner:
-                owner_complex.invalidate(txn.addr)
-            else:
-                owner_complex.downgrade(txn.addr)
-                # Keep the LLC copy up to date (off the critical path).
-                wb = CoherenceMessageType.WRITEBACK
-                self.fabric.send(
-                    owner_complex.node, txn.home_node, wb.payload_bytes,
-                    message_class(wb, from_directory=False), None,
-                )
-            reply = CoherenceMessageType.DATA_REPLY
-            self.fabric.send(
-                owner_complex.node, txn.complex.node, reply.payload_bytes,
-                message_class(reply, from_directory=False),
-                lambda pkt: self._data_arrived(txn),
-            )
-
         self.fabric.send(
             txn.home_node, owner_complex.node, fwd.payload_bytes,
-            message_class(fwd, from_directory=True), at_owner,
+            message_class(fwd, from_directory=True),
+            self._forward_at_owner, txn, owner_complex, invalidate_owner,
+        )
+
+    def _forward_at_owner(self, txn: _Transaction, owner_complex: TileCacheComplex,
+                          invalidate_owner: bool) -> None:
+        self.sim.schedule(self._controller_delay(owner_complex), self._owner_responds,
+                          txn, owner_complex, invalidate_owner)
+
+    def _owner_responds(self, txn: _Transaction, owner_complex: TileCacheComplex,
+                        invalidate_owner: bool) -> None:
+        if invalidate_owner:
+            owner_complex.invalidate(txn.addr)
+        else:
+            owner_complex.downgrade(txn.addr)
+            # Keep the LLC copy up to date (off the critical path).
+            wb = CoherenceMessageType.WRITEBACK
+            self.fabric.send(
+                owner_complex.node, txn.home_node, wb.payload_bytes,
+                message_class(wb, from_directory=False), None,
+            )
+        reply = CoherenceMessageType.DATA_REPLY
+        self.fabric.send(
+            owner_complex.node, txn.complex.node, reply.payload_bytes,
+            message_class(reply, from_directory=False),
+            self._data_arrived, txn,
         )
 
     # -- completion ------------------------------------------------------
@@ -450,14 +459,15 @@ class CoherenceProtocol:
                 start_time=txn.start_time,
                 complete_time=self.sim.now,
                 served_locally=False,
-            )
+            ),
+            *txn.on_done_args,
         )
         # Unblock the home directory (off the requester's critical path).
         msg = CoherenceMessageType.UNBLOCK
         self.fabric.send(
             txn.complex.node, txn.home_node, msg.payload_bytes,
             message_class(msg, from_directory=False),
-            lambda pkt: self._unblock(txn.addr),
+            self._unblock, txn.addr,
         )
 
     def _unblock(self, addr: int) -> None:

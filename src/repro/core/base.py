@@ -44,13 +44,13 @@ class NodeServices(abc.ABC):
 
     @abc.abstractmethod
     def memory_read(self, requester_node: Hashable, addr: int, nbytes: int,
-                    on_done: Callable[[], None]) -> None:
-        """Read ``nbytes`` at ``addr`` through the LLC/MC data path."""
+                    on_done: Callable[..., None], *args) -> None:
+        """Read ``nbytes`` at ``addr`` through the LLC/MC data path; then ``on_done(*args)``."""
 
     @abc.abstractmethod
     def memory_write(self, requester_node: Hashable, addr: int, nbytes: int,
-                     on_done: Callable[[], None]) -> None:
-        """Write ``nbytes`` at ``addr`` through the LLC/MC data path."""
+                     on_done: Callable[..., None], *args) -> None:
+        """Write ``nbytes`` at ``addr`` through the LLC/MC data path; then ``on_done(*args)``."""
 
     @abc.abstractmethod
     def off_chip_send(self, message, from_node: Hashable) -> None:

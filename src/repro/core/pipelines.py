@@ -19,7 +19,7 @@ is what produces the bandwidth collapse of NIper-tile for bulk transfers
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Optional
+from typing import Hashable, Optional
 
 from repro.config import CACHE_BLOCK_BYTES, LatencyCalibration, MessageClass
 from repro.core.base import NodeServices, TransferRecord, TransferTable
@@ -90,18 +90,17 @@ class NIFrontend:
     def _load_wq_entry(self, qp: QueuePair, core_id: int, entry: WorkQueueEntry, wq_index: int) -> None:
         block_addr = qp.wq.entry_block_address(wq_index)
         self.services.coherence.access(
-            self.entity_id, "ni", block_addr, write=False,
-            on_done=lambda result: self._wq_loaded(qp, core_id, entry),
+            self.entity_id, "ni", block_addr, False, self._wq_loaded, qp, core_id, entry,
         )
 
-    def _wq_loaded(self, qp: QueuePair, core_id: int, entry: WorkQueueEntry) -> None:
+    def _wq_loaded(self, _result, qp: QueuePair, core_id: int, entry: WorkQueueEntry) -> None:
         if self.backend.node == self.node:
             # Frontend-Backend Interface is a latch: no NOC transfer.
             self.backend.start_transfer(entry, qp, core_id, self)
         else:
             self.services.fabric.send(
                 self.node, self.backend.node, WQ_ENTRY_BYTES, MessageClass.NI_COMMAND,
-                lambda packet: self.backend.start_transfer(entry, qp, core_id, self),
+                self.backend.start_transfer, entry, qp, core_id, self,
             )
 
     # ------------------------------------------------------------------
@@ -115,11 +114,10 @@ class NIFrontend:
         cq = record.qp.cq
         block_addr = cq.tail_block_address()
         self.services.coherence.access(
-            self.entity_id, "ni", block_addr, write=True,
-            on_done=lambda result: self._cq_written(record),
+            self.entity_id, "ni", block_addr, True, self._cq_written, record,
         )
 
-    def _cq_written(self, record: TransferRecord) -> None:
+    def _cq_written(self, _result, record: TransferRecord) -> None:
         record.completed_at = self.services.sim.now
         record.qp.cq.post(
             CompletionQueueEntry(
@@ -198,8 +196,7 @@ class NIBackend:
             # Remote writes carry local data: read it from memory first.
             addr = record.entry.local_buffer + request.block_index * self.block_bytes
             self.services.memory_read(
-                self.node, addr, self.block_bytes,
-                lambda: self._send_off_chip(request),
+                self.node, addr, self.block_bytes, self._send_off_chip, request,
             )
         else:
             self._send_off_chip(request)
@@ -216,7 +213,7 @@ class NIBackend:
             payload += self.block_bytes
         self.services.fabric.send(
             self.node, port, payload, MessageClass.NI_COMMAND,
-            lambda packet: self.services.off_chip_send(request, port),
+            self.services.off_chip_send, request, port,
         )
 
     # ------------------------------------------------------------------
@@ -234,8 +231,7 @@ class NIBackend:
         if response.op is RemoteOp.READ:
             payload += self.block_bytes
         self.services.fabric.send(
-            port, self.node, payload, MessageClass.NI_DATA,
-            lambda packet: self._receive(response),
+            port, self.node, payload, MessageClass.NI_DATA, self._receive, response,
         )
 
     def _receive(self, response: RemoteResponse) -> None:
@@ -246,8 +242,7 @@ class NIBackend:
         if response.op is RemoteOp.READ:
             addr = record.entry.local_buffer + response.block_index * self.block_bytes
             self.services.memory_write(
-                self.node, addr, self.block_bytes,
-                lambda: self._block_done(record),
+                self.node, addr, self.block_bytes, self._block_done, record,
             )
         else:
             self._block_done(record)
@@ -265,7 +260,7 @@ class NIBackend:
             # Ship the new CQ entry to the frontend over the NOC (NIsplit).
             self.services.fabric.send(
                 self.node, frontend.node, CQ_ENTRY_BYTES, MessageClass.NI_COMMAND,
-                lambda packet: frontend.complete_transfer(record),
+                frontend.complete_transfer, record,
             )
 
 
@@ -307,13 +302,11 @@ class RemoteRequestPipeline:
         addr = self.services.translate(request.ctx_id, request.offset, self.block_bytes)
         if request.op is RemoteOp.READ:
             self.services.memory_read(
-                self.node, addr, self.block_bytes,
-                lambda: self._respond(request, arrival),
+                self.node, addr, self.block_bytes, self._respond, request, arrival,
             )
         else:
             self.services.memory_write(
-                self.node, addr, self.block_bytes,
-                lambda: self._respond(request, arrival),
+                self.node, addr, self.block_bytes, self._respond, request, arrival,
             )
 
     def _respond(self, request: RemoteRequest, arrival: float) -> None:

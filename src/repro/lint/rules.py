@@ -1,4 +1,4 @@
-"""The built-in determinism & kernel-contract lint rules (REP001–REP009).
+"""The built-in determinism & kernel-contract lint rules (REP001–REP010).
 
 Each rule is a :class:`LintRule` subclass registered under its code through
 :func:`repro.scenario.registry.register_lint_rule` — the same decorator
@@ -14,7 +14,8 @@ in the kernel is deterministically ordered, components register through the
 manifest-gated registries, ``__slots__`` classes stay dict-free, spec
 documents only serialize optional registry keys when they are set
 (fingerprint stability), telemetry probes observe the simulation without
-mutating it, and fault models derive their seeds.
+mutating it, fault models derive their seeds, and model continuations are
+``(callback, *args)`` pairs rather than closures.
 """
 
 from __future__ import annotations
@@ -660,3 +661,93 @@ class FaultSeedDerivationRule(LintRule):
                 "pass faults.injector.derive_seed(seed, kind, name) so the "
                 "engine's seeded streams stay decorrelated",
             )
+
+
+# ----------------------------------------------------------------------
+# REP010 — closure continuation
+# ----------------------------------------------------------------------
+@register_lint_rule("REP010", title="closure continuation")
+class ClosureContinuationRule(LintRule):
+    """Model continuations are ``(callback, *args)`` pairs, never closures.
+
+    A lambda or nested function handed to the kernel, the NOC or a pipeline
+    as a continuation lives, with its cells, until the event or packet it
+    waits on fires — hundreds of cycles under load.  Tens of thousands of
+    such long-lived objects push CPython's cyclic garbage collector into
+    full collections that cost a loaded run more than its hop walk.  In the
+    packages whose callbacks run in the event loop, a lambda or nested
+    ``def`` may not be an argument of a continuation-taking call (nor any
+    call's ``on_done=``); pass a function or bound method plus explicit
+    arguments instead: ``fabric.send(src, dst, n, cls, self._arrived, txn)``.
+    """
+
+    code = "REP010"
+    title = "closure continuation"
+
+    #: Calls that take a continuation: the kernel's, the fabric's, the
+    #: pipelines' and the data path's.
+    CONTINUATION_CALLS = frozenset({
+        "schedule", "schedule_at", "send", "issue_then", "acquire_then",
+        "access", "memory_read", "memory_write", "service",
+    })
+    #: Packages (relative to the linted root) whose callbacks run in the
+    #: event loop.
+    TARGET_PREFIXES = (
+        "sim/", "noc/", "node/", "core/", "coherence/", "memory/", "qp/",
+        "sonuma/", "numa/", "fabric/", "workloads/", "load/", "faults/",
+    )
+
+    def __init__(self) -> None:
+        #: Function node -> names of the closures defined inside it.
+        self._closures: Dict[ast.AST, Set[str]] = {}
+
+    def _closure_names(self, function: ast.AST) -> Set[str]:
+        """Nested defs and lambda-bound names anywhere inside ``function``."""
+        names = self._closures.get(function)
+        if names is None:
+            names = set()
+            for node in ast.walk(function):
+                if node is not function and isinstance(node, (ast.FunctionDef,
+                                                              ast.AsyncFunctionDef)):
+                    names.add(node.name)
+                elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Lambda):
+                    names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+            self._closures[function] = names
+        return names
+
+    def _closure(self, module: LintModule, call: ast.Call, arg: ast.AST) -> Optional[str]:
+        if isinstance(arg, ast.Lambda):
+            return "a lambda"
+        if not isinstance(arg, ast.Name):
+            return None
+        for ancestor in module.ancestors(call):
+            if isinstance(ancestor, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and arg.id in self._closure_names(ancestor):
+                return "nested function %r" % arg.id
+        return None
+
+    def check(self, module: LintModule, context: LintContext) -> Iterator[Finding]:
+        if not module.relpath.startswith(self.TARGET_PREFIXES):
+            return
+        for call in module.of_type(ast.Call):
+            func = call.func
+            name = func.attr if isinstance(func, ast.Attribute) else (
+                func.id if isinstance(func, ast.Name) else None
+            )
+            if name in self.CONTINUATION_CALLS:
+                where = name
+                args = list(call.args) + [keyword.value for keyword in call.keywords]
+            else:
+                where = "on_done="
+                args = [keyword.value for keyword in call.keywords
+                        if keyword.arg == "on_done"]
+            for arg in args:
+                what = self._closure(module, call, arg)
+                if what is not None:
+                    yield self.finding(
+                        module, arg,
+                        "%s passed to %s is a closure continuation: it and its "
+                        "cells stay alive until the event fires, feeding the "
+                        "cyclic garbage collector; pass a function or bound "
+                        "method plus explicit arguments instead" % (what, where),
+                    )

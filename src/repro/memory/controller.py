@@ -43,27 +43,19 @@ class MemoryController:
         self._scheduler = Resource(sim, name="mc%d-scheduler" % index)
         self.requests = 0
 
-    def service(self, nbytes: int, is_write: bool, on_done: Optional[Callable[[], None]] = None) -> float:
+    def service(self, nbytes: int, is_write: bool,
+                on_done: Optional[Callable[..., None]] = None, *args) -> None:
         """Service a request that has arrived at this controller.
 
-        Returns the completion time (when read data is available / the write
-        is durable) and schedules ``on_done`` at that time.
+        ``on_done(*args)`` runs when read data is available / the write is
+        durable.
         """
         self.requests += 1
+        # The grant is never before now, so the DRAM access always starts
+        # at least one scheduling slot later.
         grant = self._scheduler.acquire(self.SCHEDULING_CYCLES)
-        start_delay = grant + self.SCHEDULING_CYCLES - self.sim.now
-        finish_holder = {}
-
-        def issue() -> None:
-            finish_holder["t"] = self.dram.access(nbytes, is_write, on_done)
-
-        if start_delay <= 0:
-            issue()
-            return finish_holder["t"]
-        self.sim.schedule(start_delay, issue)
-        # Conservative estimate for callers that want a time without waiting.
-        return grant + self.SCHEDULING_CYCLES + self.dram.latency_cycles + \
-            self.dram.channel.serialization_cycles(nbytes)
+        self.sim.schedule(grant + self.SCHEDULING_CYCLES - self.sim.now,
+                          self.dram.access, nbytes, is_write, on_done, *args)
 
     def utilization(self) -> float:
         """Fraction of time the controller's scheduler has been busy."""

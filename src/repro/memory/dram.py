@@ -39,8 +39,9 @@ class DramModel:
         self.bytes_read = 0
         self.bytes_written = 0
 
-    def access(self, nbytes: int, is_write: bool, on_done: Optional[Callable[[], None]] = None) -> float:
-        """Issue an access; returns its completion time and schedules ``on_done``."""
+    def access(self, nbytes: int, is_write: bool,
+               on_done: Optional[Callable[..., None]] = None, *args) -> float:
+        """Issue an access; returns its completion time and schedules ``on_done(*args)``."""
         if nbytes <= 0:
             raise ConfigurationError("DRAM access size must be positive")
         if is_write:
@@ -52,7 +53,7 @@ class DramModel:
         grant = self.channel.send(nbytes)
         finish = grant + self.channel.serialization_cycles(nbytes) + self.latency_cycles
         if on_done is not None:
-            self.sim.schedule(finish - self.sim.now, on_done)
+            self.sim.schedule(finish - self.sim.now, on_done, *args)
         return finish
 
     @property

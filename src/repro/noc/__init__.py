@@ -6,7 +6,6 @@ extended CDR with a directory-sourced class), and :class:`NocFabric`, the
 packet-granularity contention model used by the node simulator.
 """
 
-from repro.noc.packet import Packet
 from repro.noc.topology import Topology, Link
 from repro.noc.mesh import MeshTopology
 from repro.noc.nocout import NocOutTopology, NOCOUT_LLC, NOCOUT_CORE, NOCOUT_EDGE, NOCOUT_MC
@@ -14,7 +13,6 @@ from repro.noc.routing import mesh_route, route_class_direction
 from repro.noc.fabric import NocFabric
 
 __all__ = [
-    "Packet",
     "Topology",
     "Link",
     "MeshTopology",

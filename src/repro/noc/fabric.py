@@ -9,6 +9,21 @@ hop, so the zero-load latency is ``hops * hop_cycles + (flits - 1)`` and
 contended links introduce queuing exactly where the paper observes it (the MC
 and NI edge columns, the mesh bisection, the per-tile unroll paths).
 
+Delivery contract
+-----------------
+
+``send(src, dst, payload_bytes, msg_class, callback, *args)`` runs
+``callback(*args)`` at delivery and returns the packet id, the packet's send
+order on this fabric (O1Turn routing and ``packet_loss`` hash it).  No packet
+object exists: the walk's state rides in the heap entry's argument tuple, and
+the continuations ``_hop`` and ``_deliver`` are module functions that take
+the fabric as their first argument.  A caller that needs the id at delivery
+passes it in ``args``.  Continuations are plain ``(callback, *args)`` pairs
+all through the model, never closures: a closure and its cells would live
+until delivery, hundreds of cycles under load, and that churn of long-lived
+objects is what drives CPython's cyclic garbage collector into full
+collections.
+
 Lookahead hop fusion
 --------------------
 
@@ -26,7 +41,7 @@ fails and the walk degrades to the per-hop event chain, event for event.
 Two details keep fused runs byte-identical to unfused ones:
 
 * The walk only fuses from *inside an event callback* (the scheduled
-  ``_hop`` continuation).  ``send`` runs the walk's first step unfused: it
+  :func:`_hop` continuation).  ``send`` runs the walk's first step unfused: it
   acquires the first link synchronously and schedules the continuation,
   because code running later in the same callback (e.g. an unroll loop
   injecting sibling packets at the same cycle) may acquire the very
@@ -81,13 +96,11 @@ from heapq import heappush
 from typing import Callable, Dict, Hashable, Optional, Sequence, Tuple
 
 from repro.config import MessageClass, NocConfig
-from repro.noc.packet import Packet, flit_count
+from repro.noc.packet import flit_count
 from repro.noc.topology import Link, Topology
 from repro.sim import perf
 from repro.sim.engine import Simulator
 from repro.sim.resource import Resource
-
-DeliveryCallback = Callable[[Packet], None]
 
 #: One channel-bound hop: (channel, hop_cycles, link_key).  The link key
 #: rides along so fault models can target specific routers without any
@@ -127,6 +140,8 @@ class NocFabric:
         # (channel, hop_cycles, link_key) hops, so the per-hop fast path does
         # no topology or channel-dict lookups.
         self._bound_routes: Dict[Hashable, Tuple[BoundHop, ...]] = {}
+        # Link -> its bound hop, shared by every route that crosses it.
+        self._bound_hops: Dict[Link, BoundHop] = {}
         # payload_bytes -> (flits, wire_bytes); the handful of distinct
         # payload sizes an experiment sends makes this a near-perfect cache.
         self._flit_sizes: Dict[int, Tuple[int, int]] = {}
@@ -169,12 +184,16 @@ class NocFabric:
         dst: Hashable,
         payload_bytes: int,
         msg_class: MessageClass,
-        callback: Optional[DeliveryCallback] = None,
-    ) -> Packet:
-        """Inject a packet; ``callback(packet)`` fires at delivery time."""
+        callback: Optional[Callable[..., None]] = None,
+        *args,
+    ) -> int:
+        """Inject a packet; ``callback(*args)`` fires at delivery time.
+
+        Returns the packet id: the packet's send order on this fabric.
+        """
         counters = self._perf
-        packet = Packet(src, dst, payload_bytes, msg_class, counters.packets)
-        counters.packets += 1
+        packet_id = counters.packets
+        counters.packets = packet_id + 1
         size = self._flit_sizes.get(payload_bytes)
         if size is None:
             flits = flit_count(payload_bytes, self.link_bytes)
@@ -182,17 +201,17 @@ class NocFabric:
         flits, wire = size
         self.wire_bytes_sent += wire
         if src != dst:
-            hops = self._bound_route(src, dst, msg_class, packet.packet_id)
+            hops = self._bound_route(src, dst, msg_class, packet_id)
             if hops:
                 # The first link is acquired synchronously, in injection
                 # order — several sends in one callback must claim their
                 # first channels FIFO.  The rest of the walk runs as a
                 # scheduled event, where fusion is safe (see module
                 # docstring).
-                self._hop(packet, hops, 0, flits, callback, False)
-                return packet
-        self.sim.schedule(self.LOCAL_DELIVERY_CYCLES, self._deliver, packet, callback)
-        return packet
+                _hop(self, hops, 0, flits, packet_id, callback, args, False)
+                return packet_id
+        self.sim.schedule(self.LOCAL_DELIVERY_CYCLES, _deliver, self, callback, args)
+        return packet_id
 
     def zero_load_latency(self, src: Hashable, dst: Hashable, payload_bytes: int,
                           msg_class: MessageClass = MessageClass.MEMORY_REQUEST) -> float:
@@ -240,16 +259,21 @@ class NocFabric:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _channel(self, link: Link) -> Resource:
-        channel = self._channels.get(link.key)
-        if channel is None:
-            channel = Resource(self.sim, name="link %r->%r" % (link.src, link.dst))
-            self._channels[link.key] = channel
-        return channel
+    def _bound_hop(self, link: Link) -> BoundHop:
+        """The one (channel, hop_cycles, link_key) hop of ``link``."""
+        hop = self._bound_hops.get(link)
+        if hop is None:
+            key = link.key
+            channel = self._channels.get(key)
+            if channel is None:
+                channel = Resource(self.sim, name="link %r->%r" % (link.src, link.dst))
+                self._channels[key] = channel
+            hop = self._bound_hops[link] = (channel, link.hop_cycles, key)
+        return hop
 
     def _bind_links(self, links: Sequence[Link]) -> Tuple[BoundHop, ...]:
         """Resolve each link of a route to its channel once."""
-        return tuple((self._channel(link), link.hop_cycles, link.key) for link in links)
+        return tuple(self._bound_hop(link) for link in links)
 
     def _bound_route(
         self, src: Hashable, dst: Hashable, msg_class: MessageClass, packet_id: int
@@ -268,94 +292,97 @@ class NocFabric:
             self._bound_routes[key] = bound
         return bound
 
-    def _hop(self, packet: Packet, hops: Sequence[BoundHop], index: int,
-             flits: int, callback: Optional[DeliveryCallback],
-             fuse: bool = True) -> None:
-        """Walk the remaining hops, fusing as far as the lookahead allows.
 
-        Runs as an event callback (the continuation ``send`` schedules) at
-        the exact cycle the packet's head reaches router ``index``.  Each
-        iteration acquires one link at the packet's virtual arrival time;
-        while the next arrival stays strictly before the queue head, nothing
-        can interleave and the walk continues in place instead of scheduling
-        a hop event.  An empty queue means nothing can interleave at all.
-        With ``fuse`` False (``send``'s synchronous first hop) or
-        :attr:`hop_fusion` off, the first lookahead check fails by
-        construction and the walk acquires one link and schedules the next
-        hop as its own event.
-        """
-        sim = self.sim
-        nhops = len(hops)
-        # The lookahead bound: fuse while the next arrival < head.  The walk
-        # itself only pushes events at/after the current arrival, so the
-        # bound stays valid without re-peeking.  The active run(until=...)
-        # horizon caps the bound too: the run may stop there and the caller
-        # may sample link statistics that the per-hop chain would not yet
-        # have accumulated — hops at/after the horizon must stay events.
-        if fuse and self.hop_fusion:
-            head = sim.next_event_time()
-            horizon = sim._run_horizon
-            if head is None or head > horizon:
-                head = horizon
-        else:
-            head = float("-inf")
-        now = sim._now
-        arrival = now
-        fused = 0
-        faults = self.faults
-        while True:
-            channel, hop_cycles, link_key = hops[index]
+# ----------------------------------------------------------------------
+# Event continuations
+# ----------------------------------------------------------------------
+# Plain functions, not methods: the heap entry carries the fabric among the
+# arguments, so no bound method is allocated per hop or delivery.
+def _hop(fabric: NocFabric, hops: Sequence[BoundHop], index: int, flits: int,
+         packet_id: int, callback: Optional[Callable[..., None]], args: tuple,
+         fuse: bool = True) -> None:
+    """Walk the remaining hops, fusing as far as the lookahead allows.
+
+    Runs as an event callback (the continuation ``send`` schedules) at the
+    exact cycle the packet's head reaches router ``index``.  Each iteration
+    acquires one link at the packet's virtual arrival time; while the next
+    arrival stays strictly before the queue head, nothing can interleave and
+    the walk continues in place instead of scheduling a hop event.  An empty
+    queue means nothing can interleave at all.  With ``fuse`` False
+    (``send``'s synchronous first hop) or :attr:`NocFabric.hop_fusion` off,
+    the first lookahead check fails by construction and the walk acquires one
+    link and schedules the next hop as its own event.
+    """
+    sim = fabric.sim
+    nhops = len(hops)
+    # The lookahead bound: fuse while the next arrival < head.  The walk
+    # itself only pushes events at/after the current arrival, so the bound
+    # stays valid without re-peeking.  The active run(until=...) horizon caps
+    # the bound too: the run may stop there and the caller may sample link
+    # statistics that the per-hop chain would not yet have accumulated —
+    # hops at/after the horizon must stay events.
+    if fuse and fabric.hop_fusion:
+        head = sim.next_event_time()
+        horizon = sim._run_horizon
+        if head is None or head > horizon:
+            head = horizon
+    else:
+        head = float("-inf")
+    now = sim._now
+    arrival = now
+    fused = 0
+    faults = fabric.faults
+    while True:
+        channel, hop_cycles, link_key = hops[index]
+        if faults is not None:
+            extra = faults.hop_delay(link_key, arrival, hop_cycles)
+            if extra > 0.0:
+                arrival = arrival + extra
+        # Inlined Resource.acquire(flits, earliest=arrival) — one call per
+        # hop is the hottest path in the whole simulator; keep in sync with
+        # repro.sim.resource.Resource.acquire.
+        start = channel._free_at
+        if arrival > start:
+            if arrival > now:
+                channel.note_gap(arrival)
+            start = arrival
+        channel._free_at = start + flits
+        channel.busy_cycles += flits
+        channel.grants += 1
+        arrival = start + hop_cycles
+        index += 1
+        if index == nhops:
+            # Final hop: the tail arrives flits-1 cycles after the head, and
+            # the completion event delivers directly.  Event times are
+            # computed as now + delta, never as the absolute arrival: float
+            # addition does not guarantee now + (t - now) == t, and
+            # byte-identity with the per-hop chain (which always scheduled
+            # relative delays) must hold to the last bit.
+            delta = arrival + flits - 1 - now
             if faults is not None:
-                extra = faults.hop_delay(link_key, arrival, hop_cycles)
-                if extra > 0.0:
-                    arrival = arrival + extra
-            # Inlined Resource.acquire(flits, earliest=arrival) — one call per
-            # hop is the hottest path in the whole simulator; keep in sync
-            # with repro.sim.resource.Resource.acquire.
-            start = channel._free_at
-            if arrival > start:
-                start = arrival
-            channel._free_at = start + flits
-            channel.busy_cycles += flits
-            channel.grants += 1
-            open_grants = channel._open_grants
-            while open_grants and open_grants[0][1] <= now:
-                open_grants.popleft()
-            open_grants.append((start, start + flits))
-            arrival = start + hop_cycles
-            index += 1
-            if index == nhops:
-                # Final hop: the tail arrives flits-1 cycles after the head,
-                # and the completion event delivers directly.  Event times
-                # are computed as now + delta, never as the absolute
-                # arrival: float addition does not guarantee now + (t - now)
-                # == t, and byte-identity with the per-hop chain (which
-                # always scheduled relative delays) must hold to the last bit.
-                delta = arrival + flits - 1 - now
-                if faults is not None:
-                    loss = faults.loss_delay(packet.packet_id)
-                    if loss > 0.0:
-                        delta += loss
-                entry = (now + delta, next(sim._seq),
-                         self._deliver, (packet, callback))
-                break
-            if arrival < head:
-                fused += 1
-                continue
-            entry = (now + (arrival - now), next(sim._seq), self._hop,
-                     (packet, hops, index, flits, callback))
+                loss = faults.loss_delay(packet_id)
+                if loss > 0.0:
+                    delta += loss
+            entry = (now + delta, next(sim._seq), _deliver, (fabric, callback, args))
             break
-        if fused:
-            self._perf.fused_hops += fused
-        # Inlined Simulator.schedule.
-        queue = sim._queue
-        heappush(queue, entry)
-        counters = sim._perf
-        counters.fast_events += 1
-        if len(queue) > counters.peak_pending:
-            counters.peak_pending = len(queue)
+        if arrival < head:
+            fused += 1
+            continue
+        entry = (now + (arrival - now), next(sim._seq), _hop,
+                 (fabric, hops, index, flits, packet_id, callback, args))
+        break
+    if fused:
+        fabric._perf.fused_hops += fused
+    # Inlined Simulator.schedule.
+    queue = sim._queue
+    heappush(queue, entry)
+    counters = sim._perf
+    counters.fast_events += 1
+    if len(queue) > counters.peak_pending:
+        counters.peak_pending = len(queue)
 
-    def _deliver(self, packet: Packet, callback: Optional[DeliveryCallback]) -> None:
-        self.packets_delivered += 1
-        if callback is not None:
-            callback(packet)
+
+def _deliver(fabric: NocFabric, callback: Optional[Callable[..., None]], args: tuple) -> None:
+    fabric.packets_delivered += 1
+    if callback is not None:
+        callback(*args)

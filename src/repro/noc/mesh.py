@@ -61,7 +61,7 @@ class MeshTopology(Topology):
         self._check(src)
         self._check(dst)
         path = mesh_route(self.config.routing, src, dst, msg_class, packet_id)
-        return build_path_links(list(path), self.hop_cycles)
+        return build_path_links(self, list(path), self.hop_cycles)
 
     def route_cache_key(
         self,

@@ -87,7 +87,7 @@ class NocOutTopology(Topology):
             position = (NOCOUT_LLC, position[1])
         elif position[0] in (NOCOUT_MC, NOCOUT_EDGE):
             anchor = self._anchor_llc(position)
-            links.append(Link(position, anchor, self.tree_hop_cycles))
+            links.append(self.link(position, anchor, self.tree_hop_cycles))
             position = anchor
         # Determine the LLC tile nearest the destination.
         target_anchor = self._anchor_llc(dst)
@@ -102,7 +102,7 @@ class NocOutTopology(Topology):
         if dst[0] == NOCOUT_CORE:
             links.extend(self._tree_links(dst, down=False))
         elif dst[0] in (NOCOUT_MC, NOCOUT_EDGE):
-            links.append(Link(position, dst, self.tree_hop_cycles))
+            links.append(self.link(position, dst, self.tree_hop_cycles))
         return links
 
     def route_cache_key(
@@ -162,7 +162,7 @@ class NocOutTopology(Topology):
         """Single-hop flattened-butterfly link; latency scales with distance."""
         distance = abs(src[1] - dst[1])
         cycles = max(1, math.ceil(distance / self.butterfly_tiles_per_cycle))
-        return Link(src, dst, cycles)
+        return self.link(src, dst, cycles)
 
     def _tree_links(self, core_node: Hashable, down: bool) -> List[Link]:
         """Links along the column tree between a core and its LLC tile."""
@@ -179,7 +179,7 @@ class NocOutTopology(Topology):
             ordered = chain
         links = []
         for a, b in zip(ordered, ordered[1:]):
-            links.append(Link(a, b, self.tree_hop_cycles))
+            links.append(self.link(a, b, self.tree_hop_cycles))
         return links
 
     def _check(self, node: Hashable) -> None:

@@ -91,6 +91,19 @@ class Topology(abc.ABC):
         """Number of memoized routes currently held."""
         return len(self.__dict__.get("_route_cache", ()))
 
+    def link(self, src: Hashable, dst: Hashable, hop_cycles: int) -> Link:
+        """The topology's one :class:`Link` from ``src`` to ``dst``.
+
+        Links are immutable, so every route crossing the same hop shares one
+        object instead of each cached route allocating its own.
+        """
+        links: Dict[Tuple[Hashable, Hashable, int], Link] = self.__dict__.setdefault("_links", {})
+        key = (src, dst, hop_cycles)
+        link = links.get(key)
+        if link is None:
+            link = links[key] = Link(src, dst, hop_cycles)
+        return link
+
     def hop_count(self, src: Hashable, dst: Hashable) -> int:
         """Number of hops on the default route between two nodes."""
         return len(self.route_cached(src, dst, MessageClass.MEMORY_REQUEST))
@@ -100,11 +113,8 @@ class Topology(abc.ABC):
         return sum(link.hop_cycles for link in self.route_cached(src, dst, MessageClass.MEMORY_REQUEST))
 
 
-def build_path_links(path: List[Hashable], hop_cycles: int) -> List[Link]:
-    """Convert a node path [a, b, c] into directed links [a->b, b->c]."""
+def build_path_links(topology: Topology, path: List[Hashable], hop_cycles: int) -> List[Link]:
+    """Convert a node path [a, b, c] into ``topology``'s links [a->b, b->c]."""
     if len(path) < 1:
         raise TopologyError("a route must contain at least the source node")
-    links: List[Link] = []
-    for src, dst in zip(path, path[1:]):
-        links.append(Link(src=src, dst=dst, hop_cycles=hop_cycles))
-    return links
+    return [topology.link(src, dst, hop_cycles) for src, dst in zip(path, path[1:])]

@@ -193,11 +193,10 @@ class CoreModel:
         self._posted_times[index] = entry.posted_at
         block = self.qp.wq.entry_block_address(index)
         self.soc.coherence.access(
-            self.entity, "core", block, write=True,
-            on_done=lambda result: self._wq_stored(entry, index),
+            self.entity, "core", block, True, self._wq_stored, entry, index,
         )
 
-    def _wq_stored(self, entry: WorkQueueEntry, index: int) -> None:
+    def _wq_stored(self, _result, entry: WorkQueueEntry, index: int) -> None:
         self.issued_ops += 1
         self._outstanding += 1
         self.frontend.post_doorbell(self.qp, self.core_id, entry, index)
@@ -212,12 +211,9 @@ class CoreModel:
     def _begin_poll(self) -> None:
         self._busy = True
         block = self.qp.cq.head_block_address()
-        self.soc.coherence.access(
-            self.entity, "core", block, write=False,
-            on_done=lambda result: self._cq_loaded(),
-        )
+        self.soc.coherence.access(self.entity, "core", block, False, self._cq_loaded)
 
-    def _cq_loaded(self) -> None:
+    def _cq_loaded(self, _result) -> None:
         self.sim.schedule(self.calibration.cq_read_instruction_cycles, self._consume_cq_entry)
 
     def _consume_cq_entry(self) -> None:

@@ -215,8 +215,11 @@ class ManycoreSoc(NodeServices):
         self._remote_port.send(message, from_node)
 
     # -- data path (LLC + MC + DRAM) -------------------------------------
+    # Each step is a method that receives the request's state as explicit
+    # arguments and passes it on to the next (see the fabric's delivery
+    # contract); ``on_done(*args)`` is the caller's continuation.
     def memory_read(self, requester_node: Hashable, addr: int, nbytes: int,
-                    on_done: Callable[[], None]) -> None:
+                    on_done: Callable[..., None], *args) -> None:
         """Data-path read: requester -> home LLC slice (miss) -> MC -> DRAM,
         with the fill returning through the home slice before the data is
         forwarded to the requester.
@@ -228,76 +231,81 @@ class ManycoreSoc(NodeServices):
         routes YX to keep it from turning at the NI edge column (§4.3).
         """
         slice_idx = self.address_map.home_llc_slice(addr)
-        llc_node = self.placement.llc_nodes[slice_idx]
         mc = self.memory_controllers[self.address_map.mc_for_addr(addr)]
-
-        def at_llc(_packet) -> None:
-            bank = self.llc_banks[slice_idx]
-            grant = bank.acquire(self.config.llc.bank_occupancy_cycles)
-            ready = grant + self.config.llc.latency_cycles
-            self.sim.schedule(max(0.0, ready - self.sim.now), forward_to_mc)
-
-        def forward_to_mc() -> None:
-            self.fabric.send(
-                llc_node, mc.node, _MEM_REQUEST_BYTES, MessageClass.DIRECTORY_SOURCED, at_mc
-            )
-
-        def at_mc(_packet) -> None:
-            mc.service(nbytes, is_write=False, on_done=send_fill_to_home)
-
-        def send_fill_to_home() -> None:
-            self.fabric.send(
-                mc.node, llc_node, nbytes, MessageClass.MEMORY_RESPONSE, forward_to_requester
-            )
-
-        def forward_to_requester(_packet) -> None:
-            self.fabric.send(
-                llc_node, requester_node, nbytes, MessageClass.DIRECTORY_SOURCED,
-                lambda packet: on_done(),
-            )
-
         self.fabric.send(
-            requester_node, llc_node, _MEM_REQUEST_BYTES, MessageClass.MEMORY_REQUEST, at_llc
+            requester_node, self.placement.llc_nodes[slice_idx], _MEM_REQUEST_BYTES,
+            MessageClass.MEMORY_REQUEST,
+            self._read_at_llc, requester_node, slice_idx, mc, nbytes, on_done, args,
+        )
+
+    def _llc_ready_delay(self, slice_idx: int) -> float:
+        """Occupy the home LLC bank; cycles until its lookup completes."""
+        grant = self.llc_banks[slice_idx].acquire(self.config.llc.bank_occupancy_cycles)
+        return max(0.0, grant + self.config.llc.latency_cycles - self.sim.now)
+
+    def _read_at_llc(self, requester_node, slice_idx, mc, nbytes, on_done, args) -> None:
+        self.sim.schedule(self._llc_ready_delay(slice_idx), self._read_forward_to_mc,
+                          requester_node, slice_idx, mc, nbytes, on_done, args)
+
+    def _read_forward_to_mc(self, requester_node, slice_idx, mc, nbytes, on_done, args) -> None:
+        self.fabric.send(
+            self.placement.llc_nodes[slice_idx], mc.node, _MEM_REQUEST_BYTES,
+            MessageClass.DIRECTORY_SOURCED,
+            self._read_at_mc, requester_node, slice_idx, mc, nbytes, on_done, args,
+        )
+
+    def _read_at_mc(self, requester_node, slice_idx, mc, nbytes, on_done, args) -> None:
+        mc.service(nbytes, False, self._read_fill_to_home,
+                   requester_node, slice_idx, mc, nbytes, on_done, args)
+
+    def _read_fill_to_home(self, requester_node, slice_idx, mc, nbytes, on_done, args) -> None:
+        self.fabric.send(
+            mc.node, self.placement.llc_nodes[slice_idx], nbytes, MessageClass.MEMORY_RESPONSE,
+            self._read_forward_to_requester, requester_node, slice_idx, nbytes, on_done, args,
+        )
+
+    def _read_forward_to_requester(self, requester_node, slice_idx, nbytes, on_done, args) -> None:
+        self.fabric.send(
+            self.placement.llc_nodes[slice_idx], requester_node, nbytes,
+            MessageClass.DIRECTORY_SOURCED, on_done, *args,
         )
 
     def memory_write(self, requester_node: Hashable, addr: int, nbytes: int,
-                     on_done: Callable[[], None]) -> None:
+                     on_done: Callable[..., None], *args) -> None:
         """Data-path write: posted at the home LLC slice, drained to the MC behind it."""
         slice_idx = self.address_map.home_llc_slice(addr)
-        llc_node = self.placement.llc_nodes[slice_idx]
         mc = self.memory_controllers[self.address_map.mc_for_addr(addr)]
+        self.fabric.send(
+            requester_node, self.placement.llc_nodes[slice_idx], nbytes, MessageClass.NI_DATA,
+            self._write_at_llc, slice_idx, mc, nbytes, on_done, args,
+        )
 
-        def at_llc(_packet) -> None:
-            bank = self.llc_banks[slice_idx]
-            grant = bank.acquire(self.config.llc.bank_occupancy_cycles)
-            ready = grant + self.config.llc.latency_cycles
-            self.sim.schedule(max(0.0, ready - self.sim.now), accept)
+    def _write_at_llc(self, slice_idx, mc, nbytes, on_done, args) -> None:
+        self.sim.schedule(self._llc_ready_delay(slice_idx), self._write_accept,
+                          slice_idx, mc, nbytes, on_done, args)
 
-        def accept() -> None:
-            on_done()
-            # Dirty data drains to memory off the critical path.
-            self.fabric.send(
-                llc_node, mc.node, nbytes, MessageClass.DIRECTORY_SOURCED,
-                lambda packet: mc.service(nbytes, is_write=True),
-            )
-
-        self.fabric.send(requester_node, llc_node, nbytes, MessageClass.NI_DATA, at_llc)
+    def _write_accept(self, slice_idx, mc, nbytes, on_done, args) -> None:
+        on_done(*args)
+        # Dirty data drains to memory off the critical path.
+        self.fabric.send(
+            self.placement.llc_nodes[slice_idx], mc.node, nbytes, MessageClass.DIRECTORY_SOURCED,
+            mc.service, nbytes, True,
+        )
 
     def _coherence_memory_fetch(self, home_node: Hashable, addr: int,
-                                callback: Callable[[], None]) -> None:
+                                callback: Callable[..., None], *args) -> None:
         """LLC-miss fill path used by the coherence protocol for QP blocks."""
         mc = self.memory_controllers[self.address_map.mc_for_addr(addr)]
+        self.fabric.send(home_node, mc.node, _MEM_REQUEST_BYTES, MessageClass.DIRECTORY_SOURCED,
+                         self._fetch_at_mc, home_node, mc, callback, args)
 
-        def at_mc(_packet) -> None:
-            mc.service(self.config.cache_block_bytes, is_write=False, on_done=send_back)
+    def _fetch_at_mc(self, home_node, mc, callback, args) -> None:
+        mc.service(self.config.cache_block_bytes, False, self._fetch_send_back,
+                   home_node, mc, callback, args)
 
-        def send_back() -> None:
-            self.fabric.send(
-                mc.node, home_node, self.config.cache_block_bytes, MessageClass.MEMORY_RESPONSE,
-                lambda packet: callback(),
-            )
-
-        self.fabric.send(home_node, mc.node, _MEM_REQUEST_BYTES, MessageClass.DIRECTORY_SOURCED, at_mc)
+    def _fetch_send_back(self, home_node, mc, callback, args) -> None:
+        self.fabric.send(mc.node, home_node, self.config.cache_block_bytes,
+                         MessageClass.MEMORY_RESPONSE, callback, *args)
 
     # ------------------------------------------------------------------
     # Rack-facing delivery API (called by the remote port)

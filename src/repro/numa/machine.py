@@ -102,27 +102,22 @@ class NumaMachine:
             tile_id = max(0, (side // 2 - 1) * side + (side // 2 - 1))
         source = topology.tile_coord(tile_id)
         port = (topology.ni_edge_column(), source[1])
-        done = {}
 
         request_header = 8
         block = self.config.cache_block_bytes
         cal = self.calibration
         remote = 2 * hops * self.config.network_hop_cycles + cal.rrpp_service_cycles
 
-        def reply_arrived(_packet) -> None:
-            done["t"] = sim.now
-
-        def at_remote() -> None:
-            fabric.send(port, source, block, MessageClass.MEMORY_RESPONSE, reply_arrived)
-
-        def at_port(_packet) -> None:
-            sim.schedule(remote, at_remote)
-
-        def issue() -> None:
-            fabric.send(source, port, request_header, MessageClass.MEMORY_REQUEST, at_port)
-
-        sim.schedule(cal.numa_issue_cycles, issue)
-        sim.run()
-        if "t" not in done:
+        # Issue, then the request crosses to the port; its delivery charges
+        # the rack round trip, after which the reply crosses back.  The
+        # reply's delivery is the last event, so the run ends on it.
+        sim.schedule(
+            cal.numa_issue_cycles,
+            fabric.send, source, port, request_header, MessageClass.MEMORY_REQUEST,
+            sim.schedule, remote,
+            fabric.send, port, source, block, MessageClass.MEMORY_RESPONSE,
+        )
+        end = sim.run()
+        if fabric.packets_delivered != 2:
             raise ConfigurationError("NUMA simulation did not complete")
-        return done["t"]
+        return end

@@ -10,8 +10,7 @@ simulating individual flits cycle by cycle.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Callable, Deque, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.engine import Simulator
@@ -27,7 +26,7 @@ class Resource:
     """
 
     __slots__ = ("sim", "name", "_free_at", "busy_cycles", "grants", "_stats_since",
-                 "_open_grants")
+                 "_gaps")
 
     def __init__(self, sim: Simulator, name: str = "resource") -> None:
         self.sim = sim
@@ -39,10 +38,12 @@ class Resource:
         self.grants: int = 0
         #: Simulation time at which the utilization counters were last reset.
         self._stats_since: float = 0.0
-        #: Busy intervals that have not finished yet, as (start, end) pairs in
-        #: grant order.  Pruned lazily; :meth:`reset_stats` uses them to carry
-        #: the post-reset portion of in-flight grants over a warm-up reset.
-        self._open_grants: Deque[Tuple[float, float]] = deque()
+        #: Idle gaps between FIFO grants that lie ahead of the clock, as
+        #: (start, end) pairs in time order, or None until the first.  Only
+        #: a grant requested at a future ``earliest`` opens one (fused NOC
+        #: hops, fault hop delays); :meth:`in_flight_busy_cycles` subtracts
+        #: them.
+        self._gaps: Optional[List[Tuple[float, float]]] = None
 
     def acquire(self, occupancy: float, earliest: Optional[float] = None) -> float:
         """Reserve the resource for ``occupancy`` cycles; return the grant time."""
@@ -54,16 +55,30 @@ class Resource:
         start = now if earliest is None else earliest
         if start < self._free_at:
             start = self._free_at
+        elif start > now and start > self._free_at:
+            self.note_gap(start)
         end = start + occupancy
         self._free_at = end
         self.busy_cycles += occupancy
         self.grants += 1
-        if occupancy > 0:
-            open_grants = self._open_grants
-            while open_grants and open_grants[0][1] <= now:
-                open_grants.popleft()
-            open_grants.append((start, end))
         return start
+
+    def note_gap(self, start: float) -> None:
+        """Record the idle time before a grant that begins at ``start`` in the future.
+
+        The caller has established ``start > free_at`` and ``start > now``.
+        Only the part of a gap after the clock can ever fall inside a later
+        :meth:`in_flight_busy_cycles` window, so gaps behind it are dropped.
+        """
+        now = self.sim._now
+        gap = (self._free_at if self._free_at > now else now, start)
+        gaps = self._gaps
+        if gaps is None:
+            self._gaps = [gap]
+            return
+        while gaps and gaps[0][1] <= now:
+            del gaps[0]
+        gaps.append(gap)
 
     def acquire_then(
         self, occupancy: float, callback: Callable[..., None], *args, extra_delay: float = 0.0
@@ -89,19 +104,24 @@ class Resource:
             return 0.0
         return min(1.0, self.busy_cycles / horizon)
 
-    def in_flight_busy_cycles(self, since: Optional[float] = None) -> float:
-        """Busy cycles of unfinished grants that fall at or after ``since``.
+    def in_flight_busy_cycles(self) -> float:
+        """Busy cycles of unfinished grants that fall at or after now.
 
         Grants are accounted for in full at :meth:`acquire` time, so a grant
         that straddles a measurement boundary has already banked cycles that
         belong to the *next* measurement window.  This returns exactly those
-        cycles: the overlap of every open grant with ``[since, inf)``.
+        cycles: the overlap of every grant with ``[now, inf)``.  Grants are
+        FIFO, so that is ``free_at - now`` less the recorded idle gaps after
+        now.
         """
-        boundary = self.sim.now if since is None else since
-        open_grants = self._open_grants
-        while open_grants and open_grants[0][1] <= boundary:
-            open_grants.popleft()
-        return sum(end - max(start, boundary) for start, end in open_grants)
+        now = self.sim._now
+        busy = self._free_at - now
+        if busy <= 0:
+            return 0.0
+        for start, end in self._gaps or ():
+            if end > now:
+                busy -= end - max(start, now)
+        return busy
 
     def reset_stats(self) -> None:
         """Reset the utilization counters (used at the end of warm-up).

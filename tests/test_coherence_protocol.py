@@ -3,7 +3,7 @@
 import pytest
 
 from repro.coherence.caches import L1Cache, NICache, TileCacheComplex
-from repro.coherence.directory import DirectoryController
+from repro.coherence.directory import NO_SHARERS, DirectoryController
 from repro.coherence.protocol import CoherenceProtocol
 from repro.coherence.states import CacheState
 from repro.config import NocConfig
@@ -164,6 +164,22 @@ class TestBlockingDirectory:
         first = min(results, key=lambda r: r.complete_time)
         assert last.complete_time > first.complete_time
         assert h.directory.entry(BLOCK).owner is not None
+
+
+class TestDirectoryEntryStorage:
+    def test_unshared_entries_share_one_empty_set_until_a_sharer_joins(self):
+        directory = DirectoryController(home_tile_count=4)
+        first, second = directory.entry(0), directory.entry(64)
+        first.record_exclusive(("tile", 0))
+        assert first.sharers is NO_SHARERS and second.sharers is NO_SHARERS
+        assert first.pending is None
+        second.add_sharer(("tile", 1))
+        second.add_sharer(("tile", 2))
+        assert second.sharers == {("tile", 1), ("tile", 2)}
+        assert first.sharers is NO_SHARERS and not NO_SHARERS
+        first.queue("txn-a")
+        first.queue("txn-b")
+        assert first.pending == ["txn-a", "txn-b"] and second.pending is None
 
 
 class TestOwnedStateWritebackPath:

@@ -60,7 +60,7 @@ class TestLintRegistry:
     def test_builtin_rules_registered(self):
         assert LINT_RULES.names() == [
             "REP001", "REP002", "REP003", "REP004", "REP006", "REP007", "REP008",
-            "REP009",
+            "REP009", "REP010",
         ]
 
     def test_rules_have_titles_and_doc_urls(self):
@@ -582,6 +582,69 @@ class TestREP009SeedDerivation:
             def jitter(seed):
                 return random.Random(seed).random()
         """}, rules=["REP009"])
+        assert findings == []
+
+
+# ----------------------------------------------------------------------
+# REP010 — closure continuation
+# ----------------------------------------------------------------------
+class TestREP010ClosureContinuation:
+    def test_lambda_delivery_callback_flagged(self, tmp_path):
+        findings = run_fixture(tmp_path, {"coherence/plug.py": """
+            class Protocol:
+                def request(self, txn):
+                    self.fabric.send(txn.src, txn.home, 8, CLASS,
+                                     lambda: self.arrived(txn))
+        """}, rules=["REP010"])
+        assert codes(findings) == ["REP010"]
+        assert "lambda passed to send" in findings[0].message
+
+    def test_bound_method_with_arguments_is_clean(self, tmp_path):
+        findings = run_fixture(tmp_path, {"coherence/plug.py": """
+            class Protocol:
+                def request(self, txn):
+                    self.fabric.send(txn.src, txn.home, 8, CLASS, self.arrived, txn)
+        """}, rules=["REP010"])
+        assert findings == []
+
+    def test_nested_def_scheduled_flagged(self, tmp_path):
+        findings = run_fixture(tmp_path, {"node/plug.py": """
+            class Soc:
+                def read(self, node, on_done):
+                    def at_llc():
+                        on_done()
+
+                    self.sim.schedule(3, at_llc)
+        """}, rules=["REP010"])
+        assert codes(findings) == ["REP010"]
+        assert "nested function 'at_llc'" in findings[0].message
+
+    def test_method_scheduled_with_arguments_is_clean(self, tmp_path):
+        findings = run_fixture(tmp_path, {"node/plug.py": """
+            class Soc:
+                def read(self, node, on_done):
+                    self.sim.schedule(3, self._at_llc, on_done)
+
+                def _at_llc(self, on_done):
+                    on_done()
+        """}, rules=["REP010"])
+        assert findings == []
+
+    def test_on_done_keyword_and_lambda_variable_flagged(self, tmp_path):
+        findings = run_fixture(tmp_path, {"core/plug.py": """
+            class Frontend:
+                def load(self, block):
+                    self.coherence.lookup(block, on_done=lambda result: self.loaded())
+                    done = lambda: self.loaded()
+                    self.pipe.issue_then(done)
+        """}, rules=["REP010"])
+        assert codes(findings) == ["REP010", "REP010"]
+
+    def test_packages_outside_the_event_loop_ignored(self, tmp_path):
+        findings = run_fixture(tmp_path, {"experiments/plug.py": """
+            def run(sim):
+                sim.schedule(1, lambda: None)
+        """}, rules=["REP010"])
         assert findings == []
 
 

@@ -5,7 +5,7 @@ import pytest
 from repro.config import MessageClass, NocConfig
 from repro.noc.fabric import NocFabric, hop_fusion_default
 from repro.noc.mesh import MeshTopology
-from repro.noc.packet import HEADER_BYTES, Packet
+from repro.noc.packet import HEADER_BYTES, flit_count
 from repro.sim.engine import Simulator
 
 
@@ -23,13 +23,13 @@ def make_fabric(monkeypatch=None, fusion=True):
 
 class TestPacket:
     def test_flit_count_includes_header(self):
-        packet = Packet((0, 0), (1, 0), 64, MessageClass.NI_DATA)
-        assert packet.flits(16) == 5
-        assert packet.wire_bytes(16) == 80
+        assert flit_count(64, 16) == 5
+        sim, fabric = make_fabric()
+        fabric.send((0, 0), (1, 0), 64, MessageClass.NI_DATA)
+        assert fabric.wire_bytes_sent == 80
 
     def test_control_packet_is_two_flits(self):
-        packet = Packet((0, 0), (1, 0), 8, MessageClass.COHERENCE_REQUEST)
-        assert packet.flits(16) == 2
+        assert flit_count(8, 16) == 2
 
     def test_header_constant(self):
         assert HEADER_BYTES == 16
@@ -53,7 +53,7 @@ class TestZeroLoadLatency:
     def test_simulated_delivery_matches_zero_load_estimate(self):
         sim, fabric = make_fabric()
         delivered = {}
-        fabric.send((0, 0), (5, 3), 64, MessageClass.NI_DATA, lambda p: delivered.update(t=sim.now))
+        fabric.send((0, 0), (5, 3), 64, MessageClass.NI_DATA, lambda: delivered.update(t=sim.now))
         sim.run()
         assert delivered["t"] == fabric.zero_load_latency((0, 0), (5, 3), 64)
 
@@ -63,7 +63,7 @@ class TestContention:
         sim, fabric = make_fabric()
         times = []
         for _ in range(3):
-            fabric.send((0, 0), (3, 0), 64, MessageClass.NI_DATA, lambda p: times.append(sim.now))
+            fabric.send((0, 0), (3, 0), 64, MessageClass.NI_DATA, lambda: times.append(sim.now))
         sim.run()
         assert times == sorted(times)
         # Each 5-flit packet delays the next by 5 cycles on the first link.
@@ -73,8 +73,8 @@ class TestContention:
     def test_disjoint_paths_do_not_interfere(self):
         sim, fabric = make_fabric()
         times = {}
-        fabric.send((0, 0), (3, 0), 64, MessageClass.NI_DATA, lambda p: times.setdefault("a", sim.now))
-        fabric.send((0, 5), (3, 5), 64, MessageClass.NI_DATA, lambda p: times.setdefault("b", sim.now))
+        fabric.send((0, 0), (3, 0), 64, MessageClass.NI_DATA, lambda: times.setdefault("a", sim.now))
+        fabric.send((0, 5), (3, 5), 64, MessageClass.NI_DATA, lambda: times.setdefault("b", sim.now))
         sim.run()
         assert times["a"] == times["b"]
 
@@ -106,10 +106,17 @@ class TestContention:
 
 
 def _drive(fabric, sim, sends):
-    """Inject ``sends`` (src, dst, nbytes, cls) tuples; return delivery times."""
+    """Inject ``sends`` (src, dst, nbytes, cls) tuples; return (packet id,
+    delivery time) pairs in delivery order.
+
+    ``send`` returns each packet's id, its send order on the fabric; the
+    delivery callback receives that id as its argument.
+    """
     times = []
+    record = lambda packet_id: times.append((packet_id, sim.now))
     for src, dst, nbytes, cls in sends:
-        fabric.send(src, dst, nbytes, cls, lambda p: times.append((p.packet_id, sim.now)))
+        packet_id = fabric.lifetime_packets_sent
+        assert fabric.send(src, dst, nbytes, cls, record, packet_id) == packet_id
     sim.run()
     return times
 
@@ -140,7 +147,7 @@ class TestHopFusion:
         sim, fabric = make_fabric()
         delivered = {}
         fabric.send((0, 0), (5, 3), 64, MessageClass.NI_DATA,
-                    lambda p: delivered.update(t=sim.now))
+                    lambda: delivered.update(t=sim.now))
         sim.run()
         assert delivered["t"] == fabric.zero_load_latency((0, 0), (5, 3), 64)
         # 8-hop route: hop 0 is acquired in send, the continuation fuses the
@@ -180,7 +187,7 @@ class TestHopFusion:
             sim.schedule(t, lambda: None)
         delivered = {}
         fabric.send((0, 0), (5, 3), 64, MessageClass.NI_DATA,
-                    lambda p: delivered.update(t=sim.now))
+                    lambda: delivered.update(t=sim.now))
         sim.run()
         assert delivered["t"] == fabric.zero_load_latency((0, 0), (5, 3), 64)
         assert fabric.fused_hops == 0

@@ -131,12 +131,12 @@ class TestFabricFastPath:
         for i in range(packets):
             src = topo.tile_coord(i % 64)
             dst = topo.tile_coord((i * 11 + 5) % 64)
-            fabric.send(
+            packet_id = fabric.lifetime_packets_sent
+            assert fabric.send(
                 src, dst, 64 * (1 + i % 3), classes[i % len(classes)],
-                callback=lambda pkt: deliveries.append(
-                    (pkt.packet_id, pkt.src, pkt.dst, sim.now)
-                ),
-            )
+                lambda *packet: deliveries.append(packet + (sim.now,)),
+                packet_id, src, dst,
+            ) == packet_id
             if i % 16 == 15:
                 sim.run()
         sim.run()
@@ -163,6 +163,21 @@ class TestFabricFastPath:
             fabric.send((0, 0), (7, 7), 64, MessageClass.NI_DATA)
             sim.run()
         assert len(fabric._bound_routes) == 1
+
+    def test_routes_share_link_and_bound_hop_objects(self):
+        config = SystemConfig.paper_defaults()
+        sim = Simulator()
+        topo = mesh_with(RoutingAlgorithm.CDR_EXTENDED, 8)
+        fabric = NocFabric(sim, topo, config.noc)
+        # Both routes leave (0, 0) eastwards first.
+        short = topo.route((0, 0), (2, 0), MessageClass.NI_DATA)
+        long = topo.route((0, 0), (5, 0), MessageClass.NI_DATA)
+        assert short[0] is long[0]
+        fabric.send((0, 0), (2, 0), 64, MessageClass.NI_DATA)
+        fabric.send((0, 0), (5, 0), 64, MessageClass.NI_DATA)
+        sim.run()
+        first_hops = [route[0] for route in fabric._bound_routes.values()]
+        assert len(first_hops) == 2 and first_hops[0] is first_hops[1]
 
     def test_base_topology_route_cache_key_is_none(self):
         class Custom(Topology):

@@ -10,6 +10,8 @@ from repro.noc.mesh import MeshTopology
 from repro.noc.routing import manhattan_distance, mesh_route
 from repro.qp.entries import RemoteOp, WorkQueueEntry
 from repro.qp.queues import WorkQueue
+from repro.sim.engine import Simulator
+from repro.sim.resource import Resource
 from repro.sim.stats import StatAccumulator
 from repro.sonuma.unroll import block_count, unroll_blocks
 
@@ -152,3 +154,35 @@ class TestStatProperties:
         left.merge(right)
         assert left.count == reference.count
         assert abs(left.mean - reference.mean) < 1e-6 * max(1.0, abs(reference.mean))
+
+
+#: One grant request: (cycles the clock advances first, occupancy, earliest
+#: relative to the clock or None).  Half-cycle steps keep the arithmetic exact.
+grant_requests = st.tuples(
+    st.integers(0, 12).map(lambda n: n / 2),
+    st.integers(0, 16).map(lambda n: n / 2),
+    st.none() | st.integers(-10, 60).map(lambda n: n / 2),
+)
+
+
+class TestResourceProperties:
+    @given(st.lists(grant_requests, max_size=40), st.integers(0, 80).map(lambda n: n / 2))
+    @settings(max_examples=300)
+    def test_in_flight_busy_cycles_is_every_grants_overlap_after_the_reset(
+            self, requests, reset_after):
+        sim = Simulator()
+        resource = Resource(sim, "r")
+        grants = []
+        for advance, occupancy, earliest in requests:
+            sim.run(until=sim.now + advance)
+            if earliest is not None:
+                earliest += sim.now
+            start = resource.acquire(occupancy, earliest=earliest)
+            grants.append((start, start + occupancy))
+        reset_at = sim.now + reset_after
+        sim.run(until=reset_at)
+        expected = sum(max(0.0, end - max(start, reset_at)) for start, end in grants)
+        assert resource.in_flight_busy_cycles() == expected
+        resource.reset_stats()
+        assert resource.busy_cycles == expected
+        assert resource.grants == 0

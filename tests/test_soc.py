@@ -121,6 +121,57 @@ class TestDataPath:
         assert soc.llc_bank_utilization() == 0.0
 
 
+class TestDataPathContinuations:
+    """One request of each data-path kind on an idle split machine.
+
+    Each continuation must run ``on_done(*args)`` at the cycle the closure
+    form of the data path delivered at (values captured from it), with the
+    same event and packet counts.
+    """
+
+    @staticmethod
+    def recorder(soc):
+        seen = []
+        return seen, lambda *args: seen.append((soc.sim.now,) + args)
+
+    def test_memory_read(self, split_config):
+        soc = ManycoreSoc(split_config)
+        seen, record = self.recorder(soc)
+        soc.memory_read((0, 0), 0x100000, 64, record, "read", 7)
+        soc.run()
+        assert seen == [(132.8, "read", 7)]
+        assert (soc.sim.now, soc.sim.events_executed, soc.fabric.packets_delivered) == (132.8, 9, 4)
+
+    def test_memory_write(self, split_config):
+        soc = ManycoreSoc(split_config)
+        seen, record = self.recorder(soc)
+        soc.memory_write((1, 2), 0x200040, 64, record, "write")
+        soc.run()
+        # Acknowledged at the LLC; the drain to DRAM ends the run later.
+        assert seen == [(16.0, "write")]
+        assert (soc.sim.now, soc.sim.events_executed, soc.fabric.packets_delivered) == (30.0, 6, 2)
+
+    def test_coherence_memory_fetch(self, split_config):
+        soc = ManycoreSoc(split_config)
+        seen, record = self.recorder(soc)
+        soc.coherence.memory_access((2, 1), 0x300080, record, "fetch")
+        soc.run()
+        assert seen == [(118.8, "fetch")]
+        assert (soc.sim.now, soc.sim.events_executed, soc.fabric.packets_delivered) == (118.8, 6, 2)
+
+    def test_coherent_read_that_misses_the_llc(self, split_config):
+        soc = ManycoreSoc(split_config)
+        seen, record = self.recorder(soc)
+        entity = soc.tile_complex(5).entity_id
+        soc.coherence.access(entity, "core", 0x300080, False, record, "coherent")
+        soc.run()
+        [(cycle, result, tag)] = seen
+        assert (cycle, tag) == (157.8, "coherent")
+        assert (result.start_time, result.complete_time, result.served_locally) == (0.0, 157.8, False)
+        assert soc.directory.memory_fetches == 1
+        assert (soc.sim.now, soc.sim.events_executed, soc.fabric.packets_delivered) == (164.8, 15, 5)
+
+
 class TestRemotePort:
     def test_emulator_round_trip_delivers_response(self, split_config):
         soc = ManycoreSoc(split_config)

@@ -7,6 +7,12 @@ experiment spec, and prints the top functions by internal time.  This is
 the tool that found the wins behind lookahead hop fusion and the
 allocation-free event path — start here before optimising anything.
 
+Under the table it prints the pauses of CPython's cyclic garbage collector
+per generation (seconds and collections, timed through ``gc.callbacks``).
+cProfile charges a pause to whichever function was allocating when it
+started, so a large self time on an allocating function may be collector
+time; a full (generation 2) collection walks every live tracked object.
+
 Examples::
 
     # Low-load injection (one packet in flight, fusion fully engaged):
@@ -27,8 +33,43 @@ from __future__ import annotations
 
 import argparse
 import cProfile
+import gc
 import pstats
 import sys
+from time import perf_counter
+
+
+class CollectorPauses:
+    """Wall seconds and count of cyclic-collector runs per generation.
+
+    Installed in ``gc.callbacks`` for the span of a ``with`` block.
+    """
+
+    def __init__(self) -> None:
+        self.seconds = [0.0, 0.0, 0.0]
+        self.collections = [0, 0, 0]
+        self._started = 0.0
+
+    def __call__(self, phase: str, info: dict) -> None:
+        if phase == "start":
+            self._started = perf_counter()
+            return
+        generation = info["generation"]
+        self.seconds[generation] += perf_counter() - self._started
+        self.collections[generation] += 1
+
+    def __enter__(self) -> "CollectorPauses":
+        gc.callbacks.append(self)
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        gc.callbacks.remove(self)
+
+    def report(self) -> str:
+        rows = ["gen%d %.3f s in %d" % (generation, seconds, count)
+                for generation, (seconds, count)
+                in enumerate(zip(self.seconds, self.collections))]
+        return "collector pauses: %s; total %.3f s" % ("; ".join(rows), sum(self.seconds))
 
 
 def profile_injection(packets: int, batch: int) -> cProfile.Profile:
@@ -54,7 +95,7 @@ def profile_injection(packets: int, batch: int) -> cProfile.Profile:
         requests = iter(plan)
         send = fabric.send
 
-        def inject(_packet=None):
+        def inject():
             request = next(requests, None)
             if request is not None:
                 send(request[0], request[1], request[2], request[3], inject)
@@ -104,11 +145,13 @@ def main(argv=None) -> int:
                         help="rows to print (default 25)")
     args = parser.parse_args(argv)
 
-    if args.experiment:
-        profiler = profile_experiment(args.experiment, args.assignments)
-    else:
-        profiler = profile_injection(args.packets, args.batch)
+    with CollectorPauses() as pauses:
+        if args.experiment:
+            profiler = profile_experiment(args.experiment, args.assignments)
+        else:
+            profiler = profile_injection(args.packets, args.batch)
     pstats.Stats(profiler).sort_stats(args.sort).print_stats(args.limit)
+    print(pauses.report())
     return 0
 
 
