@@ -39,7 +39,7 @@ SCENARIO_OPS_PER_CORE = 32
 
 
 def test_bench_event_kernel():
-    """Self-rescheduling callback chains: pure heap push/pop/dispatch cost."""
+    """Self-rescheduling callback chains: pure queue push/pop/dispatch cost."""
     sim = Simulator()
     remaining = [KERNEL_EVENTS]  # shared budget across all chains
 

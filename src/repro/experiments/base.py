@@ -41,8 +41,8 @@ class ResultMetadata:
     row_count: int = 0
     #: Optional named event counters (simulated runs, measured samples, ...).
     events: Dict[str, int] = field(default_factory=dict)
-    #: Simulation-performance counters (events/sec, packets/sec, peak heap
-    #: size) sampled over the run; empty for analytical experiments.
+    #: Simulation-performance counters (events/sec, packets/sec, peak
+    #: pending events) sampled over the run; empty for analytical experiments.
     perf: Dict[str, float] = field(default_factory=dict)
     #: Measurement-quality warnings (e.g. a windowed metric that hit its
     #: window budget without converging).

@@ -334,8 +334,9 @@ class SlowNodeFault(_CoreTargetedFault):
     def __init__(self, intensity: float, seed: int = 0,
                  penalty_cycles: float = 50.0, **targeting: object) -> None:
         super().__init__(intensity, seed=seed, **targeting)  # type: ignore[arg-type]
-        if penalty_cycles < 0:
-            raise FaultError("slow_node penalty_cycles cannot be negative")
+        if not penalty_cycles >= 0:  # NaN fails too
+            raise FaultError("slow_node penalty_cycles must be a non-negative "
+                             "number of cycles, got %r" % (penalty_cycles,))
         self.penalty_cycles = float(penalty_cycles)
 
     def issue_penalty(self, state, core_id: int) -> float:

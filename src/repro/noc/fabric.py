@@ -15,7 +15,7 @@ Delivery contract
 ``send(src, dst, payload_bytes, msg_class, callback, *args)`` runs
 ``callback(*args)`` at delivery and returns the packet id, the packet's send
 order on this fabric (O1Turn routing and ``packet_loss`` hash it).  No packet
-object exists: the walk's state rides in the heap entry's argument tuple, and
+object exists: the walk's state rides in the queued event's argument tuple, and
 the continuations ``_hop`` and ``_deliver`` are module functions that take
 the fabric as their first argument.  A caller that needs the id at delivery
 passes it in ``args``.  Continuations are plain ``(callback, *args)`` pairs
@@ -49,7 +49,8 @@ Two details keep fused runs byte-identical to unfused ones:
   which would reorder FIFO grants.
 * Ties fall back: when the next arrival lands exactly on the queue-head
   time, the head event was scheduled first and must execute first, so the
-  walk schedules a normal hop event and preserves ``seq`` ordering.
+  walk schedules a normal hop event, which joins the end of that time's
+  list and keeps scheduling order.
 
 ``REPRO_HOP_FUSION=0`` force-disables fusion; the equivalence suite runs
 every figure both ways and compares bytes.
@@ -296,7 +297,7 @@ class NocFabric:
 # ----------------------------------------------------------------------
 # Event continuations
 # ----------------------------------------------------------------------
-# Plain functions, not methods: the heap entry carries the fabric among the
+# Plain functions, not methods: the queued event carries the fabric among the
 # arguments, so no bound method is allocated per hop or delivery.
 def _hop(fabric: NocFabric, hops: Sequence[BoundHop], index: int, flits: int,
          packet_id: int, callback: Optional[Callable[..., None]], args: tuple,
@@ -363,23 +364,30 @@ def _hop(fabric: NocFabric, hops: Sequence[BoundHop], index: int, flits: int,
                 loss = faults.loss_delay(packet_id)
                 if loss > 0.0:
                     delta += loss
-            entry = (now + delta, next(sim._seq), _deliver, (fabric, callback, args))
+            time = now + delta
+            entry = (_deliver, (fabric, callback, args))
             break
         if arrival < head:
             fused += 1
             continue
-        entry = (now + (arrival - now), next(sim._seq), _hop,
-                 (fabric, hops, index, flits, packet_id, callback, args))
+        time = now + (arrival - now)
+        entry = (_hop, (fabric, hops, index, flits, packet_id, callback, args))
         break
     if fused:
         fabric._perf.fused_hops += fused
-    # Inlined Simulator.schedule.
-    queue = sim._queue
-    heappush(queue, entry)
+    # Inlined Simulator.schedule; keep in sync with repro.sim.engine.
+    lists = sim._lists
+    entries = lists.get(time)
+    if entries is None:
+        lists[time] = [entry]
+        heappush(sim._times, time)
+    else:
+        entries.append(entry)
     counters = sim._perf
     counters.fast_events += 1
-    if len(queue) > counters.peak_pending:
-        counters.peak_pending = len(queue)
+    pending = sim._pending = sim._pending + 1
+    if pending > counters.peak_pending:
+        counters.peak_pending = pending
 
 
 def _deliver(fabric: NocFabric, callback: Optional[Callable[..., None]], args: tuple) -> None:

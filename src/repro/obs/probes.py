@@ -224,7 +224,11 @@ class FaultWindowsProbe(TelemetryProbe):
 
 @register_probe("heap_health")
 class HeapHealthProbe(TelemetryProbe):
-    """Event-heap pressure: pending/peak counts and events executed."""
+    """Event-queue pressure: pending/peak event counts and events executed.
+
+    The counts are of events, not of heap entries: the kernel's heap holds
+    one entry per distinct pending time.
+    """
 
     __slots__ = ()
 

@@ -1,16 +1,18 @@
 """A minimal, fast discrete-event simulation kernel.
 
-The kernel keeps a binary heap of ``(time, seq, callback, args)`` tuples.
-Components schedule callbacks at absolute or relative times; the simulator
-executes them in order and advances the clock.  Time is measured in core
-clock cycles (integers or floats are both accepted; the kernel never rounds).
+The kernel keeps a binary heap of the distinct pending event times and a
+dict that maps each of those times to a plain list of ``(callback, args)``
+entries in scheduling order.  Components schedule callbacks at absolute or
+relative times; the simulator pops one time, runs its list front to back and
+advances the clock.  Time is measured in core clock cycles (integers or
+floats are both accepted; the kernel never rounds).
 
 Every model is written in one style, callbacks:
 ``sim.schedule(delay, fn, *args)`` runs ``fn(*args)`` ``delay`` cycles from
 now, and a multi-step behaviour (a NOC hop walk, a coherence transaction, an
 NI pipeline) is a chain of callbacks that schedule their successors.
 
-Scheduling returns no handle and events cannot be removed from the heap.  A
+Scheduling returns no handle and events cannot be removed from the queue.  A
 component that may need to revoke pending work keeps a flag its callbacks
 check instead (the open-loop arrival clock's ``frozen`` state, the fault
 injector's disarmed toggles).
@@ -18,13 +20,18 @@ injector's disarmed toggles).
 
 from __future__ import annotations
 
-import heapq
-import itertools
-from typing import Any, Callable, List, Optional, Tuple
+from heapq import heappop, heappush
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.obs import hooks as obs_hooks
 from repro.sim import perf
+
+#: One queued event: the callback and its argument tuple.
+Entry = Tuple[Callable[..., Any], Tuple[Any, ...]]
+
+#: The cursor of a simulator whose run loop is not inside a time's list.
+_IDLE: Iterator[Entry] = iter(())
 
 
 class Simulator:
@@ -37,17 +44,24 @@ class Simulator:
         sim.run()                        # run to completion
         sim.run(until=100_000)           # or bounded
 
-    Every heap entry is a ``(time, seq, callback, args)`` tuple: the unique
-    ``seq`` makes simultaneous events fire in scheduling order (deterministic
-    runs) and keeps comparisons on the ``(time, seq)`` prefix, entirely in C.
-    Executed events, scheduled events and the peak heap size live in the
-    simulator's :class:`~repro.sim.perf.PerfCounters` record only.
+    Events that share a time share one list, so the heap holds each pending
+    time once and costs one push and one pop per distinct time, however many
+    events fall on it.  Simultaneous events fire in scheduling order
+    (deterministic runs): each list is run front to back, and an event
+    scheduled for the current time while its list runs joins the end of
+    that list.  Times are dict keys, so equal times share a list whatever
+    their type (``5`` and ``5.0``) and the clock reads the first one
+    scheduled.  Executed events, distinct times executed, scheduled events
+    and the peak pending count live in the simulator's
+    :class:`~repro.sim.perf.PerfCounters` record only.
     """
 
     __slots__ = (
         "_now",
-        "_queue",
-        "_seq",
+        "_times",
+        "_lists",
+        "_cursor",
+        "_pending",
         "_run_horizon",
         "_perf",
         "_obs_index",
@@ -55,8 +69,15 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now: float = 0.0
-        self._queue: List[Tuple[Any, ...]] = []
-        self._seq = itertools.count()
+        #: Heap of the distinct times that still have a list in ``_lists``
+        #: (the time whose list is running has already been popped).
+        self._times: List[float] = []
+        self._lists: Dict[float, List[Entry]] = {}
+        #: Iterator over the list that :meth:`run` is executing; its length
+        #: hint is the number of that list's entries not yet started.
+        self._cursor: Iterator[Entry] = _IDLE
+        #: Events scheduled and not yet started (exact at every push).
+        self._pending = 0
         #: The ``until`` horizon of the :meth:`run` currently executing
         #: (+inf otherwise).  Lookahead optimisations must not commit work at
         #: virtual times past it: the run may stop there and the caller may
@@ -84,12 +105,12 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        """Number of events still in the queue."""
-        return len(self._queue)
+        """Number of events scheduled and not yet started."""
+        return self._pending
 
     @property
     def peak_pending_events(self) -> int:
-        """Largest heap size observed so far (memory-pressure indicator)."""
+        """Largest pending-event count observed so far (memory-pressure indicator)."""
         return self._perf.peak_pending
 
     # ------------------------------------------------------------------
@@ -97,37 +118,54 @@ class Simulator:
     # ------------------------------------------------------------------
     def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> None:
         """Schedule ``callback(*args)`` to run ``delay`` cycles from now."""
-        if delay < 0:
-            raise SimulationError("cannot schedule an event %.3f cycles in the past" % delay)
-        queue = self._queue
-        heapq.heappush(queue, (self._now + delay, next(self._seq), callback, args))
+        # Written so that NaN fails too: NaN compares false with everything.
+        if not delay >= 0:
+            raise SimulationError(
+                "cannot schedule an event %r cycles from now: the delay must be "
+                "a non-negative number" % (delay,))
+        time = self._now + delay
+        entries = self._lists.get(time)
+        if entries is None:
+            self._lists[time] = [(callback, args)]
+            heappush(self._times, time)
+        else:
+            entries.append((callback, args))
         counters = self._perf
         counters.fast_events += 1
-        if len(queue) > counters.peak_pending:
-            counters.peak_pending = len(queue)
+        pending = self._pending = self._pending + 1
+        if pending > counters.peak_pending:
+            counters.peak_pending = pending
 
     def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> None:
         """Schedule ``callback(*args)`` at an absolute simulation time."""
-        if time < self._now:
+        if not time >= self._now:
             raise SimulationError(
-                "cannot schedule an event at t=%.3f, current time is %.3f" % (time, self._now)
+                "cannot schedule an event at t=%r, current time is %.3f" % (time, self._now)
             )
-        queue = self._queue
-        heapq.heappush(queue, (time, next(self._seq), callback, args))
+        entries = self._lists.get(time)
+        if entries is None:
+            self._lists[time] = [(callback, args)]
+            heappush(self._times, time)
+        else:
+            entries.append((callback, args))
         counters = self._perf
         counters.fast_events += 1
-        if len(queue) > counters.peak_pending:
-            counters.peak_pending = len(queue)
+        pending = self._pending = self._pending + 1
+        if pending > counters.peak_pending:
+            counters.peak_pending = pending
 
     def next_event_time(self) -> Optional[float]:
         """Time of the earliest pending event, or None when idle.
 
         This is the lookahead bound the NOC's hop fusion peeks at — while a
         packet's next hop arrives strictly before this time, no other event
-        can interleave.
+        can interleave.  It is ``now`` while the running time's list still
+        has entries that have not started.
         """
-        queue = self._queue
-        return queue[0][0] if queue else None
+        if self._cursor.__length_hint__():
+            return self._now
+        times = self._times
+        return times[0] if times else None
 
     # ------------------------------------------------------------------
     # Execution
@@ -135,30 +173,58 @@ class Simulator:
     def run(self, until: Optional[float] = None) -> float:
         """Run until the queue drains or ``until`` is reached.
 
-        Returns the simulation time at which execution stopped.
+        Returns the simulation time at which execution stopped.  When a
+        callback raises, it counts as executed and the entries after it in
+        its time's list stay pending, to run first on the next call.
         """
-        executed = 0
-        queue = self._queue
-        pop = heapq.heappop
+        times = self._times
+        lists = self._lists
+        counters = self._perf
+        # Executed events are derived at exit from the scheduled and pending
+        # counts, so the per-event work is one decrement.
+        scheduled_before = counters.fast_events
+        pending_before = self._pending
+        distinct = 0
         horizon = float("inf") if until is None else until
         self._run_horizon = horizon
         try:
-            while queue:
-                if queue[0][0] > horizon:
+            while times:
+                time = times[0]
+                if time > horizon:
                     # Clamp: a horizon already in the past must not move the
                     # clock backwards.
                     if until > self._now:
                         self._now = until
                     break
-                self._now, _seq, callback, args = pop(queue)
-                executed += 1
-                callback(*args)
+                heappop(times)
+                self._now = time
+                distinct += 1
+                # The list stays in ``lists`` while it runs, so events
+                # scheduled for ``time`` meanwhile join its end.
+                entries = lists[time]
+                self._cursor = cursor = iter(entries)
+                try:
+                    for callback, args in cursor:
+                        self._pending -= 1
+                        callback(*args)
+                except BaseException:
+                    # Requeue the entries that never started, still first
+                    # at their time, and drop the ones that did.
+                    unstarted = cursor.__length_hint__()
+                    if unstarted:
+                        del entries[:len(entries) - unstarted]
+                        heappush(times, time)
+                    else:
+                        del lists[time]
+                    raise
+                del lists[time]
         finally:
+            self._cursor = _IDLE
             self._run_horizon = float("inf")
-            # The executed-event count is kept in a local inside the loop;
-            # fold it into the lifetime counter even on an exception.
-            self._perf.events += executed
-        if until is not None and not queue and self._now < until:
+            counters.events += (counters.fast_events - scheduled_before
+                                - (self._pending - pending_before))
+            counters.event_times += distinct
+        if until is not None and not times and self._now < until:
             # The model went idle before the horizon; advance the clock so
             # rate computations over [0, until] stay meaningful.
             self._now = until

@@ -1,4 +1,4 @@
-"""Simulation-performance instrumentation (events/sec, packets/sec, heap size).
+"""Simulation-performance instrumentation (events/sec, packets/sec, queue size).
 
 The ROADMAP's "fast as the hardware allows" goal needs a trajectory: every
 optimisation PR should be able to show what the kernel sustains before and
@@ -48,11 +48,14 @@ class PerfCounters:
     itself stays collectable.
     """
 
-    __slots__ = ("events", "packets", "peak_pending", "fused_hops", "fast_events",
-                 "fault_windows", "fault_hits")
+    __slots__ = ("events", "event_times", "packets", "peak_pending", "fused_hops",
+                 "fast_events", "fault_windows", "fault_hits")
 
     def __init__(self) -> None:
         self.events = 0
+        #: Distinct event times the run loop executed (one heap pop each);
+        #: ``events / event_times`` is how many events share a time.
+        self.event_times = 0
         self.packets = 0
         self.peak_pending = 0
         #: NOC hops collapsed into their predecessor by lookahead hop fusion
@@ -71,7 +74,7 @@ class PerfSession:
     """Counters for one measured region of simulation work."""
 
     __slots__ = ("_counters", "_started_at", "wall_s",
-                 "events", "packets", "peak_pending_events",
+                 "events", "event_times", "packets", "peak_pending_events",
                  "fused_hops", "fast_events", "fault_windows", "fault_hits",
                  "_closed")
 
@@ -81,6 +84,7 @@ class PerfSession:
         self._closed = False
         self.wall_s = 0.0
         self.events = 0
+        self.event_times = 0
         self.packets = 0
         self.peak_pending_events = 0
         self.fused_hops = 0
@@ -101,6 +105,7 @@ class PerfSession:
         self._closed = True
         self.wall_s = time.perf_counter() - self._started_at
         self.events = sum(counters.events for counters in self._counters)
+        self.event_times = sum(counters.event_times for counters in self._counters)
         self.packets = sum(counters.packets for counters in self._counters)
         self.fused_hops = sum(counters.fused_hops for counters in self._counters)
         self.fast_events = sum(counters.fast_events for counters in self._counters)
@@ -123,7 +128,10 @@ class PerfSession:
         return self.packets / self.wall_s if self.wall_s > 0 else 0.0
 
     def summary(self) -> Dict[str, float]:
-        """JSON-native counters (the ``ResultMetadata.perf`` payload)."""
+        """JSON-native counters (the ``ResultMetadata.perf`` payload).
+
+        ``event_times`` is left out, so result documents keep their keys.
+        """
         return {
             "events": float(self.events),
             "packets": float(self.packets),

@@ -137,6 +137,12 @@ class TestFaultModels:
         with pytest.raises(FaultError, match="multiplier"):
             FAULT_MODELS.get("router_degrade").from_params(0.5, multiplier=0.5)
 
+    def test_slow_node_penalty_must_be_a_number_of_cycles(self):
+        cls = FAULT_MODELS.get("slow_node")
+        for penalty in (-5.0, float("nan")):
+            with pytest.raises(FaultError, match="penalty_cycles"):
+                cls.from_params(0.5, penalty_cycles=penalty)
+
     def test_zero_intensity_selects_no_targets(self):
         scenario = build_scenario()
         model = FAULT_MODELS.get("router_degrade").from_params(0.0, seed=1)

@@ -27,6 +27,16 @@ class TestPerfSession:
         assert session.events_per_s > 0
         assert session.peak_pending_events == 5
 
+    def test_session_sums_distinct_event_times_outside_the_summary(self):
+        with perf.session() as session:
+            for _ in range(2):
+                sim = Simulator()
+                for delay in (1, 1, 2):
+                    sim.schedule(delay, lambda: None)
+                sim.run()
+        assert (session.events, session.event_times) == (6, 4)
+        assert "event_times" not in session.summary()
+
     def test_simulators_outside_session_are_invisible(self):
         outside = Simulator()
         outside.schedule(1, lambda: None)

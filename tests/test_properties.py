@@ -1,5 +1,8 @@
 """Property-based tests (hypothesis) for core data structures and invariants."""
 
+import heapq
+import itertools
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -186,3 +189,108 @@ class TestResourceProperties:
         resource.reset_stats()
         assert resource.busy_cycles == expected
         assert resource.grants == 0
+
+
+class HeapKernel:
+    """Reference model: the one-heap-entry-per-event kernel, ordered by (time, seq)."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.queue = []
+        self.seq = itertools.count()
+        self.peak_pending_events = 0
+
+    def schedule(self, delay, callback, *args):
+        self.schedule_at(self.now + delay, callback, *args)
+
+    def schedule_at(self, time, callback, *args):
+        heapq.heappush(self.queue, (time, next(self.seq), callback, args))
+        self.peak_pending_events = max(self.peak_pending_events, len(self.queue))
+
+    @property
+    def pending_events(self):
+        return len(self.queue)
+
+    def next_event_time(self):
+        return self.queue[0][0] if self.queue else None
+
+    def run(self, until=None):
+        horizon = float("inf") if until is None else until
+        while self.queue:
+            if self.queue[0][0] > horizon:
+                self.now = max(self.now, until)
+                break
+            self.now, _seq, callback, args = heapq.heappop(self.queue)
+            callback(*args)
+        if until is not None and not self.queue and self.now < until:
+            self.now = until
+        return self.now
+
+
+#: Delays and absolute-time offsets: zero and repeated values make same-time
+#: events common; 0.1/0.2/0.3 make float sums that only nearly tie.
+event_offsets = st.sampled_from([0, 0, 0.5, 1, 1.5, 2, 0.1, 0.2, 0.3])
+#: One scheduled event: (relative delay or absolute time, offset, children it
+#: schedules when it runs).
+event_trees = st.recursive(
+    st.tuples(st.sampled_from(["delay", "at"]), event_offsets, st.just(())),
+    lambda children: st.tuples(st.sampled_from(["delay", "at"]), event_offsets,
+                               st.lists(children, max_size=3).map(tuple)),
+    max_leaves=25,
+)
+#: One run call: its horizon kind and offset, then the events scheduled after it returns.
+run_steps = st.tuples(st.sampled_from([None, "past", "pending", "ahead"]), event_offsets,
+                      st.lists(event_trees, max_size=3))
+
+
+def trace_program(kernel, roots, steps):
+    """Run one random program; record the kernel's state at every callback and return."""
+    trace = []
+    tags = itertools.count()
+
+    def observe(tag):
+        trace.append((tag, kernel.now, kernel.pending_events, kernel.next_event_time(),
+                      kernel.peak_pending_events))
+
+    def fire(tag, children):
+        observe(tag)
+        place(children)
+
+    def place(trees):
+        for kind, offset, children in trees:
+            if kind == "at":
+                kernel.schedule_at(kernel.now + offset, fire, next(tags), children)
+            else:
+                kernel.schedule(offset, fire, next(tags), children)
+
+    place(roots)
+    for horizon, offset, later in steps:
+        head = kernel.next_event_time()
+        if horizon == "past":
+            until = kernel.now - 1 - offset
+        elif horizon == "pending":
+            # Exactly a pending time when offset is 0, else between or past them.
+            until = (kernel.now if head is None else head) + offset
+        elif horizon == "ahead":
+            until = kernel.now + 1 + offset
+        else:
+            until = None
+        returned = kernel.run(until)
+        observe(("run", until, returned))
+        place(later)
+    kernel.run()
+    observe("drained")
+    return trace
+
+
+class TestKernelOrderOracle:
+    """The time-bucketed kernel matches the (time, seq) heap kernel event for event."""
+
+    @given(st.lists(event_trees, max_size=6), st.lists(run_steps, min_size=1, max_size=5))
+    @settings(max_examples=300, deadline=None)
+    def test_same_order_clock_and_queue_state_as_the_heap_kernel(self, roots, steps):
+        expected = trace_program(HeapKernel(), roots, steps)
+        sim = Simulator()
+        assert trace_program(sim, roots, steps) == expected
+        assert sim.events_executed == sum(
+            1 for record in expected if isinstance(record[0], int))

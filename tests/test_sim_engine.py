@@ -48,11 +48,27 @@ class TestScheduling:
         sim.run()
         assert order == [1, 2, 3, 4]
 
-    def test_every_heap_entry_is_time_seq_callback_args(self):
+    def test_schedule_returns_nothing_and_callbacks_receive_their_args(self):
         sim = Simulator()
-        assert sim.schedule(5, print, "a") is None
-        assert sim.schedule_at(7, print) is None
-        assert sorted(sim._queue) == [(5.0, 0, print, ("a",)), (7, 1, print, ())]
+        calls = []
+        assert sim.schedule(5, lambda *args: calls.append((sim.now, args)), "a", 1) is None
+        assert sim.schedule_at(7, lambda *args: calls.append((sim.now, args))) is None
+        sim.run()
+        assert calls == [(5.0, ("a", 1)), (7, ())]
+
+    def test_nan_delay_rejected(self):
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            sim.schedule(float("nan"), lambda: None)
+        assert sim.pending_events == 0
+        assert sim.run(until=100) == 100
+
+    def test_nan_time_rejected(self):
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            sim.schedule_at(float("nan"), lambda: None)
+        assert sim.pending_events == 0
+        assert sim.next_event_time() is None
 
     def test_events_can_schedule_more_events(self):
         sim = Simulator()
@@ -115,6 +131,67 @@ class TestRunBounds:
         assert sim.events_executed == 4
 
 
+class TestRaisingCallback:
+    """A callback that raises leaves its unstarted same-time siblings queued."""
+
+    def test_siblings_stay_pending_and_run_first_in_order(self):
+        sim = Simulator()
+        order = []
+
+        def boom():
+            order.append("boom")
+            raise RuntimeError("boom")
+
+        sim.schedule(5, order.append, "before")
+        sim.schedule(5, boom)
+        sim.schedule(5, order.append, "after-1")
+        sim.schedule(9, order.append, "later")
+        sim.schedule(5, order.append, "after-2")
+        with pytest.raises(RuntimeError):
+            sim.run()
+        assert order == ["before", "boom"]
+        assert sim.events_executed == 2
+        assert sim.now == 5
+        assert sim.pending_events == 3
+        assert sim.next_event_time() == 5
+        sim.schedule(0, order.append, "rescheduled")
+        sim.run()
+        assert order == ["before", "boom", "after-1", "after-2", "rescheduled", "later"]
+        assert sim.events_executed == 6
+        assert sim.pending_events == 0
+
+    def test_last_entry_raising_leaves_no_empty_time(self):
+        sim = Simulator()
+
+        def boom():
+            raise RuntimeError("boom")
+
+        sim.schedule(5, boom)
+        sim.schedule(8, lambda: None)
+        with pytest.raises(RuntimeError):
+            sim.run()
+        assert sim.events_executed == 1
+        assert sim.pending_events == 1
+        assert sim.next_event_time() == 8
+
+
+class TestDistinctTimes:
+    def test_each_time_counts_once_however_many_events_share_it(self):
+        sim = Simulator()
+        for delay in (3, 3, 3, 5, 5, 8):
+            sim.schedule(delay, lambda: None)
+        sim.run(until=5)
+        assert (sim.events_executed, sim._perf.event_times) == (5, 2)
+        sim.run()
+        assert (sim.events_executed, sim._perf.event_times) == (6, 3)
+
+    def test_same_time_children_join_the_running_time(self):
+        sim = Simulator()
+        sim.schedule(2, lambda: sim.schedule(0, lambda: None))
+        sim.run()
+        assert (sim.events_executed, sim._perf.event_times) == (2, 1)
+
+
 class TestFastPath:
     """Every event takes the allocation-free tuple path and is counted."""
 
@@ -157,7 +234,7 @@ class TestFastPath:
 
 
 class TestCancellationAndCompaction:
-    """Heap bookkeeping: the pending-event high-water mark survives draining."""
+    """Queue bookkeeping: the pending-event high-water mark survives draining."""
 
     def test_peak_pending_events_tracks_high_water_mark(self):
         sim = Simulator()
@@ -179,3 +256,12 @@ class TestNextEventTime:
         sim.schedule_at(3, lambda: None)
         assert sim.next_event_time() == 3
         assert sim.pending_events == 2
+
+    def test_returns_now_while_same_time_events_wait(self):
+        sim = Simulator()
+        seen = []
+        for tag in ("first", "second"):
+            sim.schedule(4, lambda tag=tag: seen.append((tag, sim.next_event_time())))
+        sim.schedule(9, lambda: None)
+        sim.run(until=5)
+        assert seen == [("first", 4), ("second", 9)]
