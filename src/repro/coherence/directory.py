@@ -112,6 +112,11 @@ class DirectoryController:
             self._entries[block] = entry
         return entry
 
+    def drop_pending(self) -> None:
+        """Forget every parked transaction (a closed machine runs no more)."""
+        for entry in self._entries.values():
+            entry.pending = None
+
     def prewarm(self, addr: int) -> None:
         """Mark the block as present (clean) in the LLC.
 

@@ -25,7 +25,7 @@ protocol message.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, Optional
+from typing import Callable, Dict, Hashable, Optional, Sequence
 
 from repro.coherence.caches import TileCacheComplex
 from repro.coherence.directory import DirectoryController, DirectoryEntry
@@ -88,7 +88,7 @@ class CoherenceProtocol:
         sim: Simulator,
         fabric: NocFabric,
         directory: DirectoryController,
-        home_node_of_tile: Callable[[int], Hashable],
+        home_nodes: Sequence[Hashable],
         llc_latency_cycles: int = 6,
         memory_access: Optional[Callable[..., None]] = None,
         fallback_memory_latency_cycles: int = 100,
@@ -96,7 +96,8 @@ class CoherenceProtocol:
         self.sim = sim
         self.fabric = fabric
         self.directory = directory
-        self.home_node_of_tile = home_node_of_tile
+        #: NOC node of each home LLC slice, indexed by home tile.
+        self.home_nodes = home_nodes
         self.llc_latency_cycles = llc_latency_cycles
         #: LLC-miss fill, called as ``memory_access(home_node, addr, callback,
         #: *args)``; ``callback(*args)`` runs when the block is at the home.
@@ -183,7 +184,7 @@ class CoherenceProtocol:
             on_done_args=args,
         )
         txn.home_tile = self.directory.home_tile(addr)
-        txn.home_node = self.home_node_of_tile(txn.home_tile)
+        txn.home_node = self.home_nodes[txn.home_tile]
         self.remote_transactions += 1
         self.sim.schedule(lookup.latency + CONTROLLER_OVERHEAD_CYCLES, self._send_request, txn)
 
@@ -223,7 +224,7 @@ class CoherenceProtocol:
         on_done: Callable[..., None],
         args: tuple,
     ) -> None:
-        home_node = self.home_node_of_tile(self.directory.home_tile(addr))
+        home_node = self.home_nodes[self.directory.home_tile(addr)]
         entry = self.directory.entry(addr)
         local = (complex_, addr, write, start, source, on_done, args)
         self.sim.schedule(local_latency, self._send_writeback, home_node, entry, local)

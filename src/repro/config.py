@@ -292,6 +292,21 @@ class LatencyCalibration:
                 raise ConfigurationError("calibration constant %s cannot be negative" % f.name)
 
 
+def _json_value(value: object) -> object:
+    """``value`` with enums replaced by their values and tuples by lists.
+
+    A module function: a nested recursive one reaches itself through its own
+    closure cell, so every call would leave a reference cycle behind.
+    """
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, dict):
+        return {key: _json_value(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_value(item) for item in value]
+    return value
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """Complete configuration of one simulated rack-scale node.
@@ -425,15 +440,7 @@ class SystemConfig:
 
     def to_dict(self) -> Dict[str, object]:
         """All parameters as a JSON-serializable nested dict (enums by value)."""
-        def convert(value: object) -> object:
-            if isinstance(value, enum.Enum):
-                return value.value
-            if isinstance(value, dict):
-                return {key: convert(item) for key, item in value.items()}
-            if isinstance(value, (list, tuple)):
-                return [convert(item) for item in value]
-            return value
-        return convert(dataclasses.asdict(self))
+        return _json_value(dataclasses.asdict(self))
 
     def fingerprint(self) -> str:
         """Short content hash identifying this exact configuration.

@@ -93,6 +93,20 @@ class BaseNIDesign(abc.ABC):
             transfers=self.transfers,
         )
 
+    def close(self) -> None:
+        """Cut the pipelines' references back to the chip and the transfer table.
+
+        In-flight transfer records name their frontend and backend, and
+        every pipeline reaches the SoC through ``services``; the counters of
+        the design, its pipelines and its table stay readable.
+        """
+        self.services = None
+        for rrpp in self.rrpps:
+            rrpp.services = None
+        for pipeline in (*self.frontends.values(), *self.backends):
+            pipeline.services = None
+            pipeline.transfers = None
+
     # ------------------------------------------------------------------
     # Runtime routing
     # ------------------------------------------------------------------

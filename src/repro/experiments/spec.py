@@ -29,6 +29,7 @@ working) and attaches the spec as ``run_fig6.spec``.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, TYPE_CHECKING
@@ -128,6 +129,11 @@ class Parameter:
             raise ExperimentError(
                 "parameter %r expects a %s value, got %r (%s)"
                 % (self.name, self.kind.__name__, value, type(value).__name__)
+            )
+        if self.kind is float and not math.isfinite(value):
+            # A NaN or infinite window or rate would never end a run.
+            raise ExperimentError(
+                "parameter %r expects a finite float value, got %r" % (self.name, value)
             )
         choices = self.choice_values()
         if choices is not None and value not in choices:

@@ -266,6 +266,9 @@ class OpenLoopDriver:
 
             validate_fault_params(self.faults, self.fault_params)
         self._states: List[_TenantState] = []
+        #: Whether :meth:`run` closes the machine (set when :meth:`from_spec`
+        #: built it; a scenario handed in stays its caller's to close).
+        self._owns_machine = False
         self._measure_start = math.inf
         self._injector = None
         self._fault_state = None
@@ -295,7 +298,9 @@ class OpenLoopDriver:
             # Same contract as arrivals: params travel with their model.
             kwargs["faults"] = spec.faults
             kwargs.setdefault("fault_params", spec.fault_params)
-        return cls(scenario, rate_per_kcycle, **kwargs)
+        driver = cls(scenario, rate_per_kcycle, **kwargs)
+        driver._owns_machine = True
+        return driver
 
     def _tenant_process(self, tenant: TenantLoad, share: float) -> ArrivalProcess:
         name = ARRIVALS.resolve(tenant.arrivals) if tenant.arrivals else self.arrivals
@@ -384,7 +389,18 @@ class OpenLoopDriver:
     # Execution
     # ------------------------------------------------------------------
     def run(self) -> OpenLoopResult:
-        """Warm up, measure, and report tail-latency/throughput metrics."""
+        """Warm up, measure, and report tail-latency/throughput metrics.
+
+        A machine that :meth:`from_spec` built is closed when the run returns.
+        """
+        try:
+            return self._measure()
+        finally:
+            if self._owns_machine:
+                self.machine.close()
+
+    def _measure(self) -> OpenLoopResult:
+        """Set up the tenants, warm up, measure and collect the results."""
         machine = self.machine
         workload = self.workload
         workload.setup(machine)
@@ -451,7 +467,8 @@ class OpenLoopDriver:
             state.reset_counters()
         self._measure_start = machine.sim.now
         machine.run(until=self.warmup_cycles + self.measure_cycles)
-        # Freeze the arrival clocks and stop the cores issuing.
+        # Freeze the arrival clocks and stop the cores issuing (which also
+        # detaches the completion counters).
         for state in self._states:
             state.frozen = True
         for core in cores:

@@ -129,8 +129,14 @@ class CoreModel:
         return len(self._open_queue) if self._open_queue is not None else 0
 
     def stop(self) -> None:
-        """Stop issuing new operations (in-flight ones still complete)."""
+        """Stop issuing new operations and drop the ``on_op_complete`` listener.
+
+        In-flight operations still complete, unreported: the driver that
+        stops a core is done counting, and its listener would otherwise tie
+        the driver and the core (and the core's machine) in a reference cycle.
+        """
         self._stopped = True
+        self._on_op_complete = None
 
     def reset_measurements(self) -> None:
         """Drop throughput/latency counters (end of warm-up)."""

@@ -74,7 +74,7 @@ class ManycoreSoc(NodeServices):
             sim=self.sim,
             fabric=self.fabric,
             directory=self.directory,
-            home_node_of_tile=lambda s: self.placement.llc_nodes[s],
+            home_nodes=self.placement.llc_nodes,
             llc_latency_cycles=config.llc.latency_cycles,
             memory_access=self._coherence_memory_fetch,
             fallback_memory_latency_cycles=config.memory_latency_cycles,
@@ -324,6 +324,29 @@ class ManycoreSoc(NodeServices):
     def run(self, until: Optional[float] = None) -> float:
         """Advance the simulation."""
         return self.sim.run(until=until)
+
+    def close(self) -> None:
+        """Release a finished machine so reference counting frees it.
+
+        The machine's parts point back at each other: queued events and
+        parked coherence transactions are bound methods of its parts, the NI
+        pipelines and the coherence protocol call back into the SoC, and the
+        remote port and the core models hold it.  Closing drops the pending
+        events and the parked transactions, and cuts every reference back to
+        the SoC or to the NI's transfer table, so the machine dies as soon as
+        its last holder lets go instead of waiting for a full cyclic
+        collection.  Whoever builds a machine closes it when its run returns.
+
+        Every counter stays readable at the value it had; :meth:`run`
+        raises :class:`~repro.errors.SimulationError` afterwards.  Closing
+        twice is a no-op.
+        """
+        self.sim.close()
+        self.directory.drop_pending()
+        self.ni.close()
+        self.coherence.memory_access = None
+        self._remote_port = None
+        self._completion_listeners.clear()
 
     def llc_bank_utilization(self) -> float:
         """Utilization of the most loaded LLC bank."""

@@ -8,10 +8,11 @@ designs, a :class:`~repro.numa.machine.NumaMachine` for the load/store
 baseline) and instantiates the workload with its validated parameters.
 The returned :class:`Scenario` runs the unified workload lifecycle
 (setup / inject / drain / metrics) and reports a fingerprint-stamped
-:class:`ScenarioResult`::
+:class:`ScenarioResult`; :meth:`MachineBuilder.run` builds, runs and closes
+the machine in one step::
 
     spec = ScenarioSpec(design="split", workload="hotspot")
-    result = MachineBuilder(spec).build().run()
+    result = MachineBuilder(spec).run()
     print(result.metrics["application_gbps"])
 """
 
@@ -61,7 +62,10 @@ class Scenario:
         self.workload = workload
 
     def run(self) -> ScenarioResult:
-        """Run the workload lifecycle to completion and report metrics."""
+        """Run the workload lifecycle to completion and report metrics.
+
+        The machine stays open: whoever built it closes it.
+        """
         started = time.perf_counter()
         metrics = self.workload.run_on(self.machine)
         return ScenarioResult(
@@ -128,5 +132,9 @@ class MachineBuilder:
         return Scenario(self.spec, config, machine, workload)
 
     def run(self) -> ScenarioResult:
-        """Build and run in one step."""
-        return self.build().run()
+        """Build, run and close the machine in one step."""
+        scenario = self.build()
+        try:
+            return scenario.run()
+        finally:
+            scenario.machine.close()

@@ -65,6 +65,7 @@ class Simulator:
         "_run_horizon",
         "_perf",
         "_obs_index",
+        "_closed",
     )
 
     def __init__(self) -> None:
@@ -89,6 +90,7 @@ class Simulator:
         #: (``None`` when observability is disabled — the common case; the
         #: hook costs one truthiness check and allocates nothing).
         self._obs_index = obs_hooks.register_simulator(self)
+        self._closed = False
 
     # ------------------------------------------------------------------
     # Clock and queue introspection
@@ -176,7 +178,14 @@ class Simulator:
         Returns the simulation time at which execution stopped.  When a
         callback raises, it counts as executed and the entries after it in
         its time's list stay pending, to run first on the next call.
+        ``until=None`` and ``until=inf`` mean no horizon; a NaN horizon
+        raises, because no time compares past it and the run would not end.
         """
+        if self._closed:
+            raise SimulationError("cannot run a closed simulator: its pending events were dropped")
+        horizon = float("inf") if until is None else until
+        if horizon != horizon:  # only NaN is unequal to itself
+            raise SimulationError("cannot run until t=%r: the horizon must be a number" % (until,))
         times = self._times
         lists = self._lists
         counters = self._perf
@@ -185,7 +194,6 @@ class Simulator:
         scheduled_before = counters.fast_events
         pending_before = self._pending
         distinct = 0
-        horizon = float("inf") if until is None else until
         self._run_horizon = horizon
         try:
             while times:
@@ -229,3 +237,17 @@ class Simulator:
             # rate computations over [0, until] stay meaningful.
             self._now = until
         return self._now
+
+    def close(self) -> None:
+        """Drop every pending event; :meth:`run` raises from now on.
+
+        Queued callbacks are mostly bound methods of a machine's parts, so
+        the queue links those parts to each other; dropping it is the
+        kernel's share of :meth:`ManycoreSoc.close
+        <repro.node.soc.ManycoreSoc.close>`.  The clock and the counters
+        (``now``, ``pending_events``, ``events_executed``) keep the values
+        they had.  Closing twice is a no-op.
+        """
+        self._times = []
+        self._lists = {}
+        self._closed = True

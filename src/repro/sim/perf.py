@@ -16,9 +16,9 @@ layer:
   it closes.
 
 Sessions hold only the counter records — never the simulators or fabrics
-themselves — so a sweep that builds one SoC per data point lets each SoC be
-garbage-collected as usual while its counters keep contributing to the
-session totals.
+themselves — so in a sweep that builds one SoC per data point, each closed
+SoC is freed by reference counting as soon as it is dropped while its
+counters keep contributing to the session totals.
 
 Registration is process-local (campaign workers each get their own module
 state) and costs one list append per constructed component and open session,

@@ -13,7 +13,8 @@ Two drivers are provided:
   reproduces Figures 7 and 10.
 
 Both drivers operate on a fresh :class:`~repro.node.soc.ManycoreSoc` per run
-so that results for different transfer sizes and designs are independent.
+so that results for different transfer sizes and designs are independent,
+and close it when the run returns.
 """
 
 from __future__ import annotations
@@ -241,7 +242,10 @@ class RemoteReadLatencyBenchmark:
             _read_entries(total_ops, transfer_bytes, tile_id),
             max_outstanding=1,
         )
-        soc.run()
+        try:
+            soc.run()
+        finally:
+            soc.close()
         if core.completed_ops != total_ops:
             raise WorkloadError(
                 "latency run finished %d of %d operations" % (core.completed_ops, total_ops)
@@ -297,6 +301,13 @@ class RemoteReadBandwidthBenchmark:
     def run(self, transfer_bytes: int) -> BandwidthResult:
         """Measure the aggregate application bandwidth for one transfer size."""
         soc = ManycoreSoc(self.config)
+        try:
+            return self._measure(soc, transfer_bytes)
+        finally:
+            soc.close()
+
+    def _measure(self, soc: ManycoreSoc, transfer_bytes: int) -> BandwidthResult:
+        """Drive every core of ``soc`` through the warm-up and measurement windows."""
         outstanding = self.max_outstanding_for(transfer_bytes)
         workload = UniformRandomReadWorkload(
             self.config, transfer_bytes=transfer_bytes, max_outstanding=outstanding,

@@ -9,6 +9,8 @@ directories are collected), so conftest must stay fixtures-only.
 from __future__ import annotations
 
 import dataclasses
+import gc
+from typing import Callable
 
 from repro.config import SystemConfig
 
@@ -24,3 +26,21 @@ def small_config(design: str = "split", **overrides) -> SystemConfig:
     if overrides:
         config = config.replace(**overrides)
     return config
+
+
+def cyclic_garbage(run: Callable[[], object]) -> int:
+    """Objects that only a cyclic collection frees once ``run()`` has returned.
+
+    The collector is off while ``run`` executes, so whatever reference
+    counting did not free is still there to count; ``run``'s result is
+    dropped before counting.
+    """
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        run()
+        return gc.collect()
+    finally:
+        if enabled:
+            gc.enable()

@@ -27,7 +27,7 @@ class Harness:
             sim=self.sim,
             fabric=self.fabric,
             directory=self.directory,
-            home_node_of_tile=self.topology.tile_coord,
+            home_nodes=[self.topology.tile_coord(tile) for tile in range(SIDE * SIDE)],
             llc_latency_cycles=6,
         )
         # A core tile with a collocated NI cache, a plain core tile, and an

@@ -5,6 +5,8 @@ import math
 
 import pytest
 
+from helpers import cyclic_garbage
+
 from repro.config import (
     CACHE_BLOCK_BYTES,
     LatencyCalibration,
@@ -111,6 +113,10 @@ class TestFingerprintPins:
         spec = ScenarioSpec(design="edge", topology="noc_out", workload="kvstore")
         assert spec.fingerprint() == "197497bea6fd5553"
         assert spec.resolve_config().fingerprint() == "e95d4561131f04d9"
+
+    def test_fingerprint_leaves_no_cyclic_garbage(self):
+        config = SystemConfig.paper_defaults()
+        assert cyclic_garbage(config.fingerprint) == 0
 
     def test_enum_member_and_name_store_the_same_string(self):
         by_member = SystemConfig.paper_defaults().with_design(NIDesign.EDGE)

@@ -99,6 +99,14 @@ class TestSpec:
         with pytest.raises(ExperimentError, match="expects a int"):
             get_spec("fig6").resolve({"hops": "two"})
 
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    def test_non_finite_float_rejected(self, text):
+        spec = get_spec("fig7")
+        with pytest.raises(ExperimentError, match="'measure_cycles' expects a finite float"):
+            spec.parse_overrides(["measure_cycles=%s" % text])
+        with pytest.raises(ExperimentError, match="'warmup_cycles' expects a finite float"):
+            spec.resolve({"warmup_cycles": float(text)})
+
     def test_parse_overrides_set_syntax(self):
         spec = get_spec("fig6")
         overrides = spec.parse_overrides(["sizes=64,4096", "design=edge", "iterations=2"])

@@ -70,6 +70,15 @@ class TestScheduling:
         assert sim.pending_events == 0
         assert sim.next_event_time() is None
 
+    def test_nan_horizon_rejected(self):
+        sim = Simulator()
+        sim.schedule(10, lambda: None)
+        with pytest.raises(SimulationError, match="horizon"):
+            sim.run(until=float("nan"))
+        assert sim.now == 0 and sim.pending_events == 1
+        sim.run(until=float("inf"))  # +inf, like None, means no horizon
+        assert sim.pending_events == 0
+
     def test_events_can_schedule_more_events(self):
         sim = Simulator()
         seen = []
