@@ -168,7 +168,7 @@ class CoherenceProtocol:
                 return
             self.sim.schedule(
                 lookup.latency,
-                self._complete_local,
+                CoherenceProtocol._complete_local, self,
                 complex_, addr, write, start, lookup.source, on_done, args,
             )
             return
@@ -186,7 +186,8 @@ class CoherenceProtocol:
         txn.home_tile = self.directory.home_tile(addr)
         txn.home_node = self.home_nodes[txn.home_tile]
         self.remote_transactions += 1
-        self.sim.schedule(lookup.latency + CONTROLLER_OVERHEAD_CYCLES, self._send_request, txn)
+        self.sim.schedule(lookup.latency + CONTROLLER_OVERHEAD_CYCLES,
+                          CoherenceProtocol._send_request, self, txn)
 
     # ------------------------------------------------------------------
     # Local completion paths
@@ -227,18 +228,20 @@ class CoherenceProtocol:
         home_node = self.home_nodes[self.directory.home_tile(addr)]
         entry = self.directory.entry(addr)
         local = (complex_, addr, write, start, source, on_done, args)
-        self.sim.schedule(local_latency, self._send_writeback, home_node, entry, local)
+        self.sim.schedule(local_latency, CoherenceProtocol._send_writeback,
+                          self, home_node, entry, local)
 
     def _send_writeback(self, home_node: Hashable, entry: DirectoryEntry, local: tuple) -> None:
         wb = CoherenceMessageType.WRITEBACK
         self.fabric.send(
             local[0].node, home_node, wb.payload_bytes,
             message_class(wb, from_directory=False),
-            self._writeback_arrived, home_node, entry, local,
+            CoherenceProtocol._writeback_arrived, self, home_node, entry, local,
         )
 
     def _writeback_arrived(self, home_node: Hashable, entry: DirectoryEntry, local: tuple) -> None:
-        self.sim.schedule(self.llc_latency_cycles, self._writeback_at_home, home_node, entry, local)
+        self.sim.schedule(self.llc_latency_cycles, CoherenceProtocol._writeback_at_home,
+                          self, home_node, entry, local)
 
     def _writeback_at_home(self, home_node: Hashable, entry: DirectoryEntry, local: tuple) -> None:
         entry.in_llc = True
@@ -246,7 +249,7 @@ class CoherenceProtocol:
         self.fabric.send(
             home_node, local[0].node, unblock.payload_bytes,
             message_class(unblock, from_directory=True),
-            self._complete_local, *local,
+            CoherenceProtocol._complete_local, self, *local,
         )
 
     # ------------------------------------------------------------------
@@ -261,7 +264,7 @@ class CoherenceProtocol:
             txn.home_node,
             msg_type.payload_bytes,
             message_class(msg_type, from_directory=False),
-            self._arrive_at_directory, txn,
+            CoherenceProtocol._arrive_at_directory, self, txn,
         )
 
     def _arrive_at_directory(self, txn: _Transaction) -> None:
@@ -272,7 +275,8 @@ class CoherenceProtocol:
             return
         entry.busy = True
         self.directory.transactions_started += 1
-        self.sim.schedule(self.llc_latency_cycles, self._directory_act, txn, entry)
+        self.sim.schedule(self.llc_latency_cycles, CoherenceProtocol._directory_act,
+                          self, txn, entry)
 
     def _directory_act(self, txn: _Transaction, entry: DirectoryEntry) -> None:
         faults = self.faults
@@ -285,7 +289,7 @@ class CoherenceProtocol:
                 txn.retries += 1
                 self.directory_retries += 1
                 self.retry_backoff_cycles += backoff
-                self.sim.schedule(backoff, self._directory_act, txn, entry)
+                self.sim.schedule(backoff, CoherenceProtocol._directory_act, self, txn, entry)
                 return
         requester_id = txn.complex.entity_id
         owner = entry.owner if entry.owner != requester_id else None
@@ -358,20 +362,20 @@ class CoherenceProtocol:
         self.fabric.send(
             txn.home_node, target.node, msg.payload_bytes,
             message_class(msg, from_directory=True),
-            self._invalidate_at_target, txn, target,
+            CoherenceProtocol._invalidate_at_target, self, txn, target,
         )
 
     def _invalidate_at_target(self, txn: _Transaction, target: TileCacheComplex) -> None:
         delay = self._controller_delay(target)
         target.invalidate(txn.addr)
-        self.sim.schedule(delay, self._send_inv_ack, txn, target)
+        self.sim.schedule(delay, CoherenceProtocol._send_inv_ack, self, txn, target)
 
     def _send_inv_ack(self, txn: _Transaction, target: TileCacheComplex) -> None:
         msg = CoherenceMessageType.INV_ACK
         self.fabric.send(
             target.node, txn.complex.node, msg.payload_bytes,
             message_class(msg, from_directory=False),
-            self._ack_arrived, txn,
+            CoherenceProtocol._ack_arrived, self, txn,
         )
 
     def _ack_arrived(self, txn: _Transaction) -> None:
@@ -386,16 +390,18 @@ class CoherenceProtocol:
         self.directory.memory_fetches += 1
         entry.in_llc = True
         if self.memory_access is not None:
-            self.memory_access(txn.home_node, txn.addr, self._dispatch_data, txn)
+            self.memory_access(txn.home_node, txn.addr, CoherenceProtocol._dispatch_data,
+                               self, txn)
         else:
-            self.sim.schedule(self.fallback_memory_latency_cycles, self._dispatch_data, txn)
+            self.sim.schedule(self.fallback_memory_latency_cycles,
+                              CoherenceProtocol._dispatch_data, self, txn)
 
     def _dispatch_data(self, txn: _Transaction) -> None:
         msg = CoherenceMessageType.MISS_NOTIFY_DATA
         self.fabric.send(
             txn.home_node, txn.complex.node, msg.payload_bytes,
             message_class(msg, from_directory=True),
-            self._data_arrived, txn,
+            CoherenceProtocol._data_arrived, self, txn,
         )
 
     def _send_forward(self, txn: _Transaction, entry: DirectoryEntry,
@@ -404,13 +410,13 @@ class CoherenceProtocol:
         self.fabric.send(
             txn.home_node, owner_complex.node, fwd.payload_bytes,
             message_class(fwd, from_directory=True),
-            self._forward_at_owner, txn, owner_complex, invalidate_owner,
+            CoherenceProtocol._forward_at_owner, self, txn, owner_complex, invalidate_owner,
         )
 
     def _forward_at_owner(self, txn: _Transaction, owner_complex: TileCacheComplex,
                           invalidate_owner: bool) -> None:
-        self.sim.schedule(self._controller_delay(owner_complex), self._owner_responds,
-                          txn, owner_complex, invalidate_owner)
+        self.sim.schedule(self._controller_delay(owner_complex), CoherenceProtocol._owner_responds,
+                          self, txn, owner_complex, invalidate_owner)
 
     def _owner_responds(self, txn: _Transaction, owner_complex: TileCacheComplex,
                         invalidate_owner: bool) -> None:
@@ -428,7 +434,7 @@ class CoherenceProtocol:
         self.fabric.send(
             owner_complex.node, txn.complex.node, reply.payload_bytes,
             message_class(reply, from_directory=False),
-            self._data_arrived, txn,
+            CoherenceProtocol._data_arrived, self, txn,
         )
 
     # -- completion ------------------------------------------------------
@@ -450,7 +456,7 @@ class CoherenceProtocol:
         state = CacheState.MODIFIED if txn.write else CacheState.SHARED
         into = "core" if (txn.requester_kind == "core" and txn.complex.l1 is not None) else "ni"
         txn.complex.install(txn.addr, state, into)
-        self.sim.schedule(install_latency, self._finish, txn)
+        self.sim.schedule(install_latency, CoherenceProtocol._finish, self, txn)
 
     def _finish(self, txn: _Transaction) -> None:
         txn.on_done(
@@ -468,7 +474,7 @@ class CoherenceProtocol:
         self.fabric.send(
             txn.complex.node, txn.home_node, msg.payload_bytes,
             message_class(msg, from_directory=False),
-            self._unblock, txn.addr,
+            CoherenceProtocol._unblock, self, txn.addr,
         )
 
     def _unblock(self, addr: int) -> None:

@@ -85,7 +85,7 @@ class NIFrontend:
         if self.backend is None:
             raise ProtocolError("frontend %s has no backend attached" % self.name)
         self.doorbells += 1
-        self.rgp_pipe.issue_then(self._load_wq_entry, qp, core_id, entry, wq_index)
+        self.rgp_pipe.issue_then(NIFrontend._load_wq_entry, self, qp, core_id, entry, wq_index)
 
     def _load_wq_entry(self, qp: QueuePair, core_id: int, entry: WorkQueueEntry, wq_index: int) -> None:
         block_addr = qp.wq.entry_block_address(wq_index)
@@ -100,7 +100,7 @@ class NIFrontend:
         else:
             self.services.fabric.send(
                 self.node, self.backend.node, WQ_ENTRY_BYTES, MessageClass.NI_COMMAND,
-                self.backend.start_transfer, entry, qp, core_id, self,
+                NIBackend.start_transfer, self.backend, entry, qp, core_id, self,
             )
 
     # ------------------------------------------------------------------
@@ -108,7 +108,7 @@ class NIFrontend:
     # ------------------------------------------------------------------
     def complete_transfer(self, record: TransferRecord) -> None:
         """All blocks of a transfer have arrived; write its CQ entry."""
-        self.rcp_pipe.issue_then(self._write_cq, record)
+        self.rcp_pipe.issue_then(NIFrontend._write_cq, self, record)
 
     def _write_cq(self, record: TransferRecord) -> None:
         cq = record.qp.cq
@@ -186,7 +186,7 @@ class NIBackend:
         record.metadata["backend"] = self
         self.transfers_started += 1
         for request in unroll_blocks(entry, self.services.node_id, record.transfer_id, self.block_bytes):
-            self.rgp_pipe.issue_then(self._inject_request, request, record)
+            self.rgp_pipe.issue_then(NIBackend._inject_request, self, request, record)
         return record
 
     def _inject_request(self, request: RemoteRequest, record: TransferRecord) -> None:
@@ -196,7 +196,7 @@ class NIBackend:
             # Remote writes carry local data: read it from memory first.
             addr = record.entry.local_buffer + request.block_index * self.block_bytes
             self.services.memory_read(
-                self.node, addr, self.block_bytes, self._send_off_chip, request,
+                self.node, addr, self.block_bytes, NIBackend._send_off_chip, self, request,
             )
         else:
             self._send_off_chip(request)
@@ -211,9 +211,10 @@ class NIBackend:
         payload = REQUEST_HEADER_BYTES
         if request.op is RemoteOp.WRITE:
             payload += self.block_bytes
-        self.services.fabric.send(
+        services = self.services
+        services.fabric.send(
             self.node, port, payload, MessageClass.NI_COMMAND,
-            self.services.off_chip_send, request, port,
+            type(services).off_chip_send, services, request, port,
         )
 
     # ------------------------------------------------------------------
@@ -231,18 +232,18 @@ class NIBackend:
         if response.op is RemoteOp.READ:
             payload += self.block_bytes
         self.services.fabric.send(
-            port, self.node, payload, MessageClass.NI_DATA, self._receive, response,
+            port, self.node, payload, MessageClass.NI_DATA, NIBackend._receive, self, response,
         )
 
     def _receive(self, response: RemoteResponse) -> None:
-        self.rcp_pipe.issue_then(self._process_response, response)
+        self.rcp_pipe.issue_then(NIBackend._process_response, self, response)
 
     def _process_response(self, response: RemoteResponse) -> None:
         record = self.transfers.get(response.transfer_id)
         if response.op is RemoteOp.READ:
             addr = record.entry.local_buffer + response.block_index * self.block_bytes
             self.services.memory_write(
-                self.node, addr, self.block_bytes, self._block_done, record,
+                self.node, addr, self.block_bytes, NIBackend._block_done, self, record,
             )
         else:
             self._block_done(record)
@@ -260,7 +261,7 @@ class NIBackend:
             # Ship the new CQ entry to the frontend over the NOC (NIsplit).
             self.services.fabric.send(
                 self.node, frontend.node, CQ_ENTRY_BYTES, MessageClass.NI_COMMAND,
-                frontend.complete_transfer, record,
+                NIFrontend.complete_transfer, frontend, record,
             )
 
 
@@ -296,17 +297,19 @@ class RemoteRequestPipeline:
         """An incoming remote request was steered to this RRPP."""
         self.requests_received += 1
         arrival = self.services.sim.now
-        self.pipe.issue_then(self._process, request, arrival)
+        self.pipe.issue_then(RemoteRequestPipeline._process, self, request, arrival)
 
     def _process(self, request: RemoteRequest, arrival: float) -> None:
         addr = self.services.translate(request.ctx_id, request.offset, self.block_bytes)
         if request.op is RemoteOp.READ:
             self.services.memory_read(
-                self.node, addr, self.block_bytes, self._respond, request, arrival,
+                self.node, addr, self.block_bytes,
+                RemoteRequestPipeline._respond, self, request, arrival,
             )
         else:
             self.services.memory_write(
-                self.node, addr, self.block_bytes, self._respond, request, arrival,
+                self.node, addr, self.block_bytes,
+                RemoteRequestPipeline._respond, self, request, arrival,
             )
 
     def _respond(self, request: RemoteRequest, arrival: float) -> None:

@@ -227,8 +227,8 @@ class FaultInjector:
         for on, off in windows:
             if off <= now:
                 continue
-            sim.schedule_at(max(on, now), self._activate, state, off)
-            sim.schedule_at(max(off, now), self._deactivate, state)
+            sim.schedule_at(max(on, now), FaultInjector._activate, self, state, off)
+            sim.schedule_at(max(off, now), FaultInjector._deactivate, self, state)
 
     def _activate(self, state: FaultState, until: float) -> None:
         if not self._armed:

@@ -1,4 +1,4 @@
-"""The built-in determinism & kernel-contract lint rules (REP001–REP010).
+"""The built-in determinism & kernel-contract lint rules (REP001–REP011).
 
 Each rule is a :class:`LintRule` subclass registered under its code through
 :func:`repro.scenario.registry.register_lint_rule` — the same decorator
@@ -15,7 +15,8 @@ manifest-gated registries, ``__slots__`` classes stay dict-free, spec
 documents only serialize optional registry keys when they are set
 (fingerprint stability), telemetry probes observe the simulation without
 mutating it, fault models derive their seeds, and model continuations are
-``(callback, *args)`` pairs rather than closures.
+``(callback, *args)`` pairs whose callback is a plain function with its owner
+as the first argument, never a closure or a bound method.
 """
 
 from __future__ import annotations
@@ -677,8 +678,8 @@ class ClosureContinuationRule(LintRule):
     full collections that cost a loaded run more than its hop walk.  In the
     packages whose callbacks run in the event loop, a lambda or nested
     ``def`` may not be an argument of a continuation-taking call (nor any
-    call's ``on_done=``); pass a function or bound method plus explicit
-    arguments instead: ``fabric.send(src, dst, n, cls, self._arrived, txn)``.
+    call's ``on_done=``); pass a function plus explicit arguments instead:
+    ``fabric.send(src, dst, n, cls, CoherenceProtocol._arrived, self, txn)``.
     """
 
     code = "REP010"
@@ -748,6 +749,78 @@ class ClosureContinuationRule(LintRule):
                         module, arg,
                         "%s passed to %s is a closure continuation: it and its "
                         "cells stay alive until the event fires, feeding the "
-                        "cyclic garbage collector; pass a function or bound "
-                        "method plus explicit arguments instead" % (what, where),
+                        "cyclic garbage collector; pass a function plus "
+                        "explicit arguments instead" % (what, where),
+                    )
+
+
+# ----------------------------------------------------------------------
+# REP011 — bound-method continuation
+# ----------------------------------------------------------------------
+@register_lint_rule("REP011", title="bound-method continuation")
+class BoundMethodContinuationRule(LintRule):
+    """Model continuations are plain functions with their owner as an argument.
+
+    Every read of ``self._step`` builds a new bound method.  Handed to the
+    kernel, the NOC or a pipeline as a continuation, it lives as long as the
+    queued event — under load as long as the NOC backlog, thousands of
+    cycles — and CPython's cyclic collector walks it in the old generations
+    all that time.  In the packages whose callbacks run in the event loop,
+    an argument of a continuation-taking call may not be ``self.<method>``
+    of the enclosing class; pass the function and its owner instead:
+    ``fabric.send(src, dst, n, cls, Protocol._arrived, self, txn)``.
+    ``access`` is exempt: it calls ``on_done(result, *args)``, so a plain
+    function would receive the result before its owner.
+    """
+
+    code = "REP011"
+    title = "bound-method continuation"
+
+    CONTINUATION_CALLS = ClosureContinuationRule.CONTINUATION_CALLS - {"access"}
+    TARGET_PREFIXES = ClosureContinuationRule.TARGET_PREFIXES
+    #: Decorators (``@property``, ``@x.setter``...) under which reading
+    #: ``self.<name>`` builds no bound method.
+    NOT_BOUND = frozenset({"property", "cached_property", "staticmethod",
+                           "getter", "setter", "deleter"})
+
+    def __init__(self) -> None:
+        #: Class node -> names of its methods that a ``self.`` read binds.
+        self._methods: Dict[ast.AST, Set[str]] = {}
+
+    def _bound_methods(self, cls: ast.ClassDef) -> Set[str]:
+        names = self._methods.get(cls)
+        if names is None:
+            names = set()
+            for node in cls.body:
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                decorators = {getattr(d, "attr", getattr(d, "id", None))
+                              for d in node.decorator_list}
+                if not decorators & self.NOT_BOUND:
+                    names.add(node.name)
+            self._methods[cls] = names
+        return names
+
+    def check(self, module: LintModule, context: LintContext) -> Iterator[Finding]:
+        if not module.relpath.startswith(self.TARGET_PREFIXES):
+            return
+        for call in module.of_type(ast.Call):
+            func = call.func
+            name = func.attr if isinstance(func, ast.Attribute) else (
+                func.id if isinstance(func, ast.Name) else None
+            )
+            if name not in self.CONTINUATION_CALLS:
+                continue
+            cls = module.enclosing(call, ast.ClassDef)
+            if cls is None:
+                continue
+            methods = self._bound_methods(cls)
+            for arg in list(call.args) + [keyword.value for keyword in call.keywords]:
+                if isinstance(arg, ast.Attribute) and isinstance(arg.value, ast.Name) \
+                        and arg.value.id == "self" and arg.attr in methods:
+                    yield self.finding(
+                        module, arg,
+                        "bound method self.%s passed to %s: it is built per call "
+                        "and lives as long as the queued event; pass %s.%s, self "
+                        "instead" % (arg.attr, name, cls.name, arg.attr),
                     )

@@ -351,7 +351,7 @@ class OpenLoopDriver:
         if gap is None:  # a non-looping trace ran out
             state.exhausted = True
             return
-        self.machine.sim.schedule(gap, self._arrive, state)
+        self.machine.sim.schedule(gap, OpenLoopDriver._arrive, self, state)
 
     def _completion_counter(self, state: _TenantState):
         """A per-tenant completion listener attributing ops to the window."""

@@ -55,7 +55,7 @@ class MemoryController:
         # at least one scheduling slot later.
         grant = self._scheduler.acquire(self.SCHEDULING_CYCLES)
         self.sim.schedule(grant + self.SCHEDULING_CYCLES - self.sim.now,
-                          self.dram.access, nbytes, is_write, on_done, *args)
+                          DramModel.access, self.dram, nbytes, is_write, on_done, *args)
 
     def utilization(self) -> float:
         """Fraction of time the controller's scheduler has been busy."""

@@ -19,10 +19,13 @@ object exists: the walk's state rides in the queued event's argument tuple, and
 the continuations ``_hop`` and ``_deliver`` are module functions that take
 the fabric as their first argument.  A caller that needs the id at delivery
 passes it in ``args``.  Continuations are plain ``(callback, *args)`` pairs
-all through the model, never closures: a closure and its cells would live
-until delivery, hundreds of cycles under load, and that churn of long-lived
-objects is what drives CPython's cyclic garbage collector into full
-collections.
+all through the model, and the callback is a plain function with its owner
+as the first argument — ``send(..., ManycoreSoc._read_at_llc, self, node,
+...)`` — never a closure (lint rule REP010) and never a bound method
+(REP011).  Either would be one more object alive until delivery, hundreds to
+thousands of cycles under load, and a backlog of such long-lived objects is
+what CPython's cyclic garbage collector keeps walking in its old
+generations.
 
 Lookahead hop fusion
 --------------------
@@ -30,13 +33,14 @@ Lookahead hop fusion
 Advancing the head one event per hop is exact but costs one kernel event per
 link crossed.  The fused walk exploits the discrete-event lookahead: while a
 packet's arrival at its next router falls *strictly before* the simulator's
-queue head (:meth:`~repro.sim.engine.Simulator.next_event_time`), no other
-event can execute in between, so nothing can acquire, observe or reroute
-ahead of the packet — the walk may acquire the next link immediately with
-``Resource.acquire(occupancy, earliest=arrival)`` and keep going.  At low
-load (exactly where the paper's latency figures live) this collapses a whole
-k-hop route into a single delivery event; under contention the condition
-fails and the walk degrades to the per-hop event chain, event for event.
+queue head (:meth:`~repro.sim.engine.Simulator.next_event_time`, which
+:func:`_hop` inlines), no other event can execute in between, so nothing can
+acquire, observe or reroute ahead of the packet — the walk may acquire the
+next link immediately with ``Resource.acquire(occupancy, earliest=arrival)``
+and keep going.  At low load (exactly where the paper's latency figures
+live) this collapses a whole k-hop route into a single delivery event; under
+contention the condition fails and the walk degrades to the per-hop event
+chain, event for event.
 
 Two details keep fused runs byte-identical to unfused ones:
 
@@ -107,6 +111,9 @@ from repro.sim.resource import Resource
 #: rides along so fault models can target specific routers without any
 #: topology lookups on the hot path.
 BoundHop = Tuple[Resource, int, Tuple[Hashable, Hashable]]
+
+#: The lookahead bound of a walk that must not fuse: no arrival is before it.
+_NO_LOOKAHEAD = float("-inf")
 
 
 def hop_fusion_default() -> bool:
@@ -322,13 +329,19 @@ def _hop(fabric: NocFabric, hops: Sequence[BoundHop], index: int, flits: int,
     # the bound too: the run may stop there and the caller may sample link
     # statistics that the per-hop chain would not yet have accumulated —
     # hops at/after the horizon must stay events.
-    if fuse and fabric.hop_fusion:
-        head = sim.next_event_time()
+    #
+    # Inlined Simulator.next_event_time(); keep in sync with
+    # repro.sim.engine.  While the running time's list still has unstarted
+    # events the head is ``now``, and no arrival is before ``now``, so the
+    # walk cannot fuse: that test comes first and is all a loaded run pays.
+    if fuse and fabric.hop_fusion and not sim._cursor.__length_hint__():
+        times = sim._times
         horizon = sim._run_horizon
-        if head is None or head > horizon:
+        head = times[0] if times else horizon
+        if head > horizon:
             head = horizon
     else:
-        head = float("-inf")
+        head = _NO_LOOKAHEAD
     now = sim._now
     arrival = now
     fused = 0
@@ -365,13 +378,15 @@ def _hop(fabric: NocFabric, hops: Sequence[BoundHop], index: int, flits: int,
                 if loss > 0.0:
                     delta += loss
             time = now + delta
-            entry = (_deliver, (fabric, callback, args))
+            step = _deliver
+            step_args = (fabric, callback, args)
             break
         if arrival < head:
             fused += 1
             continue
         time = now + (arrival - now)
-        entry = (_hop, (fabric, hops, index, flits, packet_id, callback, args))
+        step = _hop
+        step_args = (fabric, hops, index, flits, packet_id, callback, args)
         break
     if fused:
         fabric._perf.fused_hops += fused
@@ -379,10 +394,11 @@ def _hop(fabric: NocFabric, hops: Sequence[BoundHop], index: int, flits: int,
     lists = sim._lists
     entries = lists.get(time)
     if entries is None:
-        lists[time] = [entry]
+        lists[time] = [step, step_args]
         heappush(sim._times, time)
     else:
-        entries.append(entry)
+        entries.append(step)
+        entries.append(step_args)
     counters = sim._perf
     counters.fast_events += 1
     pending = sim._pending = sim._pending + 1

@@ -216,8 +216,10 @@ class ManycoreSoc(NodeServices):
 
     # -- data path (LLC + MC + DRAM) -------------------------------------
     # Each step is a method that receives the request's state as explicit
-    # arguments and passes it on to the next (see the fabric's delivery
-    # contract); ``on_done(*args)`` is the caller's continuation.
+    # arguments and passes it on to the next, queued as the plain function
+    # ``ManycoreSoc._step`` with the machine as its first argument (see the
+    # fabric's delivery contract); ``on_done(*args)`` is the caller's
+    # continuation.
     def memory_read(self, requester_node: Hashable, addr: int, nbytes: int,
                     on_done: Callable[..., None], *args) -> None:
         """Data-path read: requester -> home LLC slice (miss) -> MC -> DRAM,
@@ -235,7 +237,7 @@ class ManycoreSoc(NodeServices):
         self.fabric.send(
             requester_node, self.placement.llc_nodes[slice_idx], _MEM_REQUEST_BYTES,
             MessageClass.MEMORY_REQUEST,
-            self._read_at_llc, requester_node, slice_idx, mc, nbytes, on_done, args,
+            ManycoreSoc._read_at_llc, self, requester_node, slice_idx, mc, nbytes, on_done, args,
         )
 
     def _llc_ready_delay(self, slice_idx: int) -> float:
@@ -244,24 +246,25 @@ class ManycoreSoc(NodeServices):
         return max(0.0, grant + self.config.llc.latency_cycles - self.sim.now)
 
     def _read_at_llc(self, requester_node, slice_idx, mc, nbytes, on_done, args) -> None:
-        self.sim.schedule(self._llc_ready_delay(slice_idx), self._read_forward_to_mc,
-                          requester_node, slice_idx, mc, nbytes, on_done, args)
+        self.sim.schedule(self._llc_ready_delay(slice_idx), ManycoreSoc._read_forward_to_mc,
+                          self, requester_node, slice_idx, mc, nbytes, on_done, args)
 
     def _read_forward_to_mc(self, requester_node, slice_idx, mc, nbytes, on_done, args) -> None:
         self.fabric.send(
             self.placement.llc_nodes[slice_idx], mc.node, _MEM_REQUEST_BYTES,
             MessageClass.DIRECTORY_SOURCED,
-            self._read_at_mc, requester_node, slice_idx, mc, nbytes, on_done, args,
+            ManycoreSoc._read_at_mc, self, requester_node, slice_idx, mc, nbytes, on_done, args,
         )
 
     def _read_at_mc(self, requester_node, slice_idx, mc, nbytes, on_done, args) -> None:
-        mc.service(nbytes, False, self._read_fill_to_home,
-                   requester_node, slice_idx, mc, nbytes, on_done, args)
+        mc.service(nbytes, False, ManycoreSoc._read_fill_to_home,
+                   self, requester_node, slice_idx, mc, nbytes, on_done, args)
 
     def _read_fill_to_home(self, requester_node, slice_idx, mc, nbytes, on_done, args) -> None:
         self.fabric.send(
             mc.node, self.placement.llc_nodes[slice_idx], nbytes, MessageClass.MEMORY_RESPONSE,
-            self._read_forward_to_requester, requester_node, slice_idx, nbytes, on_done, args,
+            ManycoreSoc._read_forward_to_requester, self, requester_node, slice_idx, nbytes,
+            on_done, args,
         )
 
     def _read_forward_to_requester(self, requester_node, slice_idx, nbytes, on_done, args) -> None:
@@ -277,19 +280,19 @@ class ManycoreSoc(NodeServices):
         mc = self.memory_controllers[self.address_map.mc_for_addr(addr)]
         self.fabric.send(
             requester_node, self.placement.llc_nodes[slice_idx], nbytes, MessageClass.NI_DATA,
-            self._write_at_llc, slice_idx, mc, nbytes, on_done, args,
+            ManycoreSoc._write_at_llc, self, slice_idx, mc, nbytes, on_done, args,
         )
 
     def _write_at_llc(self, slice_idx, mc, nbytes, on_done, args) -> None:
-        self.sim.schedule(self._llc_ready_delay(slice_idx), self._write_accept,
-                          slice_idx, mc, nbytes, on_done, args)
+        self.sim.schedule(self._llc_ready_delay(slice_idx), ManycoreSoc._write_accept,
+                          self, slice_idx, mc, nbytes, on_done, args)
 
     def _write_accept(self, slice_idx, mc, nbytes, on_done, args) -> None:
         on_done(*args)
         # Dirty data drains to memory off the critical path.
         self.fabric.send(
             self.placement.llc_nodes[slice_idx], mc.node, nbytes, MessageClass.DIRECTORY_SOURCED,
-            mc.service, nbytes, True,
+            MemoryController.service, mc, nbytes, True,
         )
 
     def _coherence_memory_fetch(self, home_node: Hashable, addr: int,
@@ -297,11 +300,11 @@ class ManycoreSoc(NodeServices):
         """LLC-miss fill path used by the coherence protocol for QP blocks."""
         mc = self.memory_controllers[self.address_map.mc_for_addr(addr)]
         self.fabric.send(home_node, mc.node, _MEM_REQUEST_BYTES, MessageClass.DIRECTORY_SOURCED,
-                         self._fetch_at_mc, home_node, mc, callback, args)
+                         ManycoreSoc._fetch_at_mc, self, home_node, mc, callback, args)
 
     def _fetch_at_mc(self, home_node, mc, callback, args) -> None:
-        mc.service(self.config.cache_block_bytes, False, self._fetch_send_back,
-                   home_node, mc, callback, args)
+        mc.service(self.config.cache_block_bytes, False, ManycoreSoc._fetch_send_back,
+                   self, home_node, mc, callback, args)
 
     def _fetch_send_back(self, home_node, mc, callback, args) -> None:
         self.fabric.send(mc.node, home_node, self.config.cache_block_bytes,
@@ -329,7 +332,7 @@ class ManycoreSoc(NodeServices):
         """Release a finished machine so reference counting frees it.
 
         The machine's parts point back at each other: queued events and
-        parked coherence transactions are bound methods of its parts, the NI
+        parked coherence transactions carry its parts as arguments, the NI
         pipelines and the coherence protocol call back into the SoC, and the
         remote port and the core models hold it.  Closing drops the pending
         events and the parked transactions, and cuts every reference back to

@@ -22,6 +22,7 @@ from typing import Hashable, Optional
 
 from repro.config import SystemConfig
 from repro.errors import WorkloadError
+from repro.node.soc import ManycoreSoc
 from repro.qp.entries import RemoteOp
 from repro.sonuma.wire import RemoteRequest, RemoteResponse
 
@@ -57,6 +58,8 @@ class RemoteEndEmulator:
         self.sim = soc.sim
         self.config: SystemConfig = soc.config
         self.hops = hops
+        #: Cycles per rack hop; the config is frozen, so it is read once.
+        self._hop_cycles = self.config.network_hop_cycles
         self.rate_match_incoming = rate_match_incoming
         self.incoming_ctx_id = incoming_ctx_id
         self.incoming_region_bytes = incoming_region_bytes
@@ -89,7 +92,7 @@ class RemoteEndEmulator:
     @property
     def one_way_network_cycles(self) -> float:
         """One-way inter-node network latency for the configured hop count."""
-        return self.hops * self.soc.config.network_hop_cycles
+        return self.hops * self._hop_cycles
 
     def remote_service_cycles(self) -> float:
         """Servicing latency charged at the emulated remote node.
@@ -107,7 +110,7 @@ class RemoteEndEmulator:
         self.outgoing_requests += 1
         round_trip = 2 * self.one_way_network_cycles + self.remote_service_cycles()
         response = request.make_response()
-        self.sim.schedule(round_trip, self._deliver_response, response)
+        self.sim.schedule(round_trip, RemoteEndEmulator._deliver_response, self, response)
         if self.rate_match_incoming:
             self._generate_incoming_request()
 
@@ -128,4 +131,5 @@ class RemoteEndEmulator:
             offset=offset,
         )
         self.incoming_generated += 1
-        self.sim.schedule(self.one_way_network_cycles, self.soc.deliver_remote_request, request)
+        self.sim.schedule(self.one_way_network_cycles, ManycoreSoc.deliver_remote_request,
+                          self.soc, request)

@@ -1,16 +1,22 @@
 """A minimal, fast discrete-event simulation kernel.
 
 The kernel keeps a binary heap of the distinct pending event times and a
-dict that maps each of those times to a plain list of ``(callback, args)``
-entries in scheduling order.  Components schedule callbacks at absolute or
-relative times; the simulator pops one time, runs its list front to back and
-advances the clock.  Time is measured in core clock cycles (integers or
-floats are both accepted; the kernel never rounds).
+dict that maps each of those times to one flat list of its events in
+scheduling order, ``[callback0, args0, callback1, args1, ...]``.  A queued
+event therefore costs its argument tuple and two list slots, nothing more.
+Components schedule callbacks at absolute or relative times; the simulator
+pops one time, runs its list front to back and advances the clock.  Time is
+measured in core clock cycles (integers or floats are both accepted; the
+kernel never rounds).
 
 Every model is written in one style, callbacks:
 ``sim.schedule(delay, fn, *args)`` runs ``fn(*args)`` ``delay`` cycles from
 now, and a multi-step behaviour (a NOC hop walk, a coherence transaction, an
-NI pipeline) is a chain of callbacks that schedule their successors.
+NI pipeline) is a chain of callbacks that schedule their successors.  A
+model's steps are queued as plain functions with their owner as the first
+argument (``sim.schedule(3, Soc._step, self, txn)``), not as bound methods,
+which would each be one more object alive until the event runs (lint rule
+REP011).
 
 Scheduling returns no handle and events cannot be removed from the queue.  A
 component that may need to revoke pending work keeps a flag its callbacks
@@ -21,17 +27,16 @@ injector's disarmed toggles).
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from repro.errors import SimulationError
 from repro.obs import hooks as obs_hooks
 from repro.sim import perf
 
-#: One queued event: the callback and its argument tuple.
-Entry = Tuple[Callable[..., Any], Tuple[Any, ...]]
-
 #: The cursor of a simulator whose run loop is not inside a time's list.
-_IDLE: Iterator[Entry] = iter(())
+_IDLE: Iterator[Any] = iter(())
+
+_INF = float("inf")
 
 
 class Simulator:
@@ -73,10 +78,12 @@ class Simulator:
         #: Heap of the distinct times that still have a list in ``_lists``
         #: (the time whose list is running has already been popped).
         self._times: List[float] = []
-        self._lists: Dict[float, List[Entry]] = {}
+        #: Each pending time's events, flat: ``[callback, args, ...]``.
+        self._lists: Dict[float, List[Any]] = {}
         #: Iterator over the list that :meth:`run` is executing; its length
-        #: hint is the number of that list's entries not yet started.
-        self._cursor: Iterator[Entry] = _IDLE
+        #: hint is twice the number of that list's events not yet started
+        #: (zero exactly when none is left).
+        self._cursor: Iterator[Any] = _IDLE
         #: Events scheduled and not yet started (exact at every push).
         self._pending = 0
         #: The ``until`` horizon of the :meth:`run` currently executing
@@ -84,7 +91,7 @@ class Simulator:
         #: virtual times past it: the run may stop there and the caller may
         #: sample statistics that the unfused event chain would not yet have
         #: accumulated.
-        self._run_horizon = float("inf")
+        self._run_horizon = _INF
         self._perf = perf.register()
         #: Deterministic per-run index handed out by the active obs session
         #: (``None`` when observability is disabled — the common case; the
@@ -128,10 +135,11 @@ class Simulator:
         time = self._now + delay
         entries = self._lists.get(time)
         if entries is None:
-            self._lists[time] = [(callback, args)]
+            self._lists[time] = [callback, args]
             heappush(self._times, time)
         else:
-            entries.append((callback, args))
+            entries.append(callback)
+            entries.append(args)
         counters = self._perf
         counters.fast_events += 1
         pending = self._pending = self._pending + 1
@@ -146,10 +154,11 @@ class Simulator:
             )
         entries = self._lists.get(time)
         if entries is None:
-            self._lists[time] = [(callback, args)]
+            self._lists[time] = [callback, args]
             heappush(self._times, time)
         else:
-            entries.append((callback, args))
+            entries.append(callback)
+            entries.append(args)
         counters = self._perf
         counters.fast_events += 1
         pending = self._pending = self._pending + 1
@@ -159,10 +168,11 @@ class Simulator:
     def next_event_time(self) -> Optional[float]:
         """Time of the earliest pending event, or None when idle.
 
-        This is the lookahead bound the NOC's hop fusion peeks at — while a
+        This is the lookahead bound of the NOC's hop fusion — while a
         packet's next hop arrives strictly before this time, no other event
         can interleave.  It is ``now`` while the running time's list still
-        has entries that have not started.
+        has events that have not started.  The fabric's ``_hop`` inlines
+        this test (:mod:`repro.noc.fabric`); keep the two in sync.
         """
         if self._cursor.__length_hint__():
             return self._now
@@ -183,9 +193,12 @@ class Simulator:
         """
         if self._closed:
             raise SimulationError("cannot run a closed simulator: its pending events were dropped")
-        horizon = float("inf") if until is None else until
+        horizon = _INF if until is None else until
         if horizon != horizon:  # only NaN is unequal to itself
             raise SimulationError("cannot run until t=%r: the horizon must be a number" % (until,))
+        if horizon == _INF:
+            # No horizon: the idle advance below must not move the clock to inf.
+            until = None
         times = self._times
         lists = self._lists
         counters = self._perf
@@ -208,16 +221,19 @@ class Simulator:
                 self._now = time
                 distinct += 1
                 # The list stays in ``lists`` while it runs, so events
-                # scheduled for ``time`` meanwhile join its end.
+                # scheduled for ``time`` meanwhile join its end.  It
+                # alternates callbacks and argument tuples: the loop takes
+                # a callback and ``next`` takes its arguments.
                 entries = lists[time]
                 self._cursor = cursor = iter(entries)
                 try:
-                    for callback, args in cursor:
+                    for callback in cursor:
                         self._pending -= 1
-                        callback(*args)
+                        callback(*next(cursor))
                 except BaseException:
-                    # Requeue the entries that never started, still first
-                    # at their time, and drop the ones that did.
+                    # Requeue the events that never started, still first at
+                    # their time, and drop the ones that did (the raising
+                    # one's two slots are consumed, so the rest stay paired).
                     unstarted = cursor.__length_hint__()
                     if unstarted:
                         del entries[:len(entries) - unstarted]
@@ -228,7 +244,7 @@ class Simulator:
                 del lists[time]
         finally:
             self._cursor = _IDLE
-            self._run_horizon = float("inf")
+            self._run_horizon = _INF
             counters.events += (counters.fast_events - scheduled_before
                                 - (self._pending - pending_before))
             counters.event_times += distinct
@@ -241,9 +257,9 @@ class Simulator:
     def close(self) -> None:
         """Drop every pending event; :meth:`run` raises from now on.
 
-        Queued callbacks are mostly bound methods of a machine's parts, so
-        the queue links those parts to each other; dropping it is the
-        kernel's share of :meth:`ManycoreSoc.close
+        Queued events carry a machine's parts as their arguments, so the
+        queue links those parts to each other; dropping it is the kernel's
+        share of :meth:`ManycoreSoc.close
         <repro.node.soc.ManycoreSoc.close>`.  The clock and the counters
         (``now``, ``pending_events``, ``events_executed``) keep the values
         they had.  Closing twice is a no-op.

@@ -60,7 +60,7 @@ class TestLintRegistry:
     def test_builtin_rules_registered(self):
         assert LINT_RULES.names() == [
             "REP001", "REP002", "REP003", "REP004", "REP006", "REP007", "REP008",
-            "REP009", "REP010",
+            "REP009", "REP010", "REP011",
         ]
 
     def test_rules_have_titles_and_doc_urls(self):
@@ -645,6 +645,102 @@ class TestREP010ClosureContinuation:
             def run(sim):
                 sim.schedule(1, lambda: None)
         """}, rules=["REP010"])
+        assert findings == []
+
+
+# ----------------------------------------------------------------------
+# REP011 — bound-method continuation
+# ----------------------------------------------------------------------
+class TestREP011BoundMethodContinuation:
+    def test_bound_method_delivery_callback_flagged(self, tmp_path):
+        findings = run_fixture(tmp_path, {"coherence/plug.py": """
+            class Protocol:
+                def request(self, txn):
+                    self.fabric.send(txn.src, txn.home, 8, CLASS, self._arrived, txn)
+
+                def _arrived(self, txn):
+                    pass
+        """}, rules=["REP011"])
+        assert codes(findings) == ["REP011"]
+        assert "self._arrived passed to send" in findings[0].message
+        assert "pass Protocol._arrived, self instead" in findings[0].message
+
+    def test_plain_function_with_owner_is_clean(self, tmp_path):
+        findings = run_fixture(tmp_path, {"coherence/plug.py": """
+            class Protocol:
+                def request(self, txn):
+                    self.fabric.send(txn.src, txn.home, 8, CLASS, Protocol._arrived, self, txn)
+
+                def _arrived(self, txn):
+                    pass
+        """}, rules=["REP011"])
+        assert findings == []
+
+    def test_method_argument_flagged(self, tmp_path):
+        findings = run_fixture(tmp_path, {"node/plug.py": """
+            class Soc:
+                def read(self, node):
+                    self.sim.schedule(3, Soc._at_llc, self, self._on_done)
+
+                def _at_llc(self, on_done):
+                    on_done()
+
+                def _on_done(self):
+                    pass
+        """}, rules=["REP011"])
+        assert codes(findings) == ["REP011"]
+        assert "self._on_done passed to schedule" in findings[0].message
+
+    def test_property_and_attribute_reads_are_clean(self, tmp_path):
+        findings = run_fixture(tmp_path, {"node/plug.py": """
+            class Soc:
+                def read(self, node):
+                    self.sim.schedule(self.delay, Soc._at_llc, self, self.home, self.on_done)
+
+                @property
+                def home(self):
+                    return self._home
+
+                @home.setter
+                def home(self, value):
+                    self._home = value
+
+                def _at_llc(self, home, on_done):
+                    on_done()
+        """}, rules=["REP011"])
+        assert findings == []
+
+    def test_issue_then_bound_method_flagged(self, tmp_path):
+        findings = run_fixture(tmp_path, {"core/plug.py": """
+            class Frontend:
+                def load(self, block, qp):
+                    self.pipe.issue_then(self._loaded, qp)
+
+                def _loaded(self, qp):
+                    pass
+        """}, rules=["REP011"])
+        assert codes(findings) == ["REP011"]
+
+    def test_access_continuation_is_exempt(self, tmp_path):
+        findings = run_fixture(tmp_path, {"core/plug.py": """
+            class Frontend:
+                def load(self, block, qp):
+                    self.coherence.access(self.entity, "ni", block, False, self._loaded, qp)
+
+                def _loaded(self, result, qp):
+                    pass
+        """}, rules=["REP011"])
+        assert findings == []
+
+    def test_packages_outside_the_event_loop_ignored(self, tmp_path):
+        findings = run_fixture(tmp_path, {"obs/plug.py": """
+            class Sampler:
+                def start(self):
+                    self.sim.schedule(1, self._tick)
+
+                def _tick(self):
+                    pass
+        """}, rules=["REP011"])
         assert findings == []
 
 

@@ -3,8 +3,13 @@
 Whoever builds a :class:`ManycoreSoc` closes it when its run returns
 (:meth:`ManycoreSoc.close`), which cuts the machine's internal reference
 cycles.  Each census below runs one driver with the cyclic collector off and
-requires that nothing is left for a collection to find.
+requires that nothing is left for a collection to find.  A loaded machine's
+event backlog holds no bound methods: continuations are plain functions with
+their owner as an argument (lint rule REP011 is the static half).
 """
+
+import gc
+import types
 
 import pytest
 
@@ -155,3 +160,27 @@ class TestClosedMachine:
         scenario.run()
         scenario.machine.run()  # still open: Scenario.run leaves closing to the caller
         scenario.machine.close()
+
+
+def bound_methods() -> int:
+    return sum(1 for obj in gc.get_objects() if type(obj) is types.MethodType)
+
+
+class TestEventBacklog:
+    def test_fig7_backlog_holds_no_bound_methods(self):
+        """The NIsplit 4 KiB Fig. 7 point's backlog at cycle 1,000: each
+        queued event costs its argument tuple, not a bound method too."""
+        before = bound_methods()
+        soc = ManycoreSoc(PAPER.with_design("split"))
+        try:
+            outstanding = RemoteReadBandwidthBenchmark(soc.config).max_outstanding_for(4096)
+            workload = UniformRandomReadWorkload(soc.config, transfer_bytes=4096,
+                                                 max_outstanding=outstanding)
+            workload.setup(soc)
+            for core in workload.driven_cores:
+                core.start(workload.request_stream(core.core_id), max_outstanding=outstanding)
+            soc.run(until=1000)
+            assert soc.sim.pending_events > 20_000
+            assert bound_methods() - before < 200
+        finally:
+            soc.close()

@@ -122,6 +122,18 @@ class TestRunBounds:
         sim.run(until=5)
         assert sim.now == 10
 
+    def test_run_until_inf_is_run_without_a_horizon(self):
+        # Regression: the idle advance moved the clock to the horizon, so
+        # run(until=inf) left now == inf and every later delay landed at inf.
+        sim = Simulator()
+        fired = []
+        sim.schedule(10, fired.append, "first")
+        assert sim.run(until=float("inf")) == 10.0
+        assert sim.now == 10.0
+        sim.schedule(5, lambda: fired.append(sim.now))
+        assert sim.run(until=float("inf")) == 15.0
+        assert fired == ["first", 15.0]
+
     def test_run_until_in_the_past_executes_nothing(self):
         sim = Simulator()
         sim.schedule(10, lambda: None)

@@ -1,0 +1,221 @@
+#!/usr/bin/env python3
+"""Interleaved A/B of the repository benchmark: a git ref against the working tree.
+
+Run from anywhere inside the repository::
+
+    python tools/ab_perfbench.py --ref HEAD~1 --workload bw_mesh --pairs 10 --seconds 30
+    python tools/ab_perfbench.py --ref main --workload lat_zero_load --workload rw_open \\
+        --pairs 10 --seconds 30 --seed 2
+
+The ref is checked out with ``git worktree add --detach`` into a temporary
+directory, which is removed on exit.  Both sides must run the same benchmark,
+so the tool refuses when ``perfbench/`` or ``BENCHMARK.json`` differs between
+the ref and the working tree.
+
+For each workload it runs ``--pairs`` pairs.  A pair is one run of
+``python3 perfbench/run.py --workload W --seed K --seconds S --trace 0`` in
+each tree, each a fresh process; successive pairs alternate which side runs
+first.  For every end-to-end metric of ``BENCHMARK.json`` (name, unit and
+which direction is better come from there) it prints both medians with their
+quartiles [q1, q3], the ratio of the change to the parent, the pairs the
+change won (ties count for neither) and whether a gain may be claimed: the
+change won at least nine tenths of the pairs and the medians differ, in the
+change's favour, by more than the parent's interquartile range.  It prints
+every run's ``correct`` and ``failed``.  Last, one ``--trace 1`` run per side
+prints the exact layer counts side by side; a difference there is a
+behaviour change.
+
+Exit status: 0 when every run was correct, 1 when any run failed or was
+incorrect, 2 on usage errors (including the refusal above).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+from typing import Dict, List, Optional, Sequence, Tuple
+
+#: Exact per-round counts compared between the two trees with ``--trace 1``.
+LAYER_COUNTS = ("sim.events", "sim.peak_pending", "noc.fused_hops", "noc.hop_events")
+#: What the benchmark reads and runs; both trees must have the same.
+BENCHMARK_PATHS = ("perfbench", "BENCHMARK.json")
+
+
+def quartiles(values: Sequence[float]) -> Tuple[float, float, float]:
+    """(q1, median, q3) of ``values``, interpolated inclusively."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def summarize(metrics: Sequence[dict], parent: Sequence[Optional[Dict[str, float]]],
+              change: Sequence[Optional[Dict[str, float]]]) -> List[dict]:
+    """One row per metric over the pairs ``zip(parent, change)``.
+
+    ``metrics`` are ``BENCHMARK.json``'s ``end_to_end`` entries; each run is
+    a ``{metric name: value}`` dict, or None when the run produced no
+    metrics.  A pair counts for a metric only when both runs report it.
+    """
+    rows = []
+    for metric in metrics:
+        name = metric["name"]
+        lower = metric["better"] == "lower"
+        pairs = [(p[name], c[name]) for p, c in zip(parent, change)
+                 if p is not None and c is not None and name in p and name in c]
+        row = {"name": name, "unit": metric["unit"], "pairs": len(pairs), "won": 0,
+               "parent": None, "change": None, "ratio": None, "claim": False}
+        if pairs:
+            before = quartiles([p for p, _ in pairs])
+            after = quartiles([c for _, c in pairs])
+            gain = before[1] - after[1] if lower else after[1] - before[1]
+            won = sum(1 for p, c in pairs if (c < p if lower else c > p))
+            row.update(
+                parent=before, change=after, won=won,
+                ratio=after[1] / before[1] if before[1] else None,
+                claim=10 * won >= 9 * len(pairs) and gain > before[2] - before[0],
+            )
+        rows.append(row)
+    return rows
+
+
+def format_rows(rows: Sequence[dict]) -> str:
+    """The summary table, one line per metric."""
+    def spread(quart):
+        return "-" if quart is None else "%.4g [%.4g, %.4g]" % (quart[1], quart[0], quart[2])
+
+    lines = ["  %-18s %-9s %-28s %-28s %-8s %-6s %s" % (
+        "metric", "unit", "parent median [q1, q3]", "change median [q1, q3]",
+        "ratio", "won", "claim")]
+    for row in rows:
+        ratio = "-" if row["ratio"] is None else "%.4f" % row["ratio"]
+        lines.append("  %-18s %-9s %-28s %-28s %-8s %-6s %s" % (
+            row["name"], row["unit"], spread(row["parent"]), spread(row["change"]), ratio,
+            "%d/%d" % (row["won"], row["pairs"]), "yes" if row["claim"] else "no"))
+    return "\n".join(lines)
+
+
+def run_perfbench(tree: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """One fresh benchmark process in ``tree``; its last output line, parsed.
+
+    A run that exits non-zero or prints no JSON comes back as
+    ``{"correct": False, "failed": None, "metrics": {}}``.
+    """
+    command = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
+               "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+    done = subprocess.run(command, cwd=tree, capture_output=True, text=True)
+    lines = done.stdout.strip().splitlines()
+    if done.returncode == 0 and lines:
+        try:
+            return json.loads(lines[-1])
+        except ValueError:
+            pass
+    sys.stderr.write("perfbench in %s exited %d:\n%s\n" % (tree, done.returncode,
+                                                          done.stderr[-2000:]))
+    return {"correct": False, "failed": None, "metrics": {}}
+
+
+def values(result: dict) -> Optional[Dict[str, float]]:
+    """``{metric name: value}`` of a run, or None when it reported nothing."""
+    metrics = result.get("metrics") or {}
+    return {name: entry["value"] for name, entry in metrics.items()} or None
+
+
+def git(repo: str, *args: str) -> str:
+    return subprocess.run(["git", "-C", repo] + list(args), check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def benchmark_differs(repo: str, ref: str) -> List[str]:
+    """The benchmark paths that differ between ``ref`` and the working tree."""
+    changed = subprocess.run(["git", "-C", repo, "diff", "--name-only", ref, "--"]
+                             + list(BENCHMARK_PATHS), check=True, capture_output=True,
+                             text=True).stdout.split()
+    untracked = git(repo, "ls-files", "--others", "--exclude-standard", "--",
+                    *BENCHMARK_PATHS).split()
+    return sorted(set(changed) | set(untracked))
+
+
+def compare(sides: Dict[str, str], workload: str, metrics: Sequence[dict], args) -> bool:
+    """Run one workload's pairs and layer counts; True when every run was correct."""
+    results: Dict[str, List[dict]] = {"parent": [], "change": []}
+    print("workload %s, seed %d: %d pairs of %g s runs" % (
+        workload, args.seed, args.pairs, args.seconds), flush=True)
+    for index in range(args.pairs):
+        order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
+        for side in order:
+            results[side].append(run_perfbench(sides[side], workload, args.seed,
+                                               args.seconds, 0))
+        print("  pair %d (%s first): %s" % (index + 1, order[0], "; ".join(
+            "%s correct=%s failed=%s" % (side, results[side][-1].get("correct"),
+                                         results[side][-1].get("failed"))
+            for side in ("parent", "change"))), flush=True)
+    rows = summarize(metrics, [values(r) for r in results["parent"]],
+                     [values(r) for r in results["change"]])
+    print(format_rows(rows))
+    traced = {side: run_perfbench(sides[side], workload, args.seed, args.seconds, 1)
+              for side in ("parent", "change")}
+    print("  layer counts per round (--trace 1):")
+    for name in LAYER_COUNTS:
+        counts = [(values(traced[side]) or {}).get(name) for side in ("parent", "change")]
+        print("  %-18s %14s %14s  %s" % (name, counts[0], counts[1],
+                                          "same" if counts[0] == counts[1] else "DIFFERS"))
+    runs = results["parent"] + results["change"] + list(traced.values())
+    return all(run.get("correct") is True and run.get("failed") == 0 for run in runs)
+
+
+def parse_args(argv, workloads: Sequence[str]):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--ref", required=True, help="the parent: any git commit-ish")
+    parser.add_argument("--workload", action="append", required=True, choices=workloads)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    if args.seconds <= 0:
+        parser.error("--seconds must be positive")
+    return args
+
+
+def main(argv=None) -> int:
+    repo = git(os.path.dirname(os.path.abspath(__file__)), "rev-parse", "--show-toplevel")
+    with open(os.path.join(repo, "BENCHMARK.json")) as handle:
+        benchmark = json.load(handle)
+    args = parse_args(argv, [workload["name"] for workload in benchmark["workloads"]])
+    try:
+        commit = git(repo, "rev-parse", "--verify", "--quiet", args.ref + "^{commit}")
+    except subprocess.CalledProcessError:
+        print("error: %r names no commit" % args.ref, file=sys.stderr)
+        return 2
+    differs = benchmark_differs(repo, commit)
+    if differs:
+        print("error: the benchmark differs between %s and the working tree (%s); an A/B "
+              "needs the same benchmark on both sides" % (args.ref, ", ".join(differs)),
+              file=sys.stderr)
+        return 2
+    scratch = tempfile.mkdtemp(prefix="ab_perfbench-")
+    parent_tree = os.path.join(scratch, "parent")
+    try:
+        git(repo, "worktree", "add", "--detach", "--quiet", parent_tree, commit)
+        print("parent: %s (%s); change: the working tree %s" % (args.ref, commit[:12], repo))
+        sides = {"parent": parent_tree, "change": repo}
+        correct = [compare(sides, workload, benchmark["end_to_end"], args)
+                   for workload in args.workload]
+    finally:
+        subprocess.run(["git", "-C", repo, "worktree", "remove", "--force", parent_tree],
+                       capture_output=True)
+        shutil.rmtree(scratch, ignore_errors=True)
+        subprocess.run(["git", "-C", repo, "worktree", "prune"], capture_output=True)
+    return 0 if all(correct) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
