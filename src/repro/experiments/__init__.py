@@ -6,7 +6,7 @@ choices) via the :func:`~repro.experiments.spec.experiment` decorator and
 returns an :class:`~repro.experiments.base.ExperimentResult` — a structured,
 JSON/CSV-serializable record whose rows mirror the series the paper
 reports.  ``repro-experiments`` (the CLI), :mod:`repro.campaign` (parallel
-parameter sweeps) and the pytest-benchmark suite drive them.
+parameter sweeps) and the tier-1 paper-shape tests drive them.
 """
 
 from repro.experiments.base import ExperimentResult, ResultMetadata, load_result

@@ -88,7 +88,7 @@ The fabric keeps only the counters something reads:
   bandwidth benchmark, the workload metrics and perfbench's layer counts;
 * ``lifetime_packets_sent`` — the obs throughput probe;
 * ``packets_delivered`` and ``lifetime_fused_hops`` — the hot-path
-  profiler, the engine microbenchmarks and the packet-conservation tests;
+  profiler and its tests, and the packet-conservation tests;
 * :meth:`NocFabric.link_utilization` and :meth:`NocFabric.zero_load_latency`
   — the reference checks of the fusion and NOC tests.
 """

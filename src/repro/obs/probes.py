@@ -27,9 +27,9 @@ class ProbeContext:
     """Read-only views of a run handed to every probe at each tick.
 
     Fields default to ``None``; a sampler fills in what its host exposes
-    (the load driver provides everything, the benchmark harness only
-    ``sim`` + ``fabric``) and probes skip sampling when their source is
-    missing.
+    (the load driver provides everything, ``tools/profile_hotpath.py
+    --obs-overhead`` only ``sim`` + ``fabric``) and probes skip sampling
+    when their source is missing.
     """
 
     __slots__ = ("sim", "fabric", "driver", "states", "tails", "fault_state")

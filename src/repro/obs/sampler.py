@@ -4,9 +4,9 @@ A :class:`Sampler` ticks on a simulator's own event queue, bounded by an
 explicit *horizon*: the tick at or before the horizon is the last one
 scheduled, so attaching a sampler never keeps an otherwise-drained simulator
 alive (``Simulator.run()`` with no ``until`` must still terminate).  Hosts
-that drive time in batches with drain-to-quiescence runs (the benchmark
-harness) skip :meth:`install` and call :meth:`sample_now` between batches
-instead.
+that drive time in batches with drain-to-quiescence runs (the obs-overhead
+check of ``tools/profile_hotpath.py``) skip :meth:`install` and call
+:meth:`sample_now` between batches instead.
 """
 
 from __future__ import annotations

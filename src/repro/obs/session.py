@@ -78,7 +78,7 @@ class ObsSession:
 
     def emit_sample(self, probe: str, sim_index: int, t: float, data: Dict[str, Any]) -> None:
         """Write one probe sample stamped with the current run label."""
-        self.emit("sample", run=self.run_label, sim=sim_index, t=t, probe=probe, data=data)
+        self.stream.write_sample(self.run_label, sim_index, t, probe, data)
 
     # -- lifecycle ------------------------------------------------------
 

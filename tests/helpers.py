@@ -1,15 +1,16 @@
 """Importable test helpers (kept outside conftest.py).
 
 Test modules import :func:`small_config` from here rather than from
-``conftest`` — pytest resolves bare ``conftest`` imports against whichever
-conftest.py it imported first (e.g. ``benchmarks/conftest.py`` when both
-directories are collected), so conftest must stay fixtures-only.
+``conftest``: pytest resolves a bare ``conftest`` import against whichever
+conftest.py it imported first, so conftest stays fixtures-only.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import gc
+import importlib.util
+import os
 from typing import Callable
 
 from repro.config import SystemConfig
@@ -44,3 +45,13 @@ def cyclic_garbage(run: Callable[[], object]) -> int:
     finally:
         if enabled:
             gc.enable()
+
+
+def load_tool(name: str):
+    """Import the script ``tools/<name>.py`` as a module."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "tools", name + ".py")
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

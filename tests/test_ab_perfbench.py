@@ -2,19 +2,15 @@
 
 from __future__ import annotations
 
-import importlib.util
-import os
-
 import pytest
 
-TOOL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                    "tools", "ab_perfbench.py")
-_spec = importlib.util.spec_from_file_location("ab_perfbench", TOOL)
-ab = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(ab)
+from helpers import load_tool
 
-RUN_S = {"name": "run_s", "unit": "s", "better": "lower"}
-OPS = {"name": "ops_per_s", "unit": "1/s", "better": "higher"}
+ab = load_tool("ab_perfbench")
+
+RUN_S = {"name": "run_s", "unit": "s", "better": "lower", "bound": 0.25}
+OPS = {"name": "ops_per_s", "unit": "1/s", "better": "higher", "bound": 0.25}
+RSS = {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1}
 
 
 def runs(name, series):
@@ -80,3 +76,31 @@ class TestSummary:
         table = ab.format_rows(rows)
         assert "run_s" in table and "ops_per_s" in table and "1/s" in table
         assert table.count("1/1") == 2
+
+
+class TestRegression:
+    def test_twice_as_slow_on_every_pair_regressed(self):
+        row = only_row(RUN_S, [3.0, 3.1, 2.9, 3.0, 3.2], [6.0, 6.2, 5.8, 6.0, 6.4])
+        assert row["regressed"] is True
+        assert "YES" in ab.format_rows([row])
+
+    def test_identical_runs_do_not_regress(self):
+        row = only_row(RUN_S, [3.0, 3.1, 2.9, 3.0, 3.2], [3.0, 3.1, 2.9, 3.0, 3.2])
+        assert row["regressed"] is False
+
+    def test_a_slowdown_inside_the_bound_does_not_regress(self):
+        row = only_row(RUN_S, [3.0] * 5, [3.6] * 5)
+        assert row["won"] == 0 and row["regressed"] is False
+
+    def test_a_slowdown_past_the_bound_with_one_pair_won_does_not_regress(self):
+        row = only_row(RUN_S, [3.0] * 5, [4.0, 4.0, 4.0, 4.0, 2.9])
+        assert row["won"] == 1 and row["regressed"] is False
+
+    def test_higher_is_better_metrics_regress_downwards(self):
+        assert only_row(OPS, [100.0] * 5, [70.0] * 5)["regressed"] is True
+        assert only_row(OPS, [100.0] * 5, [130.0] * 5)["regressed"] is False
+
+    def test_each_metric_uses_its_own_bound(self):
+        parent, change = [30.0] * 5, [34.5] * 5  # 15% worse on every pair
+        assert only_row(RSS, parent, change)["regressed"] is True
+        assert only_row(dict(RSS, bound=0.25), parent, change)["regressed"] is False

@@ -576,6 +576,8 @@ class TestRealExperimentDeterminism:
     def test_evolve_weakly_dominates_grid_screen_on_same_budget(self):
         budget = 4  # the smoke space has 4 points; same budget for both
         evolve = self.run(strategy="evolve", budget=budget)
+        assert evolve.totals["evaluations"] == evolve.totals["feasible"] == budget
+        assert evolve.pareto
         screen = self.run(strategy="grid_screen", budget=budget)
         assert front_from_report(evolve).weakly_dominates(front_from_report(screen))
 

@@ -839,6 +839,7 @@ class TestChaosSweepDeterminism:
 
     def test_fault_counters_surface_in_metadata(self):
         result = get_spec("chaos_sweep").run(**self.PARAMS)
+        assert result.metadata.events["requests_completed"] > 0
         assert result.metadata.events["fault_windows"] > 0
         assert result.metadata.perf["fault_windows"] > 0
         assert result.metadata.perf["fault_hits"] > 0

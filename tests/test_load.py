@@ -278,6 +278,7 @@ class TestLoadSweepExperiment:
     def test_reports_saturation_and_exact_tails(self):
         result = get_spec("load_sweep").run(**self.SMALL)
         assert len(result.rows) == 2
+        assert result.metadata.events["requests_completed"] > 0
         slo_column = result.column("SLO ok")
         assert slo_column == [True, False]
         assert any(note.startswith("saturation throughput") for note in result.notes)

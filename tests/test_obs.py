@@ -193,6 +193,47 @@ class TestStreamSchema:
         assert stream.records == 0
         stream.close()
 
+    @pytest.mark.parametrize("run,sim,t,probe,data", [
+        ("r", 0, 12345.0, "throughput", {"events": 7, "delta_events": 0}),
+        ("fp-é\"\n", 3, 250, "fault_windows",
+         {"active": True, "cascade": {"hits": 1, "triggered_by": "slow_node"},
+          "mix": [1.5, None, "s", [2], (3, 4)], "p99": 1e-07}),
+        ("r", 1, 0.1, "p", {}),
+        # Not plain, but valid: these take the validated path.
+        ("r", True, 5.0, "p", {"n": 1}),
+        ("r", 0, float("inf"), "p", {"n": 1}),
+    ])
+    def test_write_sample_writes_the_bytes_emit_writes(self, tmp_path, run, sim, t,
+                                                        probe, data):
+        fast = ObsStream.open(str(tmp_path / "fast.jsonl"))
+        fast.write_sample(run, sim, t, probe, data)
+        fast.close()
+        slow = ObsStream.open(str(tmp_path / "slow.jsonl"))
+        slow.emit({"event": "sample", "run": run, "sim": sim, "t": t, "probe": probe,
+                   "data": data})
+        slow.close()
+        assert fast.records == slow.records == 1
+        assert (tmp_path / "fast.jsonl").read_bytes() == (tmp_path / "slow.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("run,sim,t,probe,data", [
+        ("r", 0, 1.0, "p", {"nested": [{"wall_s": 0.1}]}),
+        ("r", "0", 1.0, "p", {}),
+        ("r", 0, True, "p", {}),
+        ("r", 0, 1.0, 3, {}),
+        ("r", 0, 1.0, "p", [1]),
+    ])
+    def test_write_sample_refuses_what_emit_refuses(self, tmp_path, run, sim, t, probe,
+                                                     data):
+        stream = ObsStream.open(str(tmp_path / "s.jsonl"))
+        with pytest.raises(ObsError) as fast:
+            stream.write_sample(run, sim, t, probe, data)
+        with pytest.raises(ObsError) as slow:
+            stream.emit({"event": "sample", "run": run, "sim": sim, "t": t, "probe": probe,
+                         "data": data})
+        stream.close()
+        assert str(fast.value) == str(slow.value)
+        assert stream.records == 0
+
     def test_read_stream_reports_bad_json_with_line_number(self, tmp_path):
         path = str(tmp_path / "bad.jsonl")
         with open(path, "w") as handle:

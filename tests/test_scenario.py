@@ -265,6 +265,7 @@ class TestWorkloadProtocol:
         uniform = UniformRandomReadWorkload(config, active_cores=4, ops_per_core=8)
         hot_metrics = hot.run_on(ManycoreSoc(config))
         uniform_metrics = uniform.run_on(ManycoreSoc(config))
+        assert hot_metrics["completed_ops"] == uniform_metrics["completed_ops"] == 4 * 8
         # All hotspot offsets fall inside the hot window, which a single
         # RRPP/LLC row serves; mean latency must suffer relative to uniform.
         assert hot_metrics["mean_latency_ns"] > uniform_metrics["mean_latency_ns"]

@@ -20,13 +20,16 @@ which direction is better come from there) it prints both medians with their
 quartiles [q1, q3], the ratio of the change to the parent, the pairs the
 change won (ties count for neither) and whether a gain may be claimed: the
 change won at least nine tenths of the pairs and the medians differ, in the
-change's favour, by more than the parent's interquartile range.  It prints
-every run's ``correct`` and ``failed``.  Last, one ``--trace 1`` run per side
-prints the exact layer counts side by side; a difference there is a
+change's favour, by more than the parent's interquartile range.  A metric
+regressed when the change lost every pair and its median is worse than the
+parent's by more than the metric's ``bound`` in ``BENCHMARK.json``.  It
+prints every run's ``correct`` and ``failed``.  Last, one ``--trace 1`` run
+per side prints the exact layer counts side by side; a difference there is a
 behaviour change.
 
-Exit status: 0 when every run was correct, 1 when any run failed or was
-incorrect, 2 on usage errors (including the refusal above).
+Exit status: 0 when every run was correct and no metric regressed, 1 when a
+run failed or was incorrect or a metric regressed, 2 on usage errors
+(including the refusal above).
 """
 
 from __future__ import annotations
@@ -66,20 +69,24 @@ def summarize(metrics: Sequence[dict], parent: Sequence[Optional[Dict[str, float
     rows = []
     for metric in metrics:
         name = metric["name"]
-        lower = metric["better"] == "lower"
+        sign = 1.0 if metric["better"] == "lower" else -1.0
         pairs = [(p[name], c[name]) for p, c in zip(parent, change)
                  if p is not None and c is not None and name in p and name in c]
         row = {"name": name, "unit": metric["unit"], "pairs": len(pairs), "won": 0,
-               "parent": None, "change": None, "ratio": None, "claim": False}
+               "parent": None, "change": None, "ratio": None, "claim": False,
+               "regressed": False}
         if pairs:
             before = quartiles([p for p, _ in pairs])
             after = quartiles([c for _, c in pairs])
-            gain = before[1] - after[1] if lower else after[1] - before[1]
-            won = sum(1 for p, c in pairs if (c < p if lower else c > p))
+            won = sum(1 for p, c in pairs if sign * (p - c) > 0)
+            lost = sum(1 for p, c in pairs if sign * (c - p) > 0)
             row.update(
                 parent=before, change=after, won=won,
                 ratio=after[1] / before[1] if before[1] else None,
-                claim=10 * won >= 9 * len(pairs) and gain > before[2] - before[0],
+                claim=(10 * won >= 9 * len(pairs)
+                       and sign * (before[1] - after[1]) > before[2] - before[0]),
+                regressed=(lost == len(pairs)
+                           and sign * (after[1] - before[1]) > metric["bound"] * before[1]),
             )
         rows.append(row)
     return rows
@@ -90,14 +97,15 @@ def format_rows(rows: Sequence[dict]) -> str:
     def spread(quart):
         return "-" if quart is None else "%.4g [%.4g, %.4g]" % (quart[1], quart[0], quart[2])
 
-    lines = ["  %-18s %-9s %-28s %-28s %-8s %-6s %s" % (
+    lines = ["  %-18s %-9s %-28s %-28s %-8s %-6s %-6s %s" % (
         "metric", "unit", "parent median [q1, q3]", "change median [q1, q3]",
-        "ratio", "won", "claim")]
+        "ratio", "won", "claim", "regressed")]
     for row in rows:
         ratio = "-" if row["ratio"] is None else "%.4f" % row["ratio"]
-        lines.append("  %-18s %-9s %-28s %-28s %-8s %-6s %s" % (
+        lines.append("  %-18s %-9s %-28s %-28s %-8s %-6s %-6s %s" % (
             row["name"], row["unit"], spread(row["parent"]), spread(row["change"]), ratio,
-            "%d/%d" % (row["won"], row["pairs"]), "yes" if row["claim"] else "no"))
+            "%d/%d" % (row["won"], row["pairs"]), "yes" if row["claim"] else "no",
+            "YES" if row["regressed"] else "no"))
     return "\n".join(lines)
 
 
@@ -143,7 +151,10 @@ def benchmark_differs(repo: str, ref: str) -> List[str]:
 
 
 def compare(sides: Dict[str, str], workload: str, metrics: Sequence[dict], args) -> bool:
-    """Run one workload's pairs and layer counts; True when every run was correct."""
+    """Run one workload's pairs and layer counts.
+
+    True when every run was correct and no metric regressed.
+    """
     results: Dict[str, List[dict]] = {"parent": [], "change": []}
     print("workload %s, seed %d: %d pairs of %g s runs" % (
         workload, args.seed, args.pairs, args.seconds), flush=True)
@@ -167,7 +178,8 @@ def compare(sides: Dict[str, str], workload: str, metrics: Sequence[dict], args)
         print("  %-18s %14s %14s  %s" % (name, counts[0], counts[1],
                                           "same" if counts[0] == counts[1] else "DIFFERS"))
     runs = results["parent"] + results["change"] + list(traced.values())
-    return all(run.get("correct") is True and run.get("failed") == 0 for run in runs)
+    return (all(run.get("correct") is True and run.get("failed") == 0 for run in runs)
+            and not any(row["regressed"] for row in rows))
 
 
 def parse_args(argv, workloads: Sequence[str]):

@@ -1,11 +1,11 @@
 #!/usr/bin/env python
 """cProfile recipe for the simulation hot path.
 
-Profiles either the NOC packet-injection microbenchmark (the same mix the
-perf baseline measures, at a chosen load regime) or any registered
-experiment spec, and prints the top functions by internal time.  This is
-the tool that found the wins behind lookahead hop fusion and the
-allocation-free event path — start here before optimising anything.
+Profiles either a deterministic all-to-all packet mix injected into the 8x8
+mesh NOC (at a chosen load regime) or any registered experiment spec, and
+prints the top functions by internal time.  This is the tool that found the
+wins behind lookahead hop fusion and the allocation-free event path — start
+here before optimising anything.
 
 Under the table it prints the pauses of CPython's cyclic garbage collector
 per generation (seconds and collections, timed through ``gc.callbacks``).
@@ -22,6 +22,13 @@ objects one ``gc.collect()`` frees after the run's result is dropped,
 outside the profiled region.  A finished machine is closed and freed by
 reference counting, so this reads 0; anything else is a new reference
 cycle that keeps dead machines alive until a full collection.
+
+``--obs-overhead`` profiles nothing: it runs the contended mix (40,000
+packets, 64 per drain) ``OBS_PAIRS`` times with and without an obs session
+that samples the ``throughput`` and ``heap_health`` probes after every
+drain, interleaved in one process and alternating which side runs first.
+It prints every pair and the median [q1, q3] of ``1 - obs/plain``
+packets/s, and exits 1 when q1 exceeds ``OBS_OVERHEAD_BOUND``.
 
 Examples::
 
@@ -41,6 +48,9 @@ Examples::
     # The contended Fig. 7 path (NIsplit, 4 KiB transfers, 64 cores):
     python tools/profile_hotpath.py --experiment fig7 --set design=split \
         --set sizes=4096 --set warmup_cycles=1000 --set measure_cycles=2000
+
+    # What streaming telemetry costs the contended mix (about 15 s):
+    python tools/profile_hotpath.py --obs-overhead
 """
 
 from __future__ import annotations
@@ -48,9 +58,20 @@ from __future__ import annotations
 import argparse
 import cProfile
 import gc
+import os
 import pstats
+import statistics
 import sys
+import tempfile
 from time import perf_counter
+
+#: Interleaved (plain, obs) pairs the ``--obs-overhead`` check runs.
+OBS_PAIRS = 21
+#: Largest share of the plain mix's packets/s that sampling may cost, at q1.
+OBS_OVERHEAD_BOUND = 0.05
+#: The ``--obs-overhead`` mix: packets, and packets sent per drain.
+OBS_PACKETS = 40_000
+OBS_BATCH = 64
 
 
 class CollectorPauses:
@@ -86,7 +107,11 @@ class CollectorPauses:
         return "collector pauses: %s; total %.3f s" % ("; ".join(rows), sum(self.seconds))
 
 
-def profile_injection(packets: int, batch: int) -> cProfile.Profile:
+def injection_mix(packets: int):
+    """The all-to-all mix on a fresh 8x8 mesh: ``(plan, sim, fabric)``.
+
+    ``plan`` holds one ``(src, dst, bytes, class)`` per packet.
+    """
     from repro.config import MessageClass, SystemConfig
     from repro.noc.fabric import NocFabric
     from repro.noc.mesh import MeshTopology
@@ -101,32 +126,95 @@ def profile_injection(packets: int, batch: int) -> cProfile.Profile:
         for i in range(packets)
     ]
     sim = Simulator()
-    fabric = NocFabric(sim, topology, config.noc)
-    profiler = cProfile.Profile()
-    profiler.enable()
+    return plan, sim, NocFabric(sim, topology, config.noc)
+
+
+def inject(plan, sim, fabric, batch: int, after_batch=None) -> None:
+    """Send ``plan`` and run it until every packet is delivered.
+
+    With ``batch <= 1`` each delivery injects the next packet (one packet in
+    flight); otherwise ``batch`` packets go out per drain, and
+    ``after_batch()`` runs after each drain.
+    """
     if batch <= 1:
-        # Self-paced chain: each delivery injects the next packet.
         requests = iter(plan)
         send = fabric.send
 
-        def inject():
+        def inject_next():
             request = next(requests, None)
             if request is not None:
-                send(request[0], request[1], request[2], request[3], inject)
+                send(request[0], request[1], request[2], request[3], inject_next)
 
-        inject()
+        inject_next()
         sim.run()
     else:
         for position, (src, dst, nbytes, cls) in enumerate(plan):
             fabric.send(src, dst, nbytes, cls)
             if position % batch == batch - 1:
                 sim.run()
+                if after_batch is not None:
+                    after_batch()
         sim.run()
+        if after_batch is not None:
+            after_batch()
+    assert fabric.packets_delivered == len(plan)
+
+
+def profile_injection(packets: int, batch: int) -> cProfile.Profile:
+    plan, sim, fabric = injection_mix(packets)
+    profiler = cProfile.Profile()
+    profiler.enable()
+    inject(plan, sim, fabric, batch)
     profiler.disable()
-    assert fabric.packets_delivered == packets
     print("%d packets, %d events, %d hops fused\n"
           % (packets, sim.events_executed, fabric.lifetime_fused_hops))
     return profiler
+
+
+def injection_rate(stream_path=None) -> float:
+    """Packets/s of the ``--obs-overhead`` mix, sampled into ``stream_path`` if given."""
+    from repro.obs.probes import ProbeContext
+    from repro.obs.sampler import Sampler
+    from repro.obs.session import ObsSession
+    from repro.obs.stream import ObsStream
+
+    if stream_path is None:
+        plan, sim, fabric = injection_mix(OBS_PACKETS)
+        gc.collect()
+        started = perf_counter()
+        inject(plan, sim, fabric, OBS_BATCH)
+        return OBS_PACKETS / (perf_counter() - started)
+    session = ObsSession(ObsStream.open(stream_path), probes=["throughput", "heap_health"])
+    try:
+        with session.activate(run="obs_overhead"):
+            plan, sim, fabric = injection_mix(OBS_PACKETS)
+            sampler = Sampler(session, sim, ProbeContext(sim=sim, fabric=fabric), horizon=0.0)
+            gc.collect()
+            started = perf_counter()
+            inject(plan, sim, fabric, OBS_BATCH, sampler.sample_now)
+            return OBS_PACKETS / (perf_counter() - started)
+    finally:
+        session.close()
+
+
+def obs_overhead() -> int:
+    """The interleaved obs-overhead check; 1 when q1 is past the bound."""
+    overheads = []
+    with tempfile.TemporaryDirectory(prefix="obs_overhead-") as scratch:
+        stream_path = os.path.join(scratch, "obs.jsonl")
+        for index in range(OBS_PAIRS):
+            order = (None, stream_path) if index % 2 == 0 else (stream_path, None)
+            rates = {path: injection_rate(path) for path in order}
+            overheads.append(1.0 - rates[stream_path] / rates[None])
+            print("pair %2d (%s first): plain %.0f, obs %.0f packets/s, overhead %+.1f%%"
+                  % (index + 1, "plain" if order[0] is None else "obs", rates[None],
+                     rates[stream_path], 100.0 * overheads[-1]), flush=True)
+    q1, median, q3 = statistics.quantiles(overheads, n=4, method="inclusive")
+    failed = q1 > OBS_OVERHEAD_BOUND
+    print("obs overhead: median %.1f%% [%.1f%%, %.1f%%] over %d pairs; q1 bound %.0f%%: %s"
+          % (100.0 * median, 100.0 * q1, 100.0 * q3, OBS_PAIRS,
+             100.0 * OBS_OVERHEAD_BOUND, "FAILED" if failed else "ok"))
+    return 1 if failed else 0
 
 
 def profile_experiment(name: str, assignments: list) -> cProfile.Profile:
@@ -144,7 +232,7 @@ def profile_experiment(name: str, assignments: list) -> cProfile.Profile:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--experiment", help="profile a registered spec instead "
-                        "of the injection microbenchmark")
+                        "of the packet mix")
     parser.add_argument("--set", dest="assignments", action="append", default=[],
                         metavar="NAME=VALUE", help="experiment parameter override "
                         "(repeatable; only with --experiment)")
@@ -157,7 +245,12 @@ def main(argv=None) -> int:
                         help="pstats sort column (default tottime)")
     parser.add_argument("--limit", type=int, default=25,
                         help="rows to print (default 25)")
+    parser.add_argument("--obs-overhead", action="store_true",
+                        help="run the interleaved obs-overhead check instead of "
+                        "profiling (exit 1 past its bound)")
     args = parser.parse_args(argv)
+    if args.obs_overhead:
+        return obs_overhead()
 
     from repro.sim import perf
 
