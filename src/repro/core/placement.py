@@ -20,7 +20,7 @@ from repro.config import SystemConfig
 from repro.errors import PlacementError
 from repro.noc.mesh import MeshTopology
 from repro.noc.nocout import NocOutTopology
-from repro.noc.topology import Topology
+from repro.noc.topology import Topology, shared_topology
 from repro.scenario.registry import TOPOLOGIES, register_topology
 
 
@@ -112,7 +112,7 @@ def build_placement(config: SystemConfig) -> ChipPlacement:
 def _mesh_placement(config: SystemConfig) -> ChipPlacement:
     """2D mesh: NIs on the west edge column, MCs on the east (Table 2)."""
     side = config.mesh_side
-    topology = MeshTopology(side, config.noc)
+    topology = shared_topology(MeshTopology, config.noc, side)
     tile_nodes = [topology.tile_coord(t) for t in range(config.tile_count)]
     llc_nodes = list(tile_nodes)  # one LLC slice per tile (Table 2)
     mc_column = topology.mc_edge_column()
@@ -136,7 +136,7 @@ def _noc_out_placement(config: SystemConfig) -> ChipPlacement:
     """NOC-Out: flattened-butterfly LLC row plus per-column core trees (§6.3)."""
     columns = config.mesh_side
     cores_per_column = config.tile_count // columns
-    topology = NocOutTopology(columns=columns, cores_per_column=cores_per_column, noc_config=config.noc)
+    topology = shared_topology(NocOutTopology, config.noc, columns, cores_per_column)
     tile_nodes = [topology.core_node(t) for t in range(config.tile_count)]
     llc_nodes = [topology.llc_node(i) for i in range(config.llc.banks_noc_out)]
     mc_nodes = [topology.mc_node(i) for i in range(min(columns, config.memory.controllers))]

@@ -27,6 +27,20 @@ thousands of cycles under load, and a backlog of such long-lived objects is
 what CPython's cyclic garbage collector keeps walking in its old
 generations.
 
+Route binding
+-------------
+
+The topology is shared with every machine of its NOC shape
+(:func:`~repro.noc.topology.shared_topology`) and immutable: the fabric reads
+routes from it and writes nothing to it.  The first packet along a route
+binds it to this fabric's own channels (``_bound_routes``, keyed by the
+topology's ``route_cache_key``), one ``(channel, hop_cycles, link_key)`` hop
+per link.  A link is looked up by identity, since the topology interns one
+:class:`~repro.noc.topology.Link` per hop, and its channel lives in
+``_channels``, a dict from link key to
+:class:`~repro.sim.resource.Resource`.  The hop walk reads only the bound
+hops.
+
 Lookahead hop fusion
 --------------------
 
@@ -129,7 +143,11 @@ def hop_fusion_default() -> bool:
 
 
 class NocFabric:
-    """Routes packets over a :class:`Topology` with per-link contention."""
+    """Routes packets over a :class:`Topology` with per-link contention.
+
+    The topology may be shared with other machines; the channels, the bound
+    routes and the counters are this fabric's own.
+    """
 
     #: Cycles charged for a message whose source and destination agents share
     #: a router (e.g. a core talking to its own tile's LLC slice).
@@ -149,6 +167,7 @@ class NocFabric:
         # no topology or channel-dict lookups.
         self._bound_routes: Dict[Hashable, Tuple[BoundHop, ...]] = {}
         # Link -> its bound hop, shared by every route that crosses it.
+        # Links hash by identity (the topology interns them).
         self._bound_hops: Dict[Link, BoundHop] = {}
         # payload_bytes -> (flits, wire_bytes); the handful of distinct
         # payload sizes an experiment sends makes this a near-perfect cache.
@@ -248,9 +267,10 @@ class NocFabric:
     def clear_route_cache(self) -> None:
         """Drop the channel-bound routes and the topology's memoized routes.
 
-        Anything that mutates routing-relevant topology state must call this
-        (not just ``topology.clear_route_cache()``): the fabric never consults
-        the topology again for a key it has already bound.
+        This only frees memory: topologies are immutable, so every dropped
+        route binds again to the same channels.  The topology may be shared
+        with other machines of its shape; they keep their own bound routes
+        and re-derive nothing they hold.
         """
         self._bound_routes.clear()
         self.topology.clear_route_cache()
@@ -267,21 +287,20 @@ class NocFabric:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _bound_hop(self, link: Link) -> BoundHop:
-        """The one (channel, hop_cycles, link_key) hop of ``link``."""
-        hop = self._bound_hops.get(link)
-        if hop is None:
-            key = link.key
-            channel = self._channels.get(key)
-            if channel is None:
-                channel = Resource(self.sim, name="link %r->%r" % (link.src, link.dst))
-                self._channels[key] = channel
-            hop = self._bound_hops[link] = (channel, link.hop_cycles, key)
+    def _bind_link(self, link: Link) -> BoundHop:
+        """The one (channel, hop_cycles, link_key) hop of ``link`` on this fabric."""
+        key = link.key
+        channel = self._channels.get(key)
+        if channel is None:
+            channel = Resource(self.sim, name="link %r->%r" % (link.src, link.dst))
+            self._channels[key] = channel
+        hop = self._bound_hops[link] = (channel, link.hop_cycles, key)
         return hop
 
     def _bind_links(self, links: Sequence[Link]) -> Tuple[BoundHop, ...]:
-        """Resolve each link of a route to its channel once."""
-        return tuple(self._bound_hop(link) for link in links)
+        """Resolve each link of a route to its channel, binding each link once."""
+        bound = self._bound_hops
+        return tuple([bound.get(link) or self._bind_link(link) for link in links])
 
     def _bound_route(
         self, src: Hashable, dst: Hashable, msg_class: MessageClass, packet_id: int

@@ -5,21 +5,45 @@ function that returns the ordered list of directed :class:`Link` objects a
 packet traverses, and the per-hop latency of each link.  The contention model
 (:class:`~repro.noc.fabric.NocFabric`) attaches a bandwidth-limited channel
 to every link returned here.
+
+Topologies are immutable and shared
+-----------------------------------
+
+Nothing simulated lives on a topology: it holds its shape, its
+:class:`~repro.config.NocConfig` and two memo tables, the routes it has
+derived (:meth:`Topology.route_cached`) and its interned links
+(:meth:`Topology.link`).  Neither ever changes an answer (clearing the route
+memo only frees memory), so one topology object serves every machine of its
+shape: the chip placements and the NUMA baseline take theirs from
+:func:`shared_topology`, and a route is derived once per process, not once
+per machine.  Per-machine state (the channels, the simulator, the fabric)
+hangs off the :class:`~repro.noc.fabric.NocFabric`, never off the topology.
+Code that wants different routing builds a topology with a different
+``NocConfig``; it never edits one in place.
 """
 
 from __future__ import annotations
 
 import abc
+import functools
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple, Type, TypeVar
 
-from repro.config import MessageClass
+from repro.config import MessageClass, NocConfig
 from repro.errors import TopologyError
 
+#: NOC shapes whose topologies (and their derived routes) a process keeps.
+SHARED_SHAPES = 8
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class Link:
-    """A directed link between two router nodes."""
+    """A directed link between two router nodes.
+
+    A topology hands out one interned object per hop (:meth:`Topology.link`),
+    so links compare and hash by identity: a fabric binds a link to its
+    channel with a pointer hash, not by hashing the endpoint coordinates.
+    """
 
     src: Hashable
     dst: Hashable
@@ -33,7 +57,12 @@ class Link:
 
 
 class Topology(abc.ABC):
-    """Interface implemented by :class:`MeshTopology` and :class:`NocOutTopology`."""
+    """Interface implemented by :class:`MeshTopology` and :class:`NocOutTopology`.
+
+    Immutable once built (see the module docstring): one object is shared
+    by every machine of its shape, so nothing may write routing state or
+    per-machine state onto it.
+    """
 
     @abc.abstractmethod
     def nodes(self) -> Iterable[Hashable]:
@@ -79,11 +108,11 @@ class Topology(abc.ABC):
         return cached
 
     def clear_route_cache(self) -> None:
-        """Drop every memoized route (tests and topology-mutation hooks).
+        """Drop every memoized route to free its memory.
 
-        A :class:`~repro.noc.fabric.NocFabric` built on this topology keeps
-        its own channel-bound route cache; invalidate through
-        ``NocFabric.clear_route_cache()``, which clears both.
+        Routes never go stale (topologies are immutable), so this changes no
+        answer: a dropped route is derived again, link for link the same
+        objects, the next time it is asked for.
         """
         self.__dict__.pop("_route_cache", None)
 
@@ -95,7 +124,8 @@ class Topology(abc.ABC):
         """The topology's one :class:`Link` from ``src`` to ``dst``.
 
         Links are immutable, so every route crossing the same hop shares one
-        object instead of each cached route allocating its own.
+        object instead of each cached route allocating its own, and that
+        object is the link's identity.
         """
         links: Dict[Tuple[Hashable, Hashable, int], Link] = self.__dict__.setdefault("_links", {})
         key = (src, dst, hop_cycles)
@@ -111,6 +141,23 @@ class Topology(abc.ABC):
     def min_latency_cycles(self, src: Hashable, dst: Hashable) -> int:
         """Zero-load head latency between two nodes."""
         return sum(link.hop_cycles for link in self.route_cached(src, dst, MessageClass.MEMORY_REQUEST))
+
+
+TopologyT = TypeVar("TopologyT", bound=Topology)
+
+
+@functools.lru_cache(maxsize=SHARED_SHAPES)
+def shared_topology(cls: Type[TopologyT], noc_config: NocConfig, *shape: int) -> TopologyT:
+    """The process's one ``cls(*shape, noc_config=noc_config)``.
+
+    Keyed on everything a route depends on: the topology class, its shape
+    (the mesh side, or NOC-Out columns and cores per column) and the whole
+    ``noc_config``.  Equal keys return the same object, so its memoized
+    routes and interned links outlive each machine built on it; the
+    :data:`SHARED_SHAPES` most recently used shapes are kept.  Building a
+    topology derives no route: routes stay lazy, derived on first use.
+    """
+    return cls(*shape, noc_config=noc_config)
 
 
 def build_path_links(topology: Topology, path: List[Hashable], hop_cycles: int) -> List[Link]:

@@ -24,6 +24,7 @@ from repro.config import MessageClass, SystemConfig
 from repro.errors import ConfigurationError
 from repro.noc.fabric import NocFabric
 from repro.noc.mesh import MeshTopology
+from repro.noc.topology import shared_topology
 from repro.scenario.registry import register_ni_design
 from repro.sim.engine import Simulator
 from repro.sonuma.unroll import block_count
@@ -95,7 +96,7 @@ class NumaMachine:
         to the core.
         """
         sim = Simulator()
-        topology = MeshTopology(self.config.mesh_side, self.config.noc)
+        topology = shared_topology(MeshTopology, self.config.noc, self.config.mesh_side)
         fabric = NocFabric(sim, topology, self.config.noc)
         if tile_id is None:
             side = self.config.mesh_side

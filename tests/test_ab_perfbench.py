@@ -1,6 +1,9 @@
-"""Tests for the A/B summary of ``tools/ab_perfbench.py`` on synthetic runs."""
+"""Tests for ``tools/ab_perfbench.py``: its summary on synthetic runs and its two trees."""
 
 from __future__ import annotations
+
+import os
+import subprocess
 
 import pytest
 
@@ -53,7 +56,13 @@ class TestSummary:
 
     def test_ties_count_for_neither(self):
         row = only_row(RUN_S, [1.0, 1.0, 1.0], [1.0, 1.0, 1.0])
-        assert row["won"] == 0 and row["ratio"] == 1.0 and row["claim"] is False
+        assert row["won"] == 0 and row["lost"] == 0
+        assert row["ratio"] == 1.0 and row["claim"] is False
+
+    def test_pairs_lost_are_counted_apart_from_ties(self):
+        row = only_row(RUN_S, [3.0, 3.0, 3.0, 3.0], [2.0, 3.0, 4.0, 4.0])
+        assert (row["won"], row["lost"], row["pairs"]) == (1, 2, 4)
+        assert "1/4" in ab.format_rows([row])
 
     def test_higher_is_better_metrics_win_upwards(self):
         row = only_row(OPS, [100.0] * 10, [120.0] * 10)
@@ -104,3 +113,41 @@ class TestRegression:
         parent, change = [30.0] * 5, [34.5] * 5  # 15% worse on every pair
         assert only_row(RSS, parent, change)["regressed"] is True
         assert only_row(dict(RSS, bound=0.25), parent, change)["regressed"] is False
+
+
+def git(repo, *args):
+    subprocess.run(["git", "-C", str(repo), "-c", "user.name=ab", "-c", "user.email=ab@example.com"]
+                   + list(args), check=True, capture_output=True)
+
+
+class TestTrees:
+    def test_both_sides_are_fresh_copies_of_their_code(self, tmp_path):
+        repo = tmp_path / "repo"
+        (repo / "pkg").mkdir(parents=True)
+        (repo / "pkg" / "code.py").write_text("VALUE = 1\n")
+        (repo / "kept.txt").write_text("kept\n")
+        (repo / ".gitignore").write_text("*.log\n")
+        git(repo, "init", "--quiet")
+        git(repo, "add", "-A")
+        git(repo, "commit", "--quiet", "-m", "parent")
+        (repo / "pkg" / "code.py").write_text("VALUE = 2\n")
+        (repo / "pkg" / "new.py").write_text("NEW = True\n")
+        (repo / "run.log").write_text("ignored\n")
+        scratch = tmp_path / "scratch"
+        scratch.mkdir()
+
+        sides = ab.build_trees(str(repo), "HEAD", str(scratch))
+
+        parent, change = sides["parent"], sides["change"]
+        assert os.path.dirname(parent) == os.path.dirname(change) == str(scratch)
+        with open(os.path.join(parent, "pkg", "code.py")) as handle:
+            assert handle.read() == "VALUE = 1\n"
+        with open(os.path.join(change, "pkg", "code.py")) as handle:
+            assert handle.read() == "VALUE = 2\n"
+        for side in (parent, change):
+            with open(os.path.join(side, "kept.txt")) as handle:
+                assert handle.read() == "kept\n"
+            assert not os.path.exists(os.path.join(side, "run.log"))
+            assert not os.path.exists(os.path.join(side, ".git"))
+        assert os.path.exists(os.path.join(change, "pkg", "new.py"))
+        assert not os.path.exists(os.path.join(parent, "pkg", "new.py"))

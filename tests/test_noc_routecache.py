@@ -1,22 +1,32 @@
-"""Tests for the route cache and the fabric's channel-bound fast path.
+"""Tests for the route cache, its sharing across machines and the fabric's fast path.
 
 The cache must be a pure memoization: for every routing algorithm, message
 class and node pair, the cached route must be link-for-link identical to a
 fresh :meth:`Topology.route` computation, and experiment outputs must not
-change when the cache is bypassed.
+change when the cache is bypassed.  Machines of one NOC shape share one
+topology (:func:`shared_topology`), so a route is derived once per process;
+what a machine simulates must not depend on what ran before it.
 """
 
 import dataclasses
 
 import pytest
 
+from helpers import small_config
+
 from repro.config import MessageClass, NocConfig, RoutingAlgorithm, SystemConfig
+from repro.core.placement import build_placement
 from repro.noc.fabric import NocFabric
 from repro.noc.mesh import MeshTopology
 from repro.noc.nocout import NocOutTopology
-from repro.noc.topology import Topology
+from repro.noc.topology import SHARED_SHAPES, Link, Topology, shared_topology
 from repro.fabric.torus import Torus3D
+from repro.node.soc import ManycoreSoc
+from repro.numa.machine import NumaMachine
+from repro.sim import perf
 from repro.sim.engine import Simulator
+from repro.sim.resource import Resource
+from repro.workloads.microbench import RemoteReadLatencyBenchmark
 
 ALL_ALGORITHMS = list(RoutingAlgorithm)
 ALL_CLASSES = list(MessageClass)
@@ -193,16 +203,175 @@ class TestFabricFastPath:
 class TestRouteCacheInvalidation:
     def test_fabric_clear_drops_bound_and_topology_routes(self):
         config = SystemConfig.paper_defaults()
-        sim = Simulator()
-        topo = mesh_with(RoutingAlgorithm.CDR_EXTENDED, 8)
-        fabric = NocFabric(sim, topo, config.noc)
-        fabric.send((0, 0), (7, 7), 64, MessageClass.NI_DATA)
-        sim.run()
+        topo = shared_topology(MeshTopology, config.noc, 8)
+        sims = [Simulator(), Simulator()]
+        fabrics = [NocFabric(sim, topo, config.noc) for sim in sims]
+        for sim, fabric in zip(sims, fabrics):
+            fabric.send((0, 0), (7, 7), 64, MessageClass.NI_DATA)
+            sim.run()
+        fabric, other = fabrics
         assert fabric._bound_routes and topo.route_cache_size() > 0
         fabric.clear_route_cache()
         assert not fabric._bound_routes
         assert topo.route_cache_size() == 0
-        # The fabric must keep working after invalidation.
-        fabric.send((0, 0), (7, 7), 64, MessageClass.NI_DATA)
-        sim.run()
-        assert fabric.packets_delivered == 2
+        # Clearing only frees memory: both fabrics on the shared topology
+        # keep delivering, at the same times, over their own channels.
+        for sim, machine in zip(sims, fabrics):
+            machine.send((0, 0), (7, 7), 64, MessageClass.NI_DATA)
+            sim.run()
+            assert machine.packets_delivered == 2
+        assert sims[0].now == sims[1].now
+        assert fabric._bound_routes.keys() == other._bound_routes.keys()
+        [rebound] = fabric._bound_routes.values()
+        [kept] = other._bound_routes.values()
+        assert [hop[1:] for hop in rebound] == [hop[1:] for hop in kept]
+        assert not {id(hop[0]) for hop in rebound} & {id(hop[0]) for hop in kept}
+
+
+def latency_point(config, size=1024):
+    """One RemoteReadLatencyBenchmark point: its samples and its exact kernel counts."""
+    with perf.session() as session:
+        result = RemoteReadLatencyBenchmark(config, iterations=2, warmup=1).run(size)
+    return (result.samples_cycles, session.events, session.event_times,
+            session.peak_pending_events, session.fused_hops, session.packets)
+
+
+def other_machines():
+    """Machines of other designs, routings, sizes and chips than ``latency_point``'s."""
+    paper = SystemConfig.paper_defaults()
+    for config in (
+        small_config("edge"),
+        small_config("per_tile", noc=dataclasses.replace(
+            small_config().noc, routing=RoutingAlgorithm.O1TURN)),
+        paper.with_design("split"),
+        paper.with_design("per_tile").with_topology("noc_out"),
+        small_config("split", noc=dataclasses.replace(
+            small_config().noc, routing=RoutingAlgorithm.XY)),
+    ):
+        latency_point(config, size=64)
+    NumaMachine(paper).simulate_remote_read_cycles()
+
+
+class TestSharedTopologies:
+    def test_machines_of_one_config_share_route_tuples_not_channels(self):
+        config = small_config("split")
+        first, second = ManycoreSoc(config), ManycoreSoc(config)
+        try:
+            assert first.fabric.topology is second.fabric.topology
+            src, dst = first.placement.tile_nodes[0], first.placement.mc_nodes[-1]
+            for soc in (first, second):
+                soc.fabric.send(src, dst, 64, MessageClass.MEMORY_REQUEST)
+                soc.sim.run()
+            topology = first.fabric.topology
+            assert (topology.route_cached(src, dst, MessageClass.MEMORY_REQUEST)
+                    is second.fabric.topology.route_cached(src, dst, MessageClass.MEMORY_REQUEST))
+            [mine] = first.fabric._bound_routes.values()
+            [theirs] = second.fabric._bound_routes.values()
+            assert all(a[0] is not b[0] for a, b in zip(mine, theirs))
+            # Nothing per machine hangs off the shared topology.
+            assert not any(isinstance(value, (Simulator, NocFabric, Resource))
+                           for value in vars(topology).values())
+            assert all(type(link) is Link for route in topology._route_cache.values()
+                       for link in route)
+        finally:
+            first.close()
+            second.close()
+
+    @pytest.mark.parametrize("variant", [
+        pytest.param(lambda c: c.replace(noc=dataclasses.replace(
+            c.noc, routing=RoutingAlgorithm.XY)), id="routing"),
+        pytest.param(lambda c: c.replace(cores=dataclasses.replace(c.cores, count=16)),
+                     id="mesh-side"),
+        pytest.param(lambda c: c.replace(noc=dataclasses.replace(c.noc, mesh_hop_cycles=4)),
+                     id="mesh_hop_cycles"),
+        pytest.param(lambda c: c.with_topology("noc_out"), id="noc_out"),
+    ])
+    def test_each_shape_gets_its_own_table(self, variant):
+        base = SystemConfig.paper_defaults()
+        other = variant(base)
+        topology = build_placement(base).topology
+        assert build_placement(base).topology is topology
+        shared = build_placement(other).topology
+        assert shared is not topology
+        assert build_placement(other).topology is shared
+        # The shared table routes exactly like a private topology of its config.
+        if isinstance(shared, MeshTopology):
+            private = MeshTopology(other.mesh_side, other.noc)
+        else:
+            private = NocOutTopology(other.mesh_side, other.tile_count // other.mesh_side,
+                                     other.noc)
+        nodes = list(private.nodes())
+        assert list(shared.nodes()) == nodes
+        for msg_class in (MessageClass.NI_DATA, MessageClass.DIRECTORY_SOURCED):
+            for src in nodes:
+                for dst in nodes:
+                    assert ([(link.key, link.hop_cycles)
+                             for link in shared.route_cached(src, dst, msg_class)]
+                            == [(link.key, link.hop_cycles)
+                                for link in private.route(src, dst, msg_class)])
+
+    def test_numa_baseline_shares_the_mesh_placements_topology(self):
+        config = SystemConfig.paper_defaults()
+        assert (shared_topology(MeshTopology, config.noc, config.mesh_side)
+                is build_placement(config).topology)
+
+    def test_a_second_machine_of_a_shape_derives_no_route(self, monkeypatch):
+        derived = []
+        route = MeshTopology.route
+
+        def counting_route(self, *args, **kwargs):
+            derived.append(args)
+            return route(self, *args, **kwargs)
+
+        monkeypatch.setattr(MeshTopology, "route", counting_route)
+        config = small_config("per_tile")
+        first = latency_point(config)
+        topology = build_placement(config).topology
+        size = topology.route_cache_size()
+        assert size > 0
+        derived.clear()
+        assert latency_point(config) == first
+        assert derived == []
+        assert topology.route_cache_size() == size
+
+    def test_more_shapes_than_the_bound_evict_the_oldest(self):
+        noc = NocConfig()
+        shared_topology.cache_clear()
+        oldest = shared_topology(MeshTopology, noc, 2)
+        routes = {(src, dst): oldest.route_cached(src, dst, MessageClass.NI_DATA)
+                  for src in oldest.nodes() for dst in oldest.nodes()}
+        newer = {side: shared_topology(MeshTopology, noc, side)
+                 for side in range(3, 3 + SHARED_SHAPES)}
+        assert shared_topology.cache_info().currsize == SHARED_SHAPES
+        rebuilt = shared_topology(MeshTopology, noc, 2)
+        assert rebuilt is not oldest
+        assert rebuilt.route_cache_size() == 0
+        for (src, dst), links in routes.items():
+            again = rebuilt.route_cached(src, dst, MessageClass.NI_DATA)
+            assert ([(link.key, link.hop_cycles) for link in again]
+                    == [(link.key, link.hop_cycles) for link in links])
+        # Rebuilding evicted the next oldest shape only.
+        assert shared_topology(MeshTopology, noc, 3) is not newer[3]
+        for side in range(5, 3 + SHARED_SHAPES):
+            assert shared_topology(MeshTopology, noc, side) is newer[side]
+
+    def test_a_point_does_not_depend_on_the_machines_before_it(self):
+        config = SystemConfig.paper_defaults().with_design("split")
+        shared_topology.cache_clear()
+        fresh = latency_point(config)
+        other_machines()
+        assert latency_point(config) == fresh
+        shared_topology.cache_clear()
+        assert latency_point(config) == fresh
+
+    def test_fused_and_unfused_sequences_stay_equal(self, monkeypatch):
+        paper = SystemConfig.paper_defaults()
+        configs = [small_config("edge"), paper.with_design("split"),
+                   paper.with_design("split").with_topology("noc_out"), small_config("per_tile")]
+        runs = {}
+        for fusion in ("1", "0"):
+            monkeypatch.setenv("REPRO_HOP_FUSION", fusion)
+            shared_topology.cache_clear()
+            runs[fusion] = [latency_point(config)[0] for config in configs + configs]
+        assert runs["1"] == runs["0"]
+        assert runs["1"][:len(configs)] == runs["1"][len(configs):]

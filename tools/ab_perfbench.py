@@ -7,10 +7,14 @@ Run from anywhere inside the repository::
     python tools/ab_perfbench.py --ref main --workload lat_zero_load --workload rw_open \\
         --pairs 10 --seconds 30 --seed 2
 
-The ref is checked out with ``git worktree add --detach`` into a temporary
-directory, which is removed on exit.  Both sides must run the same benchmark,
-so the tool refuses when ``perfbench/`` or ``BENCHMARK.json`` differs between
-the ref and the working tree.
+Both sides run from fresh copies under one temporary directory, removed on
+exit: ``parent`` is the ref's ``git archive``, and ``change`` holds the files
+``git ls-files --cached --others --exclude-standard`` lists, as they are in
+the working tree (uncommitted edits and untracked files included, ignored
+files left out).  Neither side runs from the repository, so the two differ in
+their code only.  Both sides must run the same benchmark, so the tool refuses
+when ``perfbench/`` or ``BENCHMARK.json`` differs between the ref and the
+working tree.
 
 For each workload it runs ``--pairs`` pairs.  A pair is one run of
 ``python3 perfbench/run.py --workload W --seed K --seconds S --trace 0`` in
@@ -18,10 +22,10 @@ each tree, each a fresh process; successive pairs alternate which side runs
 first.  For every end-to-end metric of ``BENCHMARK.json`` (name, unit and
 which direction is better come from there) it prints both medians with their
 quartiles [q1, q3], the ratio of the change to the parent, the pairs the
-change won (ties count for neither) and whether a gain may be claimed: the
-change won at least nine tenths of the pairs and the medians differ, in the
-change's favour, by more than the parent's interquartile range.  A metric
-regressed when the change lost every pair and its median is worse than the
+change won and lost (ties count for neither) and whether a gain may be
+claimed: the change won at least nine tenths of the pairs and the medians
+differ, in the change's favour, by more than the parent's interquartile
+range.  A metric regressed when the change lost every pair and its median is worse than the
 parent's by more than the metric's ``bound`` in ``BENCHMARK.json``.  It
 prints every run's ``correct`` and ``failed``.  Last, one ``--trace 1`` run
 per side prints the exact layer counts side by side; a difference there is a
@@ -73,7 +77,7 @@ def summarize(metrics: Sequence[dict], parent: Sequence[Optional[Dict[str, float
         pairs = [(p[name], c[name]) for p, c in zip(parent, change)
                  if p is not None and c is not None and name in p and name in c]
         row = {"name": name, "unit": metric["unit"], "pairs": len(pairs), "won": 0,
-               "parent": None, "change": None, "ratio": None, "claim": False,
+               "lost": 0, "parent": None, "change": None, "ratio": None, "claim": False,
                "regressed": False}
         if pairs:
             before = quartiles([p for p, _ in pairs])
@@ -81,7 +85,7 @@ def summarize(metrics: Sequence[dict], parent: Sequence[Optional[Dict[str, float
             won = sum(1 for p, c in pairs if sign * (p - c) > 0)
             lost = sum(1 for p, c in pairs if sign * (c - p) > 0)
             row.update(
-                parent=before, change=after, won=won,
+                parent=before, change=after, won=won, lost=lost,
                 ratio=after[1] / before[1] if before[1] else None,
                 claim=(10 * won >= 9 * len(pairs)
                        and sign * (before[1] - after[1]) > before[2] - before[0]),
@@ -97,14 +101,14 @@ def format_rows(rows: Sequence[dict]) -> str:
     def spread(quart):
         return "-" if quart is None else "%.4g [%.4g, %.4g]" % (quart[1], quart[0], quart[2])
 
-    lines = ["  %-18s %-9s %-28s %-28s %-8s %-6s %-6s %s" % (
+    lines = ["  %-18s %-9s %-28s %-28s %-8s %-6s %-5s %-6s %s" % (
         "metric", "unit", "parent median [q1, q3]", "change median [q1, q3]",
-        "ratio", "won", "claim", "regressed")]
+        "ratio", "won", "lost", "claim", "regressed")]
     for row in rows:
         ratio = "-" if row["ratio"] is None else "%.4f" % row["ratio"]
-        lines.append("  %-18s %-9s %-28s %-28s %-8s %-6s %-6s %s" % (
+        lines.append("  %-18s %-9s %-28s %-28s %-8s %-6s %-5d %-6s %s" % (
             row["name"], row["unit"], spread(row["parent"]), spread(row["change"]), ratio,
-            "%d/%d" % (row["won"], row["pairs"]), "yes" if row["claim"] else "no",
+            "%d/%d" % (row["won"], row["pairs"]), row["lost"], "yes" if row["claim"] else "no",
             "YES" if row["regressed"] else "no"))
     return "\n".join(lines)
 
@@ -148,6 +152,34 @@ def benchmark_differs(repo: str, ref: str) -> List[str]:
     untracked = git(repo, "ls-files", "--others", "--exclude-standard", "--",
                     *BENCHMARK_PATHS).split()
     return sorted(set(changed) | set(untracked))
+
+
+def build_trees(repo: str, commit: str, scratch: str) -> Dict[str, str]:
+    """Copy both sides into ``scratch``; ``{"parent": path, "change": path}``.
+
+    ``parent`` is ``commit``'s ``git archive``.  ``change`` holds every file
+    the working tree would commit: tracked files as they are on disk and
+    untracked files that no ignore rule matches.
+    """
+    sides = {side: os.path.join(scratch, side) for side in ("parent", "change")}
+    os.makedirs(sides["parent"])
+    archive = subprocess.Popen(["git", "-C", repo, "archive", "--format=tar", commit],
+                               stdout=subprocess.PIPE)
+    subprocess.run(["tar", "-x", "-C", sides["parent"]], stdin=archive.stdout, check=True)
+    archive.stdout.close()
+    if archive.wait() != 0:
+        raise subprocess.CalledProcessError(archive.returncode, "git archive")
+    listed = subprocess.run(["git", "-C", repo, "ls-files", "-z", "--cached", "--others",
+                             "--exclude-standard"], check=True, capture_output=True,
+                            text=True).stdout.split("\0")
+    for name in listed:
+        source = os.path.join(repo, name)
+        if not name or not os.path.lexists(source):  # deleted in the working tree
+            continue
+        target = os.path.join(sides["change"], name)
+        os.makedirs(os.path.dirname(target), exist_ok=True)
+        shutil.copy2(source, target, follow_symlinks=False)
+    return sides
 
 
 def compare(sides: Dict[str, str], workload: str, metrics: Sequence[dict], args) -> bool:
@@ -214,18 +246,14 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
     scratch = tempfile.mkdtemp(prefix="ab_perfbench-")
-    parent_tree = os.path.join(scratch, "parent")
     try:
-        git(repo, "worktree", "add", "--detach", "--quiet", parent_tree, commit)
-        print("parent: %s (%s); change: the working tree %s" % (args.ref, commit[:12], repo))
-        sides = {"parent": parent_tree, "change": repo}
+        sides = build_trees(repo, commit, scratch)
+        print("parent: %s (%s); change: the working tree of %s; both copied to %s"
+              % (args.ref, commit[:12], repo, scratch))
         correct = [compare(sides, workload, benchmark["end_to_end"], args)
                    for workload in args.workload]
     finally:
-        subprocess.run(["git", "-C", repo, "worktree", "remove", "--force", parent_tree],
-                       capture_output=True)
         shutil.rmtree(scratch, ignore_errors=True)
-        subprocess.run(["git", "-C", repo, "worktree", "prune"], capture_output=True)
     return 0 if all(correct) else 1
 
 
