@@ -15,10 +15,23 @@ from repro.config import CACHE_BLOCK_BYTES, MessageClass
 
 #: Wire payload of a control (dataless) coherence message.
 CONTROL_PAYLOAD_BYTES = 8
+#: Values of the message types that carry a full cache block.
+_DATA_LABELS = frozenset({"MissNotifyData", "ReadReply", "WriteBack"})
 
 
 class CoherenceMessageType(enum.Enum):
-    """Message vocabulary of the 3-hop invalidation MESI protocol (§3.1)."""
+    """Message vocabulary of the 3-hop invalidation MESI protocol (§3.1).
+
+    ``carries_data`` (whether the message carries a full cache block) and
+    ``payload_bytes`` (its wire payload) are plain attributes of each
+    member, set once when the class is built: every coherence send reads
+    them.
+    """
+
+    #: Members are singletons, so identity hashing is correct, and C-level,
+    #: unlike Enum.__hash__ (``message_class`` hashes the type into a
+    #: frozenset on every coherence send).
+    __hash__ = object.__hash__
 
     GET_EXCLUSIVE = "GetX"
     GET_READ_ONLY = "GetRO"
@@ -30,19 +43,9 @@ class CoherenceMessageType(enum.Enum):
     WRITEBACK = "WriteBack"
     UNBLOCK = "Unblock"
 
-    @property
-    def carries_data(self) -> bool:
-        """Whether the message carries a full cache block."""
-        return self in (
-            CoherenceMessageType.MISS_NOTIFY_DATA,
-            CoherenceMessageType.DATA_REPLY,
-            CoherenceMessageType.WRITEBACK,
-        )
-
-    @property
-    def payload_bytes(self) -> int:
-        """Wire payload size of this message type."""
-        return CACHE_BLOCK_BYTES if self.carries_data else CONTROL_PAYLOAD_BYTES
+    def __init__(self, label: str) -> None:
+        self.carries_data = label in _DATA_LABELS
+        self.payload_bytes = CACHE_BLOCK_BYTES if self.carries_data else CONTROL_PAYLOAD_BYTES
 
 
 #: Message types that originate at a directory / LLC slice.

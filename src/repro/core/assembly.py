@@ -151,10 +151,23 @@ class BaseNIDesign(abc.ABC):
         return sum(rrpp.payload_bytes_serviced for rrpp in self.rrpps)
 
     def average_rrpp_latency(self) -> float:
-        """Average RRPP servicing latency (the remote-end component of §5)."""
-        samples = [rrpp.service_latency for rrpp in self.rrpps if rrpp.service_latency.count]
-        if not samples:
+        """Average RRPP servicing latency (the remote-end component of §5).
+
+        The emulated remote end reads it for every outgoing request, so it
+        is one pass over the RRPPs.  It adds each RRPP's total and count in
+        RRPP order, starting from ``0``, as ``sum()`` does up to Python 3.11
+        (3.12's compensates float rounding), so the float is bit for bit
+        ``sum(totals) / sum(counts)``.  A total kept up to date as samples
+        arrive would add them in another order, and the result feeds event
+        times.
+        """
+        total = 0
+        count = 0
+        for rrpp in self.rrpps:
+            acc = rrpp.service_latency
+            if acc.count:
+                total += acc.total
+                count += acc.count
+        if not count:
             return 0.0
-        total = sum(acc.total for acc in samples)
-        count = sum(acc.count for acc in samples)
         return total / count

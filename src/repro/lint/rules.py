@@ -1,4 +1,4 @@
-"""The built-in determinism & kernel-contract lint rules (REP001–REP011).
+"""The built-in determinism & kernel-contract lint rules (REP001–REP012).
 
 Each rule is a :class:`LintRule` subclass registered under its code through
 :func:`repro.scenario.registry.register_lint_rule` — the same decorator
@@ -14,9 +14,10 @@ in the kernel is deterministically ordered, components register through the
 manifest-gated registries, ``__slots__`` classes stay dict-free, spec
 documents only serialize optional registry keys when they are set
 (fingerprint stability), telemetry probes observe the simulation without
-mutating it, fault models derive their seeds, and model continuations are
+mutating it, fault models derive their seeds, model continuations are
 ``(callback, *args)`` pairs whose callback is a plain function with its owner
-as the first argument, never a closure or a bound method.
+as the first argument, never a closure or a bound method, and only the
+kernel moves the clock.
 """
 
 from __future__ import annotations
@@ -824,3 +825,44 @@ class BoundMethodContinuationRule(LintRule):
                         "and lives as long as the queued event; pass %s.%s, self "
                         "instead" % (arg.attr, name, cls.name, arg.attr),
                     )
+
+
+# ----------------------------------------------------------------------
+# REP012 — read-only clock
+# ----------------------------------------------------------------------
+@register_lint_rule("REP012", title="read-only clock")
+class ReadOnlyClockRule(LintRule):
+    """Only the kernel moves the simulation clock.
+
+    ``Simulator.now`` is a plain slot, not a property: the model reads it on
+    nearly every event, and a property call costs several slot reads.  A
+    slot is writable by anyone, so this rule keeps it read-only: outside
+    ``sim/engine.py`` no code may assign or delete an attribute named
+    ``now`` (plain, augmented or annotated assignment, a loop or ``with``
+    target, ``del``, or ``setattr(obj, "now", ...)``).  A clock moved from
+    outside the run loop would run events out of time order.
+    """
+
+    code = "REP012"
+    title = "read-only clock"
+
+    #: The one module that writes the clock (relative to the linted root).
+    KERNEL = "sim/engine.py"
+
+    def check(self, module: LintModule, context: LintContext) -> Iterator[Finding]:
+        if module.relpath == self.KERNEL:
+            return
+        for node in module.of_type(ast.Attribute, ast.Call):
+            if isinstance(node, ast.Attribute):
+                writes = node.attr == "now" and isinstance(node.ctx, (ast.Store, ast.Del))
+            else:
+                writes = (isinstance(node.func, ast.Name) and node.func.id == "setattr"
+                          and len(node.args) >= 2 and isinstance(node.args[1], ast.Constant)
+                          and node.args[1].value == "now")
+            if writes:
+                yield self.finding(
+                    module, node,
+                    "writes an attribute named 'now': the simulation clock is "
+                    "read-only outside sim/engine.py; schedule an event instead "
+                    "of moving the clock",
+                )

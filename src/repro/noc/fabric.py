@@ -15,10 +15,15 @@ Delivery contract
 ``send(src, dst, payload_bytes, msg_class, callback, *args)`` runs
 ``callback(*args)`` at delivery and returns the packet id, the packet's send
 order on this fabric (O1Turn routing and ``packet_loss`` hash it).  No packet
-object exists: the walk's state rides in the queued event's argument tuple, and
-the continuations ``_hop`` and ``_deliver`` are module functions that take
-the fabric as their first argument.  A caller that needs the id at delivery
-passes it in ``args``.  Continuations are plain ``(callback, *args)`` pairs
+object exists: the walk's state rides in the queued event's argument tuple,
+and the hop continuation ``_hop`` is a module function that takes the fabric
+as its first argument.  The last hop queues ``callback, args`` themselves as
+the delivery event, with no wrapper between the kernel and the caller, and
+so does a delivery between agents that share a router.  A packet sent
+without a callback still gets one delivery event, a no-op at its delivery
+time, so event counts and the clock a run returns do not depend on whether
+anyone listens.  A caller that needs the id at delivery passes it in
+``args``.  Continuations are plain ``(callback, *args)`` pairs
 all through the model, and the callback is a plain function with its owner
 as the first argument — ``send(..., ManycoreSoc._read_at_llc, self, node,
 ...)`` — never a closure (lint rule REP010) and never a bound method
@@ -35,7 +40,13 @@ The topology is shared with every machine of its NOC shape
 routes from it and writes nothing to it.  The first packet along a route
 binds it to this fabric's own channels (``_bound_routes``, keyed by the
 topology's ``route_cache_key``), one ``(channel, hop_cycles, link_key)`` hop
-per link.  A link is looked up by identity, since the topology interns one
+per link.  When the topology declares that a route depends on
+``(src, dst, msg_class)`` alone
+(:attr:`~repro.noc.topology.Topology.routes_ignore_packet_id`: every mesh
+routing but O1Turn, and NOC-Out), the bound route is also kept under those
+three (``_class_routes``), so a packet finds its route with one dict lookup
+and no call; message classes that share a direction still bind one route.
+A link is looked up by identity, since the topology interns one
 :class:`~repro.noc.topology.Link` per hop, and its channel lives in
 ``_channels``, a dict from link key to
 :class:`~repro.sim.resource.Resource`.  The hop walk reads only the bound
@@ -102,7 +113,12 @@ The fabric keeps only the counters something reads:
   bandwidth benchmark, the workload metrics and perfbench's layer counts;
 * ``lifetime_packets_sent`` — the obs throughput probe;
 * ``packets_delivered`` and ``lifetime_fused_hops`` — the hot-path
-  profiler and its tests, and the packet-conservation tests;
+  profiler and its tests, and the packet-conservation tests.
+  ``packets_delivered`` counts a packet when its delivery event is queued
+  (the tail's arrival at the last hop, or the local delivery), not when
+  that event runs.  After a drain it equals the packets delivered; with
+  no :meth:`NocFabric.reset_stats` in between, ``packets_sent`` is
+  ``packets_delivered`` plus the packets still walking;
 * :meth:`NocFabric.link_utilization` and :meth:`NocFabric.zero_load_latency`
   — the reference checks of the fusion and NOC tests.
 """
@@ -166,6 +182,10 @@ class NocFabric:
         # (channel, hop_cycles, link_key) hops, so the per-hop fast path does
         # no topology or channel-dict lookups.
         self._bound_routes: Dict[Hashable, Tuple[BoundHop, ...]] = {}
+        # (src, dst, msg_class) -> the same bound route, filled only when the
+        # topology's routes ignore the packet id: a packet's one lookup.
+        self._class_routes: Dict[Tuple[Hashable, Hashable, MessageClass],
+                                 Tuple[BoundHop, ...]] = {}
         # Link -> its bound hop, shared by every route that crosses it.
         # Links hash by identity (the topology interns them).
         self._bound_hops: Dict[Link, BoundHop] = {}
@@ -218,6 +238,8 @@ class NocFabric:
 
         Returns the packet id: the packet's send order on this fabric.
         """
+        if callback is None:
+            callback = _no_callback
         counters = self._perf
         packet_id = counters.packets
         counters.packets = packet_id + 1
@@ -228,7 +250,9 @@ class NocFabric:
         flits, wire = size
         self.wire_bytes_sent += wire
         if src != dst:
-            hops = self._bound_route(src, dst, msg_class, packet_id)
+            hops = self._class_routes.get((src, dst, msg_class))
+            if hops is None:
+                hops = self._bound_route(src, dst, msg_class, packet_id)
             if hops:
                 # The first link is acquired synchronously, in injection
                 # order — several sends in one callback must claim their
@@ -237,7 +261,8 @@ class NocFabric:
                 # docstring).
                 _hop(self, hops, 0, flits, packet_id, callback, args, False)
                 return packet_id
-        self.sim.schedule(self.LOCAL_DELIVERY_CYCLES, _deliver, self, callback, args)
+        self.packets_delivered += 1
+        self.sim.schedule(self.LOCAL_DELIVERY_CYCLES, callback, *args)
         return packet_id
 
     def zero_load_latency(self, src: Hashable, dst: Hashable, payload_bytes: int,
@@ -273,6 +298,7 @@ class NocFabric:
         and re-derive nothing they hold.
         """
         self._bound_routes.clear()
+        self._class_routes.clear()
         self.topology.clear_route_cache()
 
     def reset_stats(self) -> None:
@@ -292,7 +318,9 @@ class NocFabric:
         key = link.key
         channel = self._channels.get(key)
         if channel is None:
-            channel = Resource(self.sim, name="link %r->%r" % (link.src, link.dst))
+            # The shared link is the channel's name: str() formats it only
+            # when a repr or an error message prints it.
+            channel = Resource(self.sim, name=link)
             self._channels[key] = channel
         hop = self._bound_hops[link] = (channel, link.hop_cycles, key)
         return hop
@@ -309,14 +337,20 @@ class NocFabric:
 
         Uncacheable routes (topologies without a :meth:`Topology.route_cache_key`)
         fall back to binding per packet, which matches the pre-cache behaviour.
+        A cacheable route of a topology whose routes ignore the packet id is
+        also kept under ``(src, dst, msg_class)``, where :meth:`send` looks
+        first.
         """
-        key = self.topology.route_cache_key(src, dst, msg_class, packet_id)
+        topology = self.topology
+        key = topology.route_cache_key(src, dst, msg_class, packet_id)
         if key is None:
-            return self._bind_links(self.topology.route(src, dst, msg_class, packet_id))
+            return self._bind_links(topology.route(src, dst, msg_class, packet_id))
         bound = self._bound_routes.get(key)
         if bound is None:
-            bound = self._bind_links(self.topology.route_cached(src, dst, msg_class, packet_id))
+            bound = self._bind_links(topology.route_cached(src, dst, msg_class, packet_id))
             self._bound_routes[key] = bound
+        if topology.routes_ignore_packet_id:
+            self._class_routes[(src, dst, msg_class)] = bound
         return bound
 
 
@@ -324,9 +358,9 @@ class NocFabric:
 # Event continuations
 # ----------------------------------------------------------------------
 # Plain functions, not methods: the queued event carries the fabric among the
-# arguments, so no bound method is allocated per hop or delivery.
+# arguments, so no bound method is allocated per hop.
 def _hop(fabric: NocFabric, hops: Sequence[BoundHop], index: int, flits: int,
-         packet_id: int, callback: Optional[Callable[..., None]], args: tuple,
+         packet_id: int, callback: Callable[..., None], args: tuple,
          fuse: bool = True) -> None:
     """Walk the remaining hops, fusing as far as the lookahead allows.
 
@@ -338,7 +372,9 @@ def _hop(fabric: NocFabric, hops: Sequence[BoundHop], index: int, flits: int,
     queue means nothing can interleave at all.  With ``fuse`` False
     (``send``'s synchronous first hop) or :attr:`NocFabric.hop_fusion` off,
     the first lookahead check fails by construction and the walk acquires one
-    link and schedules the next hop as its own event.
+    link and schedules the next hop as its own event.  The last hop queues
+    ``callback(*args)`` itself at the tail's arrival and counts the packet
+    delivered.
     """
     sim = fabric.sim
     nhops = len(hops)
@@ -361,7 +397,7 @@ def _hop(fabric: NocFabric, hops: Sequence[BoundHop], index: int, flits: int,
             head = horizon
     else:
         head = _NO_LOOKAHEAD
-    now = sim._now
+    now = sim.now
     arrival = now
     fused = 0
     faults = fabric.faults
@@ -386,19 +422,20 @@ def _hop(fabric: NocFabric, hops: Sequence[BoundHop], index: int, flits: int,
         index += 1
         if index == nhops:
             # Final hop: the tail arrives flits-1 cycles after the head, and
-            # the completion event delivers directly.  Event times are
-            # computed as now + delta, never as the absolute arrival: float
-            # addition does not guarantee now + (t - now) == t, and
-            # byte-identity with the per-hop chain (which always scheduled
-            # relative delays) must hold to the last bit.
+            # the caller's continuation is queued there as the delivery.
+            # Event times are computed as now + delta, never as the absolute
+            # arrival: float addition does not guarantee now + (t - now) ==
+            # t, and byte-identity with the per-hop chain (which always
+            # scheduled relative delays) must hold to the last bit.
             delta = arrival + flits - 1 - now
             if faults is not None:
                 loss = faults.loss_delay(packet_id)
                 if loss > 0.0:
                     delta += loss
             time = now + delta
-            step = _deliver
-            step_args = (fabric, callback, args)
+            fabric.packets_delivered += 1
+            step = callback
+            step_args = args
             break
         if arrival < head:
             fused += 1
@@ -425,7 +462,5 @@ def _hop(fabric: NocFabric, hops: Sequence[BoundHop], index: int, flits: int,
         counters.peak_pending = pending
 
 
-def _deliver(fabric: NocFabric, callback: Optional[Callable[..., None]], args: tuple) -> None:
-    fabric.packets_delivered += 1
-    if callback is not None:
-        callback(*args)
+def _no_callback(*args) -> None:
+    """The delivery event of a packet sent without a callback: it does nothing."""

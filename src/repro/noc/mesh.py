@@ -44,6 +44,7 @@ class MeshTopology(Topology):
                 cls: route_class_direction(noc_config.routing, cls)
                 for cls in MessageClass
             }
+        self.routes_ignore_packet_id = self._class_directions is not None
 
     # ------------------------------------------------------------------
     # Topology interface

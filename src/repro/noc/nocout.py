@@ -35,6 +35,9 @@ NOCOUT_EDGE = "netrouter"
 class NocOutTopology(Topology):
     """Flattened-butterfly LLC row plus per-column core trees."""
 
+    #: Routes depend on the endpoints alone.
+    routes_ignore_packet_id = True
+
     def __init__(
         self,
         columns: int = 8,

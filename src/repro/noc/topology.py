@@ -55,6 +55,10 @@ class Link:
         """Identity of the physical channel (used to index contention state)."""
         return (self.src, self.dst)
 
+    def __str__(self) -> str:
+        """The name of the link's channel, formatted only when printed."""
+        return "link %r->%r" % (self.src, self.dst)
+
 
 class Topology(abc.ABC):
     """Interface implemented by :class:`MeshTopology` and :class:`NocOutTopology`.
@@ -63,6 +67,12 @@ class Topology(abc.ABC):
     by every machine of its shape, so nothing may write routing state or
     per-machine state onto it.
     """
+
+    #: True when a route depends on ``(src, dst, msg_class)`` only, never on
+    #: the packet id.  The fabric then keys its bound routes by those three
+    #: and finds a packet's route with one dict lookup.  A subclass may set
+    #: it only where :meth:`route_cache_key` ignores the packet id too.
+    routes_ignore_packet_id = False
 
     @abc.abstractmethod
     def nodes(self) -> Iterable[Hashable]:

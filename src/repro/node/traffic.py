@@ -58,8 +58,10 @@ class RemoteEndEmulator:
         self.sim = soc.sim
         self.config: SystemConfig = soc.config
         self.hops = hops
-        #: Cycles per rack hop; the config is frozen, so it is read once.
-        self._hop_cycles = self.config.network_hop_cycles
+        #: One-way inter-node network latency for the configured hop count.
+        #: The hop count and the (frozen) config never change, so it is
+        #: computed once.
+        self.one_way_network_cycles = hops * self.config.network_hop_cycles
         self.rate_match_incoming = rate_match_incoming
         self.incoming_ctx_id = incoming_ctx_id
         self.incoming_region_bytes = incoming_region_bytes
@@ -89,11 +91,6 @@ class RemoteEndEmulator:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    @property
-    def one_way_network_cycles(self) -> float:
-        """One-way inter-node network latency for the configured hop count."""
-        return self.hops * self._hop_cycles
-
     def remote_service_cycles(self) -> float:
         """Servicing latency charged at the emulated remote node.
 

@@ -18,6 +18,11 @@ argument (``sim.schedule(3, Soc._step, self, txn)``), not as bound methods,
 which would each be one more object alive until the event runs (lint rule
 REP011).
 
+The clock is the plain slot ``Simulator.now``: the model reads it on nearly
+every event, and a slot read costs a fraction of a property call.  Only the
+kernel writes it; lint rule REP012 rejects an assignment to an attribute
+named ``now`` anywhere outside this module.
+
 Scheduling returns no handle and events cannot be removed from the queue.  A
 component that may need to revoke pending work keeps a flag its callbacks
 check instead (the open-loop arrival clock's ``frozen`` state, the fault
@@ -62,7 +67,7 @@ class Simulator:
     """
 
     __slots__ = (
-        "_now",
+        "now",
         "_times",
         "_lists",
         "_cursor",
@@ -74,7 +79,9 @@ class Simulator:
     )
 
     def __init__(self) -> None:
-        self._now: float = 0.0
+        #: Current simulation time in cycles.  Read-only outside the kernel
+        #: (REP012).
+        self.now: float = 0.0
         #: Heap of the distinct times that still have a list in ``_lists``
         #: (the time whose list is running has already been popped).
         self._times: List[float] = []
@@ -100,13 +107,8 @@ class Simulator:
         self._closed = False
 
     # ------------------------------------------------------------------
-    # Clock and queue introspection
+    # Queue introspection
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulation time in cycles."""
-        return self._now
-
     @property
     def events_executed(self) -> int:
         """Number of events executed so far (useful for performance reporting)."""
@@ -132,7 +134,7 @@ class Simulator:
             raise SimulationError(
                 "cannot schedule an event %r cycles from now: the delay must be "
                 "a non-negative number" % (delay,))
-        time = self._now + delay
+        time = self.now + delay
         entries = self._lists.get(time)
         if entries is None:
             self._lists[time] = [callback, args]
@@ -148,9 +150,9 @@ class Simulator:
 
     def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> None:
         """Schedule ``callback(*args)`` at an absolute simulation time."""
-        if not time >= self._now:
+        if not time >= self.now:
             raise SimulationError(
-                "cannot schedule an event at t=%r, current time is %.3f" % (time, self._now)
+                "cannot schedule an event at t=%r, current time is %.3f" % (time, self.now)
             )
         entries = self._lists.get(time)
         if entries is None:
@@ -175,7 +177,7 @@ class Simulator:
         this test (:mod:`repro.noc.fabric`); keep the two in sync.
         """
         if self._cursor.__length_hint__():
-            return self._now
+            return self.now
         times = self._times
         return times[0] if times else None
 
@@ -214,11 +216,11 @@ class Simulator:
                 if time > horizon:
                     # Clamp: a horizon already in the past must not move the
                     # clock backwards.
-                    if until > self._now:
-                        self._now = until
+                    if until > self.now:
+                        self.now = until
                     break
                 heappop(times)
-                self._now = time
+                self.now = time
                 distinct += 1
                 # The list stays in ``lists`` while it runs, so events
                 # scheduled for ``time`` meanwhile join its end.  It
@@ -248,11 +250,11 @@ class Simulator:
             counters.events += (counters.fast_events - scheduled_before
                                 - (self._pending - pending_before))
             counters.event_times += distinct
-        if until is not None and not times and self._now < until:
+        if until is not None and not times and self.now < until:
             # The model went idle before the horizon; advance the clock so
             # rate computations over [0, until] stay meaningful.
-            self._now = until
-        return self._now
+            self.now = until
+        return self.now
 
     def close(self) -> None:
         """Drop every pending event; :meth:`run` raises from now on.

@@ -23,12 +23,17 @@ class Resource:
     the earliest time it is free, and returns the cycle at which the *grant
     begins*.  The caller is expected to schedule its own completion event at
     ``grant + occupancy`` (or use :meth:`acquire_then`).
+
+    ``name`` is only printed, in the repr and in error messages, so it may be
+    any object whose ``str()`` names the resource: a NOC channel takes its
+    shared :class:`~repro.noc.topology.Link`, which formats its endpoints
+    only when printed.
     """
 
     __slots__ = ("sim", "name", "_free_at", "busy_cycles", "grants", "_stats_since",
                  "_gaps")
 
-    def __init__(self, sim: Simulator, name: str = "resource") -> None:
+    def __init__(self, sim: Simulator, name: object = "resource") -> None:
         self.sim = sim
         self.name = name
         self._free_at: float = 0.0
@@ -49,9 +54,7 @@ class Resource:
         """Reserve the resource for ``occupancy`` cycles; return the grant time."""
         if occupancy < 0:
             raise SimulationError("occupancy cannot be negative (%s)" % self.name)
-        # Hot path (one call per NOC hop): read the simulator clock directly
-        # rather than through the ``now`` property descriptor.
-        now = self.sim._now
+        now = self.sim.now
         start = now if earliest is None else earliest
         if start < self._free_at:
             start = self._free_at
@@ -70,7 +73,7 @@ class Resource:
         Only the part of a gap after the clock can ever fall inside a later
         :meth:`in_flight_busy_cycles` window, so gaps behind it are dropped.
         """
-        now = self.sim._now
+        now = self.sim.now
         gap = (self._free_at if self._free_at > now else now, start)
         gaps = self._gaps
         if gaps is None:
@@ -114,7 +117,7 @@ class Resource:
         FIFO, so that is ``free_at - now`` less the recorded idle gaps after
         now.
         """
-        now = self.sim._now
+        now = self.sim.now
         busy = self._free_at - now
         if busy <= 0:
             return 0.0
@@ -193,6 +196,19 @@ class Pipeline(Resource):
 
     def issue_then(self, callback: Callable[..., None], *args) -> float:
         """Issue one item and schedule ``callback`` when it completes."""
-        finish = self.issue()
-        self.sim.schedule(finish - self.sim.now, callback, *args)
+        # Inlined Resource.acquire(self.initiation_interval) — one call per
+        # NI block; keep in sync with Resource.acquire.  With no ``earliest``
+        # the grant opens no gap, and the interval is positive by
+        # construction.
+        sim = self.sim
+        now = sim.now
+        start = self._free_at
+        if start <= now:
+            start = now
+        occupancy = self.initiation_interval
+        self._free_at = start + occupancy
+        self.busy_cycles += occupancy
+        self.grants += 1
+        finish = start + self.depth
+        sim.schedule(finish - now, callback, *args)
         return finish

@@ -34,16 +34,19 @@ class TransferStatus(enum.Enum):
     FAILED = "failed"
 
 
-@dataclass
+@dataclass(slots=True)
 class RemoteRequest:
-    """One cache-block-sized request packet."""
+    """One cache-block-sized request packet.
+
+    Slotted: under Fig. 7 load thousands are alive at once.
+    """
 
     op: RemoteOp
     src_node: int
     dst_node: int
     ctx_id: int
     offset: int
-    request_id: int = field(default_factory=lambda: next(_request_ids))
+    request_id: int = field(default_factory=_request_ids.__next__)
     #: Parent transfer (WQ entry) this block request belongs to.
     transfer_id: int = 0
     block_index: int = 0
@@ -78,7 +81,7 @@ class RemoteRequest:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class RemoteResponse:
     """One cache-block-sized response packet."""
 

@@ -47,6 +47,18 @@ class TestSummary:
         assert row["won"] == 8
         assert row["claim"] is False
 
+    def test_no_claim_below_ten_pairs(self):
+        # Every pair won, by far more than the parent's spread.
+        parent = [3.0, 3.1] * 5
+        change = [2.0] * 10
+        five = only_row(RUN_S, parent[:5], change[:5])
+        assert five["won"] == 5 and five["claim"] is False
+        assert "n/a (<10 pairs)" in ab.format_rows([five])
+        ten = only_row(RUN_S, parent, change)
+        assert ab.MIN_CLAIM_PAIRS == 10
+        assert ten["won"] == 10 and ten["claim"] is True
+        assert "n/a" not in ab.format_rows([ten]) and " yes " in ab.format_rows([ten])
+
     def test_gap_inside_the_parent_iqr_is_no_claim(self):
         parent = [2.0, 4.0, 2.0, 4.0, 2.0, 4.0, 2.0, 4.0, 2.0, 4.0]
         change = [value - 0.1 for value in parent]

@@ -4,9 +4,14 @@ import pytest
 
 from repro.coherence.caches import L1Cache, NICache, TileCacheComplex
 from repro.coherence.directory import NO_SHARERS, DirectoryController
+from repro.coherence.messages import (
+    CONTROL_PAYLOAD_BYTES,
+    CoherenceMessageType,
+    message_class,
+)
 from repro.coherence.protocol import CoherenceProtocol
 from repro.coherence.states import CacheState
-from repro.config import NocConfig
+from repro.config import CACHE_BLOCK_BYTES, MessageClass, NocConfig
 from repro.errors import CoherenceError
 from repro.noc.fabric import NocFabric
 from repro.noc.mesh import MeshTopology
@@ -198,3 +203,21 @@ class TestOwnedStateWritebackPath:
         assert slow_read.latency > fast_read.latency
         assert slow.protocol.local_writeback_roundtrips == 1
         assert slow.directory.entry(BLOCK).in_llc is True
+
+
+class TestMessageTypes:
+    def test_payloads_are_per_member_constants(self):
+        data = {CoherenceMessageType.MISS_NOTIFY_DATA, CoherenceMessageType.DATA_REPLY,
+                CoherenceMessageType.WRITEBACK}
+        for msg_type in CoherenceMessageType:
+            assert msg_type.carries_data is (msg_type in data)
+            assert msg_type.payload_bytes == (
+                CACHE_BLOCK_BYTES if msg_type in data else CONTROL_PAYLOAD_BYTES)
+            assert hash(msg_type) == object.__hash__(msg_type)
+
+    def test_message_classes(self):
+        types = CoherenceMessageType
+        assert message_class(types.GET_EXCLUSIVE, False) is MessageClass.COHERENCE_REQUEST
+        assert message_class(types.INV_ACK, False) is MessageClass.COHERENCE_RESPONSE
+        assert message_class(types.FWD_GET, False) is MessageClass.DIRECTORY_SOURCED
+        assert message_class(types.UNBLOCK, True) is MessageClass.DIRECTORY_SOURCED

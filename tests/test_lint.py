@@ -60,7 +60,7 @@ class TestLintRegistry:
     def test_builtin_rules_registered(self):
         assert LINT_RULES.names() == [
             "REP001", "REP002", "REP003", "REP004", "REP006", "REP007", "REP008",
-            "REP009", "REP010", "REP011",
+            "REP009", "REP010", "REP011", "REP012",
         ]
 
     def test_rules_have_titles_and_doc_urls(self):
@@ -741,6 +741,43 @@ class TestREP011BoundMethodContinuation:
                 def _tick(self):
                     pass
         """}, rules=["REP011"])
+        assert findings == []
+
+
+# ----------------------------------------------------------------------
+# REP012 — read-only clock
+# ----------------------------------------------------------------------
+class TestREP012ReadOnlyClock:
+    def test_clock_writes_outside_the_kernel_flagged(self, tmp_path):
+        findings = run_fixture(tmp_path, {"node/plug.py": """
+            class Soc:
+                def skip(self, cycles):
+                    self.sim.now += cycles
+                    self.sim.now, self.count = 0.0, 0
+                    setattr(self.sim, "now", 5.0)
+        """}, rules=["REP012"])
+        assert codes(findings) == ["REP012", "REP012", "REP012"]
+        assert "read-only outside sim/engine.py" in findings[0].message
+
+    def test_kernel_writes_and_clock_reads_are_clean(self, tmp_path):
+        findings = run_fixture(tmp_path, {
+            "sim/engine.py": """
+                class Simulator:
+                    def __init__(self):
+                        self.now = 0.0
+
+                    def run(self, time):
+                        self.now = time
+            """,
+            "node/plug.py": """
+                class Soc:
+                    def elapsed(self, start):
+                        now = self.sim.now
+                        self.started = now
+                        setattr(self, "then", now)
+                        return now - start
+            """,
+        }, rules=["REP012"])
         assert findings == []
 
 

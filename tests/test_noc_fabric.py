@@ -1,8 +1,11 @@
 """Tests for the NOC contention model."""
 
+import re
+
 import pytest
 
 from repro.config import MessageClass, NocConfig
+from repro.errors import SimulationError
 from repro.noc.fabric import NocFabric, hop_fusion_default
 from repro.noc.mesh import MeshTopology
 from repro.noc.packet import HEADER_BYTES, flit_count
@@ -103,6 +106,45 @@ class TestContention:
         sim.run()
         utilization = fabric.link_utilization()
         assert utilization[((0, 0), (1, 0))] > 0.5
+
+    def test_channel_is_named_by_its_link(self):
+        sim, fabric = make_fabric()
+        fabric.send((0, 0), (1, 0), 64, MessageClass.NI_DATA)
+        channel = fabric._channels[((0, 0), (1, 0))]
+        assert "link (0, 0)->(1, 0)" in repr(channel)
+        with pytest.raises(SimulationError, match=re.escape("(link (0, 0)->(1, 0))")):
+            channel.acquire(-1)
+
+
+class TestDelivery:
+    """The last hop queues the caller's continuation itself, or a no-op."""
+
+    @pytest.mark.parametrize("dst", [(5, 3), (0, 0)], ids=["walk", "local"])
+    def test_packet_without_callback_is_one_event_at_its_delivery_time(self, dst):
+        sim, fabric = make_fabric()
+        delivered = []
+        fabric.send((0, 0), dst, 64, MessageClass.NI_DATA, lambda: delivered.append(sim.now))
+        sim.run()
+        [delivery] = delivered
+        listened = sim.events_executed
+
+        sim, fabric = make_fabric()
+        fabric.send((0, 0), dst, 64, MessageClass.NI_DATA)
+        sim.run(until=delivery - 0.5)
+        # Counted once its delivery is queued: the one event left.
+        assert sim.pending_events == 1 and fabric.packets_delivered == 1
+        before = sim.events_executed
+        assert sim.run() == delivery
+        assert sim.events_executed == before + 1 == listened
+        assert fabric.packets_delivered == fabric.packets_sent == 1
+
+    def test_every_packet_of_a_mix_is_delivered_after_a_drain(self):
+        sim, fabric = make_fabric()
+        for src, dst, nbytes, cls in MIX * 3:
+            fabric.send(src, dst, nbytes, cls)
+        fabric.send((4, 4), (4, 4), 8, MessageClass.NI_COMMAND)
+        sim.run()
+        assert fabric.packets_delivered == fabric.packets_sent == 3 * len(MIX) + 1
 
 
 def _drive(fabric, sim, sends):

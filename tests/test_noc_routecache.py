@@ -19,6 +19,7 @@ from repro.core.placement import build_placement
 from repro.noc.fabric import NocFabric
 from repro.noc.mesh import MeshTopology
 from repro.noc.nocout import NocOutTopology
+from repro.noc.routing import o1turn_orientation
 from repro.noc.topology import SHARED_SHAPES, Link, Topology, shared_topology
 from repro.fabric.torus import Torus3D
 from repro.node.soc import ManycoreSoc
@@ -188,6 +189,44 @@ class TestFabricFastPath:
         sim.run()
         first_hops = [route[0] for route in fabric._bound_routes.values()]
         assert len(first_hops) == 2 and first_hops[0] is first_hops[1]
+
+    def test_classes_sharing_a_direction_share_one_bound_route(self):
+        # CDR routes memory and coherence requests YX, responses XY.
+        sim = Simulator()
+        topo = mesh_with(RoutingAlgorithm.CDR, 8)
+        fabric = NocFabric(sim, topo, SystemConfig.paper_defaults().noc)
+        src, dst = (1, 1), (6, 5)
+        for msg_class in (MessageClass.MEMORY_REQUEST, MessageClass.COHERENCE_REQUEST,
+                          MessageClass.MEMORY_RESPONSE, MessageClass.MEMORY_REQUEST):
+            fabric.send(src, dst, 64, msg_class)
+        sim.run()
+        routes = fabric._class_routes
+        assert len(routes) == 3 and len(fabric._bound_routes) == 2
+        assert (routes[(src, dst, MessageClass.MEMORY_REQUEST)]
+                is routes[(src, dst, MessageClass.COHERENCE_REQUEST)])
+        assert (routes[(src, dst, MessageClass.MEMORY_RESPONSE)]
+                is not routes[(src, dst, MessageClass.MEMORY_REQUEST)])
+
+    def test_o1turn_still_routes_each_packet(self):
+        sim = Simulator()
+        topo = mesh_with(RoutingAlgorithm.O1TURN, 8)
+        fabric = NocFabric(sim, topo, SystemConfig.paper_defaults().noc)
+        src, dst = (1, 1), (6, 5)
+        for _ in range(32):
+            fabric.send(src, dst, 64, MessageClass.NI_DATA)
+        sim.run()
+        assert not topo.routes_ignore_packet_id and not fabric._class_routes
+        xy = sum(o1turn_orientation(src, dst, packet_id) == "xy" for packet_id in range(32))
+        assert 0 < xy < 32
+        assert fabric._channels[(src, (2, 1))].grants == xy
+        assert fabric._channels[(src, (1, 2))].grants == 32 - xy
+
+    def test_which_topologies_route_per_class(self):
+        for algorithm in ALL_ALGORITHMS:
+            assert (mesh_with(algorithm, 4).routes_ignore_packet_id
+                    is (algorithm is not RoutingAlgorithm.O1TURN))
+        assert NocOutTopology(columns=4, cores_per_column=4).routes_ignore_packet_id
+        assert Topology.routes_ignore_packet_id is False
 
     def test_base_topology_route_cache_key_is_none(self):
         class Custom(Topology):

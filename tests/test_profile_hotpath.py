@@ -30,6 +30,13 @@ def test_self_paced_injection_fuses(monkeypatch):
     assert sim.events_executed <= 2 * PACKETS
 
 
+@pytest.mark.parametrize("batch", [1, 64])
+def test_python_call_count_is_exact(batch):
+    counts = [hotpath.python_calls(hotpath.profile_injection(PACKETS, batch))
+              for _ in range(2)]
+    assert counts[0] == counts[1] > PACKETS
+
+
 def test_sampled_injection_streams_valid_records(tmp_path, monkeypatch):
     monkeypatch.setattr(hotpath, "OBS_PACKETS", PACKETS)
     path = str(tmp_path / "obs.jsonl")

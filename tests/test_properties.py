@@ -2,11 +2,13 @@
 
 import heapq
 import itertools
+from types import SimpleNamespace
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.config import MessageClass, NocConfig, RoutingAlgorithm
+from repro.core.assembly import BaseNIDesign
 from repro.fabric.torus import Torus3D
 from repro.memory.address import AddressMap
 from repro.noc.mesh import MeshTopology
@@ -166,6 +168,41 @@ grant_requests = st.tuples(
     st.integers(0, 16).map(lambda n: n / 2),
     st.none() | st.integers(-10, 60).map(lambda n: n / 2),
 )
+
+
+#: Service latencies of each RRPP, for zero to eight RRPPs.
+rrpp_samples = st.lists(st.lists(
+    st.floats(min_value=0.0, max_value=1e9, allow_nan=False, allow_infinity=False),
+    max_size=6), max_size=8)
+
+
+def two_sum_average(rrpps):
+    """The remote-service average as two generator sums: the reference the
+    one-pass loop must match bit for bit."""
+    samples = [rrpp.service_latency for rrpp in rrpps if rrpp.service_latency.count]
+    if not samples:
+        return 0.0
+    total = sum(acc.total for acc in samples)
+    count = sum(acc.count for acc in samples)
+    return total / count
+
+
+class TestRrppAverageProperties:
+    @given(rrpp_samples)
+    @example([])
+    @example([[], [], []])
+    @example([[], [208.5, 0.1], []])
+    @example([[0.1, 0.2], [1e9, 0.3], [], [1e-9]])
+    @settings(max_examples=200)
+    def test_one_pass_average_is_the_two_sums_bit_for_bit(self, per_rrpp):
+        rrpps = []
+        for values in per_rrpp:
+            accumulator = StatAccumulator()
+            for value in values:
+                accumulator.add(value)
+            rrpps.append(SimpleNamespace(service_latency=accumulator))
+        average = BaseNIDesign.average_rrpp_latency(SimpleNamespace(rrpps=rrpps))
+        assert average.hex() == two_sum_average(rrpps).hex()
 
 
 class TestResourceProperties:

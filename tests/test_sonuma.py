@@ -40,6 +40,20 @@ class TestWireFormat:
         b = RemoteRequest(RemoteOp.READ, 0, 1, 0, 0)
         assert a.request_id != b.request_id
 
+    def test_messages_are_slotted(self):
+        request = RemoteRequest(RemoteOp.READ, 0, 1, 0, 0)
+        response = request.make_response()
+        for message in (request, response):
+            assert not hasattr(message, "__dict__")
+            with pytest.raises(AttributeError):
+                message.arrival = 5
+
+    def test_request_ids_strictly_increase_and_responses_keep_them(self):
+        requests = [RemoteRequest(RemoteOp.READ, 0, 1, 0, 64 * i) for i in range(5)]
+        ids = [request.request_id for request in requests]
+        assert all(a < b for a, b in zip(ids, ids[1:]))
+        assert [request.make_response().request_id for request in requests] == ids
+
     def test_invalid_unroll_indices_rejected(self):
         with pytest.raises(ProtocolError):
             RemoteRequest(RemoteOp.READ, 0, 1, 0, 0, block_index=2, total_blocks=2)

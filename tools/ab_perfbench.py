@@ -23,11 +23,13 @@ first.  For every end-to-end metric of ``BENCHMARK.json`` (name, unit and
 which direction is better come from there) it prints both medians with their
 quartiles [q1, q3], the ratio of the change to the parent, the pairs the
 change won and lost (ties count for neither) and whether a gain may be
-claimed: the change won at least nine tenths of the pairs and the medians
-differ, in the change's favour, by more than the parent's interquartile
-range.  A metric regressed when the change lost every pair and its median is worse than the
-parent's by more than the metric's ``bound`` in ``BENCHMARK.json``.  It
-prints every run's ``correct`` and ``failed``.  Last, one ``--trace 1`` run
+claimed: over at least ``MIN_CLAIM_PAIRS`` pairs, the change won at least
+nine tenths of them and the medians differ, in the change's favour, by more
+than the parent's interquartile range.  Below ``MIN_CLAIM_PAIRS`` pairs the
+claim column reads ``n/a``.  A metric regressed when the change lost every
+pair and its median is worse than the parent's by more than the metric's
+``bound`` in ``BENCHMARK.json``, at any number of pairs.  It prints every
+run's ``correct`` and ``failed``.  Last, one ``--trace 1`` run
 per side prints the exact layer counts side by side; a difference there is a
 behaviour change.
 
@@ -52,6 +54,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 LAYER_COUNTS = ("sim.events", "sim.peak_pending", "noc.fused_hops", "noc.hop_events")
 #: What the benchmark reads and runs; both trees must have the same.
 BENCHMARK_PATHS = ("perfbench", "BENCHMARK.json")
+#: Fewest pairs a gain may be claimed on.  At 5 pairs, one side of an A/A
+#: run (identical code on both sides) won every pair of some metric in most
+#: runs, once by more than the parent's interquartile range.
+MIN_CLAIM_PAIRS = 10
 
 
 def quartiles(values: Sequence[float]) -> Tuple[float, float, float]:
@@ -87,7 +93,7 @@ def summarize(metrics: Sequence[dict], parent: Sequence[Optional[Dict[str, float
             row.update(
                 parent=before, change=after, won=won, lost=lost,
                 ratio=after[1] / before[1] if before[1] else None,
-                claim=(10 * won >= 9 * len(pairs)
+                claim=(len(pairs) >= MIN_CLAIM_PAIRS and 10 * won >= 9 * len(pairs)
                        and sign * (before[1] - after[1]) > before[2] - before[0]),
                 regressed=(lost == len(pairs)
                            and sign * (after[1] - before[1]) > metric["bound"] * before[1]),
@@ -101,14 +107,19 @@ def format_rows(rows: Sequence[dict]) -> str:
     def spread(quart):
         return "-" if quart is None else "%.4g [%.4g, %.4g]" % (quart[1], quart[0], quart[2])
 
-    lines = ["  %-18s %-9s %-28s %-28s %-8s %-6s %-5s %-6s %s" % (
+    def claim(row):
+        if row["pairs"] < MIN_CLAIM_PAIRS:
+            return "n/a (<%d pairs)" % MIN_CLAIM_PAIRS
+        return "yes" if row["claim"] else "no"
+
+    lines = ["  %-18s %-9s %-28s %-28s %-8s %-6s %-5s %-16s %s" % (
         "metric", "unit", "parent median [q1, q3]", "change median [q1, q3]",
         "ratio", "won", "lost", "claim", "regressed")]
     for row in rows:
         ratio = "-" if row["ratio"] is None else "%.4f" % row["ratio"]
-        lines.append("  %-18s %-9s %-28s %-28s %-8s %-6s %-5d %-6s %s" % (
+        lines.append("  %-18s %-9s %-28s %-28s %-8s %-6s %-5d %-16s %s" % (
             row["name"], row["unit"], spread(row["parent"]), spread(row["change"]), ratio,
-            "%d/%d" % (row["won"], row["pairs"]), row["lost"], "yes" if row["claim"] else "no",
+            "%d/%d" % (row["won"], row["pairs"]), row["lost"], claim(row),
             "YES" if row["regressed"] else "no"))
     return "\n".join(lines)
 
