@@ -105,7 +105,7 @@ class DirectoryController:
     # ------------------------------------------------------------------
     def entry(self, addr: int) -> DirectoryEntry:
         """Directory entry for the block containing ``addr`` (created on demand)."""
-        block = self.block_address(addr)
+        block = addr - (addr % self.block_bytes)  # block_address(addr), inlined
         entry = self._entries.get(block)
         if entry is None:
             entry = DirectoryEntry(addr=block)

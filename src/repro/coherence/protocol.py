@@ -154,7 +154,9 @@ class CoherenceProtocol:
         ``on_done(result, *args)`` is invoked at completion time, with an
         :class:`AccessResult` as ``result``.
         """
-        complex_ = self.complex_of(entity_id)
+        complex_ = self._complexes.get(entity_id)
+        if complex_ is None:
+            complex_ = self.complex_of(entity_id)  # raises the unknown-entity error
         start = self.sim.now
         lookup = complex_.local_lookup(requester_kind, addr, write)
         if lookup.hit:

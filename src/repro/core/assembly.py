@@ -34,6 +34,9 @@ class BaseNIDesign(abc.ABC):
         self.frontends: Dict[int, NIFrontend] = {}
         self.backends: List[NIBackend] = []
         self.rrpps: List[RemoteRequestPipeline] = []
+        #: Consecutive blocks steered to one RRPP (:meth:`rrpp_for_request`),
+        #: fixed once the RRPPs are built.
+        self._rrpp_group = 1
         self._built = False
 
     # ------------------------------------------------------------------
@@ -44,6 +47,8 @@ class BaseNIDesign(abc.ABC):
         if self._built:
             return self
         self._build_rrpps()
+        if self.rrpps:
+            self._rrpp_group = max(1, self.placement.llc_slice_count // len(self.rrpps))
         self._build_frontends_and_backends()
         self._built = True
         return self
@@ -119,9 +124,7 @@ class BaseNIDesign(abc.ABC):
 
     def deliver_response(self, response: RemoteResponse) -> None:
         """Route an arriving response to the backend owning its transfer."""
-        record = self.transfers.get(response.transfer_id)
-        backend: NIBackend = record.metadata["backend"]
-        backend.deliver_response(response)
+        self.transfers.get(response.transfer_id).backend.deliver_response(response)
 
     def rrpp_for_request(self, request: RemoteRequest) -> RemoteRequestPipeline:
         """Address-interleaved steering of incoming requests to RRPPs (§4.3).
@@ -135,8 +138,14 @@ class BaseNIDesign(abc.ABC):
         return self.rrpps[index]
 
     def deliver_remote_request(self, request: RemoteRequest) -> None:
-        """Hand an incoming remote request to its RRPP."""
-        self.rrpp_for_request(request).handle_request(request)
+        """Hand an incoming remote request to its RRPP.
+
+        Steers as :meth:`rrpp_for_request` does, with the group size fixed
+        at build, since every incoming request is steered.
+        """
+        rrpps = self.rrpps
+        block = request.offset // self.config.cache_block_bytes
+        rrpps[(block // self._rrpp_group) % len(rrpps)].handle_request(request)
 
     # ------------------------------------------------------------------
     # Aggregate statistics

@@ -15,13 +15,16 @@ from __future__ import annotations
 
 import abc
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Dict, Hashable, Optional
 
 from repro.config import SystemConfig
 from repro.errors import ProtocolError
 from repro.qp.entries import WorkQueueEntry
 from repro.qp.manager import QueuePair
+
+if TYPE_CHECKING:
+    from repro.core.pipelines import NIBackend, NIFrontend
 
 
 class NodeServices(abc.ABC):
@@ -69,9 +72,12 @@ class NodeServices(abc.ABC):
         """Tell the core model that a new CQ entry is available to poll."""
 
 
-@dataclass
+@dataclass(slots=True)
 class TransferRecord:
-    """State of one in-flight transfer (one WQ entry being serviced)."""
+    """State of one in-flight transfer (one WQ entry being serviced).
+
+    Slotted: under Fig. 7 load hundreds are in flight at once.
+    """
 
     transfer_id: int
     core_id: int
@@ -82,8 +88,10 @@ class TransferRecord:
     blocks_injected: int = 0
     blocks_completed: int = 0
     completed_at: Optional[float] = None
-    #: Arbitrary per-design bookkeeping (e.g. owning backend).
-    metadata: dict = field(default_factory=dict)
+    #: The frontend that writes the transfer's CQ entry and the backend
+    #: that unrolls it and receives its responses (the backend sets both).
+    frontend: Optional[NIFrontend] = None
+    backend: Optional[NIBackend] = None
 
     @property
     def is_complete(self) -> bool:

@@ -182,8 +182,8 @@ class NIBackend:
             total_blocks=block_count(entry.length, self.block_bytes),
             issued_at=entry.posted_at,
         )
-        record.metadata["frontend"] = frontend
-        record.metadata["backend"] = self
+        record.frontend = frontend
+        record.backend = self
         self.transfers_started += 1
         for request in unroll_blocks(entry, self.services.node_id, record.transfer_id, self.block_bytes):
             self.rgp_pipe.issue_then(NIBackend._inject_request, self, request, record)
@@ -223,7 +223,9 @@ class NIBackend:
     def deliver_response(self, response: RemoteResponse) -> None:
         """A response for one of this backend's transfers arrived at the network port."""
         if self.injection_at_edge:
-            self._receive(response)
+            # Straight into the RCP pipe, as _receive does at the end of the
+            # per-tile walk.
+            self.rcp_pipe.issue_then(NIBackend._process_response, self, response)
             return
         # Per-tile placement: the response is first routed to the source NI
         # before its payload can be sent to its home LLC tile (§6.2).
@@ -252,9 +254,9 @@ class NIBackend:
         record.blocks_completed += 1
         self.blocks_completed += 1
         self.payload_bytes_completed += self.block_bytes
-        if not record.is_complete:
+        if record.blocks_completed < record.total_blocks:  # not record.is_complete
             return
-        frontend: NIFrontend = record.metadata["frontend"]
+        frontend = record.frontend
         if frontend.node == self.node:
             frontend.complete_transfer(record)
         else:

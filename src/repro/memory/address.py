@@ -10,6 +10,7 @@ computed before translation).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 from repro.config import CACHE_BLOCK_BYTES
 from repro.errors import ConfigurationError
@@ -43,6 +44,16 @@ class AddressMap:
     def home_llc_slice(self, addr: int) -> int:
         """Home LLC slice (and directory) for the block containing ``addr``."""
         return self.block_index(addr) % self.llc_slices
+
+    def home_and_controller(self, addr: int) -> Tuple[int, int]:
+        """``(home_llc_slice(addr), mc_for_addr(addr))`` from one decode of ``addr``.
+
+        The data path needs both for every access, so it divides once.
+        """
+        if addr < 0:
+            raise ConfigurationError("addresses cannot be negative")
+        block = addr // self.block_bytes
+        return block % self.llc_slices, block % self.memory_controllers
 
     def memory_controller(self, addr: int) -> int:
         """Memory controller servicing the block containing ``addr``."""

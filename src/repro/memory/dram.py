@@ -50,8 +50,11 @@ class DramModel:
         else:
             self.reads += 1
             self.bytes_read += nbytes
-        grant = self.channel.send(nbytes)
-        finish = grant + self.channel.serialization_cycles(nbytes) + self.latency_cycles
+        # Channel.send and serialization_cycles without their calls: the
+        # occupancy is computed once, and the finish is the same float.
+        channel = self.channel
+        occupancy = nbytes / channel.bytes_per_cycle
+        finish = channel.acquire(occupancy) + occupancy + self.latency_cycles
         if on_done is not None:
             self.sim.schedule(finish - self.sim.now, on_done, *args)
         return finish

@@ -40,8 +40,11 @@ The topology is shared with every machine of its NOC shape
 routes from it and writes nothing to it.  The first packet along a route
 binds it to this fabric's own channels (``_bound_routes``, keyed by the
 topology's ``route_cache_key``), one ``(channel, hop_cycles, link_key)`` hop
-per link.  When the topology declares that a route depends on
-``(src, dst, msg_class)`` alone
+per link.  Every fresh machine binds each route it uses, so binding is one
+pass: the key is computed once and handed to
+:meth:`~repro.noc.topology.Topology.route_for_key`, and each new link's
+channel is created in the loop that collects the hops.  When the topology
+declares that a route depends on ``(src, dst, msg_class)`` alone
 (:attr:`~repro.noc.topology.Topology.routes_ignore_packet_id`: every mesh
 routing but O1Turn, and NOC-Out), the bound route is also kept under those
 three (``_class_routes``), so a packet finds its route with one dict lookup
@@ -75,7 +78,13 @@ Two details keep fused runs byte-identical to unfused ones:
   because code running later in the same callback (e.g. an unroll loop
   injecting sibling packets at the same cycle) may acquire the very
   channels a fused walk would have pre-acquired at later virtual times,
-  which would reorder FIFO grants.
+  which would reorder FIFO grants.  Without a fault state ``send`` takes
+  that first step itself, inline: it grants the first link at
+  ``max(now, free_at)`` and queues the next hop, or the delivery when the
+  route has one hop.  With a fault state installed it calls
+  ``_hop(..., fuse=False)``, which also applies the fault hooks.  The two
+  give the same events, grants and times (``tests/test_noc_fabric.py``
+  compares them with an installed state that never activates).
 * Ties fall back: when the next arrival lands exactly on the queue-head
   time, the head event was scheduled first and must execute first, so the
   walk schedules a normal hop event, which joins the end of that time's
@@ -259,7 +268,45 @@ class NocFabric:
                 # first channels FIFO.  The rest of the walk runs as a
                 # scheduled event, where fusion is safe (see module
                 # docstring).
-                _hop(self, hops, 0, flits, packet_id, callback, args, False)
+                if self.faults is not None:
+                    _hop(self, hops, 0, flits, packet_id, callback, args, False)
+                    return packet_id
+                # _hop's unfused first step without its call: acquire the
+                # first link at now and queue the next hop, or the delivery.
+                # Keep in sync with _hop (and so Resource.acquire and
+                # Simulator.schedule).
+                sim = self.sim
+                now = sim.now
+                channel, hop_cycles, _ = hops[0]
+                start = channel._free_at
+                if start < now:
+                    start = now
+                channel._free_at = start + flits
+                channel.busy_cycles += flits
+                channel.grants += 1
+                arrival = start + hop_cycles
+                if len(hops) == 1:
+                    time = now + (arrival + flits - 1 - now)
+                    self.packets_delivered += 1
+                    step = callback
+                    step_args = args
+                else:
+                    time = now + (arrival - now)
+                    step = _hop
+                    step_args = (self, hops, 1, flits, packet_id, callback, args)
+                lists = sim._lists
+                entries = lists.get(time)
+                if entries is None:
+                    lists[time] = [step, step_args]
+                    heappush(sim._times, time)
+                else:
+                    entries.append(step)
+                    entries.append(step_args)
+                counters = sim._perf
+                counters.fast_events += 1
+                pending = sim._pending = sim._pending + 1
+                if pending > counters.peak_pending:
+                    counters.peak_pending = pending
                 return packet_id
         self.packets_delivered += 1
         self.sim.schedule(self.LOCAL_DELIVERY_CYCLES, callback, *args)
@@ -313,22 +360,27 @@ class NocFabric:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _bind_link(self, link: Link) -> BoundHop:
-        """The one (channel, hop_cycles, link_key) hop of ``link`` on this fabric."""
-        key = link.key
-        channel = self._channels.get(key)
-        if channel is None:
-            # The shared link is the channel's name: str() formats it only
-            # when a repr or an error message prints it.
-            channel = Resource(self.sim, name=link)
-            self._channels[key] = channel
-        hop = self._bound_hops[link] = (channel, link.hop_cycles, key)
-        return hop
-
     def _bind_links(self, links: Sequence[Link]) -> Tuple[BoundHop, ...]:
-        """Resolve each link of a route to its channel, binding each link once."""
+        """Resolve each link of a route to its channel, binding each link once.
+
+        A link's bound hop is ``(channel, hop_cycles, link_key)``, with the
+        link key ``(link.src, link.dst)``.
+        """
         bound = self._bound_hops
-        return tuple([bound.get(link) or self._bind_link(link) for link in links])
+        channels = self._channels
+        hops = []
+        for link in links:
+            hop = bound.get(link)
+            if hop is None:
+                key = (link.src, link.dst)
+                channel = channels.get(key)
+                if channel is None:
+                    # The shared link is the channel's name: str() formats
+                    # it only when a repr or an error message prints it.
+                    channel = channels[key] = Resource(self.sim, name=link)
+                hop = bound[link] = (channel, link.hop_cycles, key)
+            hops.append(hop)
+        return tuple(hops)
 
     def _bound_route(
         self, src: Hashable, dst: Hashable, msg_class: MessageClass, packet_id: int
@@ -347,8 +399,8 @@ class NocFabric:
             return self._bind_links(topology.route(src, dst, msg_class, packet_id))
         bound = self._bound_routes.get(key)
         if bound is None:
-            bound = self._bind_links(topology.route_cached(src, dst, msg_class, packet_id))
-            self._bound_routes[key] = bound
+            bound = self._bound_routes[key] = self._bind_links(
+                topology.route_for_key(key, src, dst, msg_class, packet_id))
         if topology.routes_ignore_packet_id:
             self._class_routes[(src, dst, msg_class)] = bound
         return bound

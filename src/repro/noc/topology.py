@@ -110,11 +110,20 @@ class Topology(abc.ABC):
         key = self.route_cache_key(src, dst, msg_class, packet_id)
         if key is None:
             return tuple(self.route(src, dst, msg_class, packet_id))
-        cache: Dict[Hashable, Tuple[Link, ...]] = self.__dict__.setdefault("_route_cache", {})
+        return self.route_for_key(key, src, dst, msg_class, packet_id)
+
+    def route_for_key(
+        self, key: Hashable, src: Hashable, dst: Hashable, msg_class: MessageClass,
+        packet_id: int = 0,
+    ) -> Tuple[Link, ...]:
+        """:meth:`route_cached` for a caller that already holds the route's
+        non-None :meth:`route_cache_key`, ``key`` (the fabric's route binding)."""
+        cache: Optional[Dict[Hashable, Tuple[Link, ...]]] = self.__dict__.get("_route_cache")
+        if cache is None:
+            cache = self.__dict__["_route_cache"] = {}
         cached = cache.get(key)
         if cached is None:
-            cached = tuple(self.route(src, dst, msg_class, packet_id))
-            cache[key] = cached
+            cached = cache[key] = tuple(self.route(src, dst, msg_class, packet_id))
         return cached
 
     def clear_route_cache(self) -> None:

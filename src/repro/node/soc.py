@@ -198,7 +198,7 @@ class ManycoreSoc(NodeServices):
         return self.placement.network_port_node(near_node)
 
     def translate(self, ctx_id: int, offset: int, length: int) -> int:
-        return self.contexts.validate(ctx_id, offset, length).translate(offset)
+        return self.contexts.translate(ctx_id, offset, length)
 
     def notify_completion(self, core_id: int) -> None:
         callback = self._completion_listeners.get(core_id)
@@ -232,8 +232,8 @@ class ManycoreSoc(NodeServices):
         directory-sourced traffic, which is what the paper's extended CDR
         routes YX to keep it from turning at the NI edge column (§4.3).
         """
-        slice_idx = self.address_map.home_llc_slice(addr)
-        mc = self.memory_controllers[self.address_map.mc_for_addr(addr)]
+        slice_idx, mc_index = self.address_map.home_and_controller(addr)
+        mc = self.memory_controllers[mc_index]
         self.fabric.send(
             requester_node, self.placement.llc_nodes[slice_idx], _MEM_REQUEST_BYTES,
             MessageClass.MEMORY_REQUEST,
@@ -242,8 +242,21 @@ class ManycoreSoc(NodeServices):
 
     def _llc_ready_delay(self, slice_idx: int) -> float:
         """Occupy the home LLC bank; cycles until its lookup completes."""
-        grant = self.llc_banks[slice_idx].acquire(self.config.llc.bank_occupancy_cycles)
-        return max(0.0, grant + self.config.llc.latency_cycles - self.sim.now)
+        # Inlined Resource.acquire(bank_occupancy_cycles), the grant
+        # Pipeline.issue_then inlines too: one call per data-path access;
+        # keep in sync with Resource.acquire.  With no ``earliest`` the grant
+        # opens no gap, and LlcConfig.validate rejects a negative occupancy.
+        bank = self.llc_banks[slice_idx]
+        llc = self.config.llc
+        now = self.sim.now
+        grant = bank._free_at
+        if grant <= now:
+            grant = now
+        occupancy = llc.bank_occupancy_cycles
+        bank._free_at = grant + occupancy
+        bank.busy_cycles += occupancy
+        bank.grants += 1
+        return max(0.0, grant + llc.latency_cycles - now)
 
     def _read_at_llc(self, requester_node, slice_idx, mc, nbytes, on_done, args) -> None:
         self.sim.schedule(self._llc_ready_delay(slice_idx), ManycoreSoc._read_forward_to_mc,
@@ -276,8 +289,8 @@ class ManycoreSoc(NodeServices):
     def memory_write(self, requester_node: Hashable, addr: int, nbytes: int,
                      on_done: Callable[..., None], *args) -> None:
         """Data-path write: posted at the home LLC slice, drained to the MC behind it."""
-        slice_idx = self.address_map.home_llc_slice(addr)
-        mc = self.memory_controllers[self.address_map.mc_for_addr(addr)]
+        slice_idx, mc_index = self.address_map.home_and_controller(addr)
+        mc = self.memory_controllers[mc_index]
         self.fabric.send(
             requester_node, self.placement.llc_nodes[slice_idx], nbytes, MessageClass.NI_DATA,
             ManycoreSoc._write_at_llc, self, slice_idx, mc, nbytes, on_done, args,

@@ -22,7 +22,6 @@ from typing import Hashable, Optional
 
 from repro.config import SystemConfig
 from repro.errors import WorkloadError
-from repro.node.soc import ManycoreSoc
 from repro.qp.entries import RemoteOp
 from repro.sonuma.wire import RemoteRequest, RemoteResponse
 
@@ -91,21 +90,15 @@ class RemoteEndEmulator:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def remote_service_cycles(self) -> float:
-        """Servicing latency charged at the emulated remote node.
-
-        Uses the running average of the local RRPPs (the paper's
-        methodology); before any sample exists, the calibrated zero-load
-        RRPP latency is used instead.
-        """
-        measured = self.soc.ni.average_rrpp_latency()
-        if measured > 0:
-            return measured
-        return float(self.config.calibration.rrpp_service_cycles)
-
     def _handle_outgoing_request(self, request: RemoteRequest) -> None:
         self.outgoing_requests += 1
-        round_trip = 2 * self.one_way_network_cycles + self.remote_service_cycles()
+        # The servicing latency charged at the emulated remote node: the
+        # running average of the local RRPPs (the paper's methodology), or
+        # the calibrated zero-load RRPP latency before any sample exists.
+        service = self.soc.ni.average_rrpp_latency()
+        if not service > 0:
+            service = float(self.config.calibration.rrpp_service_cycles)
+        round_trip = 2 * self.one_way_network_cycles + service
         response = request.make_response()
         self.sim.schedule(round_trip, RemoteEndEmulator._deliver_response, self, response)
         if self.rate_match_incoming:
@@ -113,7 +106,8 @@ class RemoteEndEmulator:
 
     def _deliver_response(self, response: RemoteResponse) -> None:
         self.responses_delivered += 1
-        self.soc.deliver_response(response)
+        # Straight to the NI: ManycoreSoc.deliver_response only forwards.
+        self.soc.ni.deliver_response(response)
 
     def _generate_incoming_request(self) -> None:
         region = self.incoming_region_bytes
@@ -128,5 +122,6 @@ class RemoteEndEmulator:
             offset=offset,
         )
         self.incoming_generated += 1
-        self.sim.schedule(self.one_way_network_cycles, ManycoreSoc.deliver_remote_request,
-                          self.soc, request)
+        ni = self.soc.ni
+        self.sim.schedule(self.one_way_network_cycles, type(ni).deliver_remote_request,
+                          ni, request)

@@ -68,7 +68,10 @@ class _RingQueue:
 
     def entry_block_address(self, index: int) -> int:
         """Cache-block address holding entry ``index``."""
-        addr = self.entry_address(index)
+        # entry_address inlined: every WQ read and CQ write asks for a slot.
+        if not 0 <= index < self.capacity:
+            raise QueueError("%s index %d out of range" % (self.name, index))
+        addr = self.base_addr + index * self.entry_bytes
         return addr - (addr % CACHE_BLOCK_BYTES)
 
     def head_block_address(self) -> int:

@@ -23,6 +23,16 @@ every event, and a slot read costs a fraction of a property call.  Only the
 kernel writes it; lint rule REP012 rejects an assignment to an attribute
 named ``now`` anywhere outside this module.
 
+The push is written out in five places, which must stay in step:
+:meth:`Simulator.schedule`, :meth:`Simulator.schedule_at`, the NOC hop walk
+``_hop`` and the first hop inside ``NocFabric.send``
+(:mod:`repro.noc.fabric`), and :meth:`Pipeline.issue_then
+<repro.sim.resource.Pipeline.issue_then>`.  The three copies outside this
+module run once per hop or per NI block, where a call is a large share of
+the cost.  Each computes a relative event's time as ``now + (t - now)``, as
+``schedule`` does with its delay (float addition does not promise that this
+equals ``t``), and updates the counters exactly as ``schedule`` does.
+
 Scheduling returns no handle and events cannot be removed from the queue.  A
 component that may need to revoke pending work keeps a flag its callbacks
 check instead (the open-loop arrival clock's ``frozen`` state, the fault

@@ -10,6 +10,7 @@ simulating individual flits cycle by cycle.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Callable, List, Optional, Tuple
 
 from repro.errors import SimulationError
@@ -210,5 +211,21 @@ class Pipeline(Resource):
         self.busy_cycles += occupancy
         self.grants += 1
         finish = start + self.depth
-        sim.schedule(finish - now, callback, *args)
+        # Inlined Simulator.schedule(finish - now, callback, *args); keep in
+        # sync with repro.sim.engine.  The delay is never negative: the grant
+        # is not before now and the depth is not negative.
+        time = now + (finish - now)
+        lists = sim._lists
+        entries = lists.get(time)
+        if entries is None:
+            lists[time] = [callback, args]
+            heappush(sim._times, time)
+        else:
+            entries.append(callback)
+            entries.append(args)
+        counters = sim._perf
+        counters.fast_events += 1
+        pending = sim._pending = sim._pending + 1
+        if pending > counters.peak_pending:
+            counters.peak_pending = pending
         return finish

@@ -76,6 +76,20 @@ class ContextRegistry:
             )
         return ctx
 
+    def translate(self, ctx_id: int, offset: int, length: int) -> int:
+        """``validate(ctx_id, offset, length).translate(offset)`` in one call.
+
+        Every RRPP request translates its offset, so the lookup, the bounds
+        check and the add are done here; an access the check refuses goes
+        through :meth:`validate`, which raises the same :class:`ProtocolError`.
+        """
+        ctx = self._contexts.get(ctx_id)
+        if ctx is not None:
+            size = ctx.size_bytes
+            if 0 <= offset and offset + length <= size and offset + 1 <= size:
+                return ctx.base_addr + offset
+        return self.validate(ctx_id, offset, length).translate(offset)
+
     def __iter__(self) -> Iterator[RemoteContext]:
         return iter(self._contexts.values())
 

@@ -91,6 +91,29 @@ class TestSummary:
         assert row["pairs"] == 0 and row["parent"] is None and row["claim"] is False
         assert "0/0" in ab.format_rows([row])
 
+    def test_fixed_pairs_give_a_fixed_bootstrap_interval(self):
+        parent = [3.0, 3.1, 3.0, 3.2, 3.1, 3.0, 3.1, 3.2, 3.0, 3.1]
+        change = [2.7, 2.8, 2.7, 2.8, 2.7, 2.8, 2.7, 2.8, 2.7, 3.3]
+        row = only_row(RUN_S, parent, change)
+        assert row["interval"] == pytest.approx((2.7 / 3.1, 2.8 / 3.0))
+        assert only_row(RUN_S, parent, change)["interval"] == row["interval"]
+        assert row["interval"][0] <= row["ratio"] <= row["interval"][1]
+        assert "[0.8710, 0.9333]" in ab.format_rows([row])
+
+    def test_identical_sides_give_an_interval_holding_one(self):
+        parent = [3.0, 3.1, 2.9, 3.0, 3.2, 3.3, 2.8, 3.0, 3.1, 2.9]
+        low, high = only_row(RUN_S, parent, list(parent))["interval"]
+        assert low <= 1.0 <= high
+
+    def test_one_pair_gives_a_zero_width_interval(self):
+        row = only_row(RUN_S, [3.0], [2.4])
+        assert row["interval"] == (row["ratio"], row["ratio"])
+        assert row["ratio"] == pytest.approx(0.8)
+
+    def test_no_complete_pair_has_no_interval(self):
+        row = only_row(RUN_S, [None], [2.0])
+        assert row["interval"] is None
+
     def test_table_names_every_metric_with_its_unit(self):
         rows = ab.summarize([RUN_S, OPS], [{"run_s": 3.0, "ops_per_s": 10.0}],
                             [{"run_s": 2.0, "ops_per_s": 12.0}])

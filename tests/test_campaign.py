@@ -1,9 +1,11 @@
 """Tests for the campaign subsystem (grid expansion, cache, parallel runs)."""
 
 import os
+import shutil
 
 import pytest
 
+from repro.campaign import cache as cache_module
 from repro.campaign import (
     Campaign,
     CampaignReport,
@@ -121,6 +123,8 @@ class TestCache:
         request = RunRequest("counting-test", {"scale": 5})
         cache = ResultCache(str(directory))
         Campaign([request], cache=cache).run()
+        # Entries live under the digest of the model's sources.
+        directory = directory / cache_module.source_digest()
         entries = sorted(os.listdir(directory))
         previous = (directory / entries[0]).read_text()
         real_fdopen = os.fdopen
@@ -151,7 +155,42 @@ class TestCache:
         monkeypatch.undo()
         assert sorted(os.listdir(directory)) == entries
         assert (directory / entries[0]).read_text() == previous
-        assert ResultCache(str(directory)).get(request).column("x") == [5]
+        assert ResultCache(str(directory.parent)).get(request).column("x") == [5]
+
+    def test_disk_entries_are_kept_per_model_source_digest(self, counting_experiment, tmp_path,
+                                                            monkeypatch):
+        directory = str(tmp_path / "cache")
+        request = RunRequest("counting-test", {"scale": 5})
+
+        def run_under(digest):
+            monkeypatch.setattr(cache_module, "source_digest", lambda: digest)
+            return Campaign([request], cache=ResultCache(directory)).run()
+
+        assert run_under("a" * 16).cache_hits == 0
+        assert os.listdir(directory) == ["a" * 16]
+        assert os.listdir(os.path.join(directory, "a" * 16)) == [
+            "%s.json" % request.fingerprint()]
+        # Other model code misses and computes again; the same code hits.
+        assert run_under("b" * 16).cache_hits == 0
+        assert counting_experiment["count"] == 2
+        hit = run_under("a" * 16)
+        assert hit.cache_hits == 1 and hit.results[0].column("x") == [5]
+        assert counting_experiment["count"] == 2
+
+    def test_source_digest_covers_every_byte_of_every_module(self, tmp_path):
+        copy = tmp_path / "repro"
+        shutil.copytree(cache_module.PACKAGE_DIR, copy,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        digest = cache_module.package_digest(copy)
+        assert digest == cache_module.source_digest()
+        module = copy / "sim" / "engine.py"
+        original = module.read_bytes()
+        module.write_bytes(original[:-1] + bytes([original[-1] ^ 1]))
+        assert cache_module.package_digest(copy) != digest
+        module.write_bytes(original)
+        assert cache_module.package_digest(copy) == digest
+        (copy / "sim" / "engine_copy.py").write_bytes(original)
+        assert cache_module.package_digest(copy) != digest
 
 
 class TestCampaign:

@@ -37,6 +37,30 @@ class TestDram:
         assert dram.bytes_read == 64 and dram.bytes_written == 128
         assert dram.accesses == 2
 
+    def test_finish_is_grant_plus_occupancy_plus_latency_to_the_bit(self):
+        # A bandwidth whose occupancies are inexact floats: any other
+        # association of the sum would show in the last bits.
+        bandwidth = 32 / 3
+        sim = Simulator()
+        dram = DramModel(sim, latency_cycles=100, bandwidth_bytes_per_cycle=bandwidth)
+        finished = []
+        expected = []
+        for burst_at, burst in ((0.0, [(64, False), (64, True), (100, False)]),
+                                (517.25, [(7, True), (4096, False)])):
+            sim.run(until=burst_at)
+            for nbytes, is_write in burst:
+                grant = max(sim.now, dram.channel.free_at)
+                finish = dram.access(nbytes, is_write,
+                                     lambda: finished.append(sim.now))
+                assert finish == grant + nbytes / bandwidth + 100
+                assert finish == grant + dram.channel.serialization_cycles(nbytes) + 100
+                expected.append(sim.now + (finish - sim.now))
+        sim.run()
+        assert finished == expected
+        assert (dram.reads, dram.writes) == (3, 2)
+        assert (dram.bytes_read, dram.bytes_written) == (64 + 100 + 4096, 64 + 7)
+        assert dram.channel.grants == 5
+
     def test_invalid_parameters_rejected(self):
         sim = Simulator()
         with pytest.raises(ConfigurationError):

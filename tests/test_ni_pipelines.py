@@ -1,9 +1,12 @@
 """Tests for the RGP/RCP/RRPP pipelines and the design assemblies."""
 
+import random
+
 import pytest
 
 from helpers import small_config
 
+from repro.config import SystemConfig
 from repro.core.base import TransferTable
 from repro.errors import PlacementError, ProtocolError
 from repro.node.soc import ManycoreSoc
@@ -107,6 +110,25 @@ class TestRemoteRequestProcessing:
             request = RemoteRequest(RemoteOp.READ, 1, 0, 0, offset=block_index * block)
             seen.add(soc.ni.rrpp_for_request(request).index)
         assert seen == set(range(rrpps))
+
+    @pytest.mark.parametrize("topology", ["mesh", "noc_out"])
+    @pytest.mark.parametrize("design", ["edge", "split", "per_tile"])
+    def test_delivery_steers_to_the_rrpp_for_the_request(self, topology, design):
+        config = SystemConfig.paper_defaults().with_design(design).with_topology(topology)
+        soc = ManycoreSoc(config)
+        draws = random.Random(7)
+        seen = set()
+        for _ in range(400):
+            offset = draws.randrange(1 << 24)
+            request = RemoteRequest(RemoteOp.READ, 1, 0, 0, offset=offset)
+            before = [rrpp.requests_received for rrpp in soc.ni.rrpps]
+            soc.ni.deliver_remote_request(request)
+            after = [rrpp.requests_received for rrpp in soc.ni.rrpps]
+            [steered] = [i for i, (b, a) in enumerate(zip(before, after)) if a != b]
+            assert steered == soc.ni.rrpp_for_request(request).index
+            seen.add(steered)
+        assert seen == set(range(len(soc.ni.rrpps)))
+        soc.close()
 
     def test_remote_write_request_updates_memory(self, split_config):
         soc = ManycoreSoc(split_config)

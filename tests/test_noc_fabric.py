@@ -1,11 +1,14 @@
 """Tests for the NOC contention model."""
 
+import random
 import re
 
 import pytest
 
 from repro.config import MessageClass, NocConfig
 from repro.errors import SimulationError
+from repro.faults.injector import FaultState
+from repro.faults.models import RouterDegradeFault
 from repro.noc.fabric import NocFabric, hop_fusion_default
 from repro.noc.mesh import MeshTopology
 from repro.noc.packet import HEADER_BYTES, flit_count
@@ -145,6 +148,55 @@ class TestDelivery:
         fabric.send((4, 4), (4, 4), 8, MessageClass.NI_COMMAND)
         sim.run()
         assert fabric.packets_delivered == fabric.packets_sent == 3 * len(MIX) + 1
+
+
+class TestInlineFirstHop:
+    """With no fault state ``send`` takes the first hop itself; with one
+    installed it calls ``_hop``.  An installed state that never activates
+    must give the same run, event for event."""
+
+    @staticmethod
+    def _run(monkeypatch, fusion, faults, seed):
+        sim, fabric = make_fabric(monkeypatch, fusion=fusion)
+        fabric.faults = faults
+        draws = random.Random(seed)
+        classes = list(MessageClass)
+        delivered = []
+
+        def inject(src, dst, nbytes, cls):
+            packet_id = fabric.lifetime_packets_sent
+            fabric.send(src, dst, nbytes, cls,
+                        lambda: delivered.append((packet_id, sim.now)))
+
+        for _ in range(400):
+            src = (draws.randrange(8), draws.randrange(8))
+            kind = draws.randrange(4)
+            if kind == 0:  # one hop
+                dst = (src[0] + 1, src[1]) if src[0] < 7 else (src[0] - 1, src[1])
+            elif kind == 1:  # local delivery
+                dst = src
+            else:
+                dst = (draws.randrange(8), draws.randrange(8))
+            # Bursts at shared cycles contend; the gaps leave channels idle,
+            # so a later first hop starts at now, not at the channel's free_at.
+            at = draws.choice([0, 0, 1, 2, 40, 300]) + 25 * draws.randrange(200)
+            sim.schedule(at, inject, src, dst, draws.choice([8, 64, 80, 256]),
+                         draws.choice(classes))
+        sim.run()
+        channels = {key: (channel.grants, channel.busy_cycles, channel.free_at)
+                    for key, channel in fabric._channels.items()}
+        return (delivered, channels, sim.now, sim.events_executed, sim.peak_pending_events,
+                fabric.packets_delivered, fabric.packets_sent, fabric.wire_bytes_sent)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("fusion", [True, False])
+    def test_inline_first_hop_matches_the_hop_walk(self, monkeypatch, fusion, seed):
+        inline = self._run(monkeypatch, fusion, None, seed)
+        idle = FaultState(RouterDegradeFault(intensity=1.0))
+        walked = self._run(monkeypatch, fusion, idle, seed)
+        assert idle.active is False and idle.hits == 0
+        assert len(inline[0]) == 400 == inline[5] == inline[6]
+        assert inline == walked
 
 
 def _drive(fabric, sim, sends):

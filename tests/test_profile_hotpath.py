@@ -37,6 +37,18 @@ def test_python_call_count_is_exact(batch):
     assert counts[0] == counts[1] > PACKETS
 
 
+@pytest.mark.parametrize("batch", [1, 64])
+def test_layer_rows_sum_to_the_total_and_repeat_exactly(batch):
+    profiles = [hotpath.profile_injection(PACKETS, batch) for _ in range(2)]
+    layers = [hotpath.calls_by_layer(profile) for profile in profiles]
+    assert layers[0] == layers[1]
+    assert sum(layers[0].values()) == hotpath.python_calls(profiles[0])
+    # The mix runs the kernel and the fabric, and the tool's own injection loop.
+    assert {"sim", "noc", "other"} <= set(layers[0])
+    rows = hotpath.format_layers(layers[0], 1).splitlines()
+    assert len(rows) == len(layers[0]) and rows[-1].split()[0] == "other"
+
+
 def test_sampled_injection_streams_valid_records(tmp_path, monkeypatch):
     monkeypatch.setattr(hotpath, "OBS_PACKETS", PACKETS)
     path = str(tmp_path / "obs.jsonl")

@@ -4,10 +4,12 @@ import heapq
 import itertools
 from types import SimpleNamespace
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.config import MessageClass, NocConfig, RoutingAlgorithm
+from repro.errors import ConfigurationError
 from repro.core.assembly import BaseNIDesign
 from repro.fabric.torus import Torus3D
 from repro.memory.address import AddressMap
@@ -75,6 +77,23 @@ class TestAddressMapProperties:
         assert 0 <= amap.home_llc_slice(addr) < 64
         assert 0 <= amap.memory_controller(addr) < 8
         assert 0 <= amap.rrpp_for_offset(addr) < 8
+
+    @given(st.integers(0, 2 ** 40), st.integers(1, 128), st.integers(1, 16),
+           st.integers(1, 4096))
+    @settings(max_examples=200)
+    def test_one_decode_equals_the_single_field_helpers(self, addr, slices, controllers,
+                                                        block_bytes):
+        amap = AddressMap(llc_slices=slices, memory_controllers=controllers, rrpps=1,
+                          block_bytes=block_bytes)
+        assert amap.home_and_controller(addr) == (amap.home_llc_slice(addr),
+                                                  amap.mc_for_addr(addr))
+
+    @given(st.integers(max_value=-1), st.integers(1, 128), st.integers(1, 16))
+    @settings(max_examples=50)
+    def test_one_decode_rejects_negative_addresses(self, addr, slices, controllers):
+        amap = AddressMap(llc_slices=slices, memory_controllers=controllers, rrpps=1)
+        with pytest.raises(ConfigurationError, match="addresses cannot be negative"):
+            amap.home_and_controller(addr)
 
     @given(st.integers(0, 2 ** 30), st.integers(1, 1 << 16))
     @settings(max_examples=100)

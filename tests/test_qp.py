@@ -76,6 +76,21 @@ class TestWorkQueue:
         with pytest.raises(QueueError):
             wq.entry_address(4)
 
+    @pytest.mark.parametrize("index", [-1, 4, 100])
+    def test_out_of_range_block_index_rejected(self, index):
+        wq = WorkQueue(4, base_addr=0x1000)
+        with pytest.raises(QueueError, match=r"^WQ@0x1000 index %d out of range$" % index):
+            wq.entry_block_address(index)
+        cq = CompletionQueue(4, base_addr=0x2000)
+        with pytest.raises(QueueError, match="out of range"):
+            cq.entry_block_address(index)
+
+    def test_block_address_is_the_entry_address_aligned(self):
+        for queue in (WorkQueue(16, base_addr=0x1000), CompletionQueue(16, base_addr=0x2000)):
+            for index in range(queue.capacity):
+                address = queue.entry_address(index)
+                assert queue.entry_block_address(index) == address - address % 64
+
 
 class TestCompletionQueue:
     def test_post_sets_no_index_on_entry(self):

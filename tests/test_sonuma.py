@@ -94,6 +94,41 @@ class TestContexts:
         with pytest.raises(ProtocolError):
             RemoteContext(0, 0, 0, 0)
 
+    @staticmethod
+    def _outcome(call):
+        try:
+            return call()
+        except ProtocolError as exc:
+            return "ProtocolError: %s" % exc
+
+    def test_registry_translate_is_validate_then_translate(self):
+        registry = ContextRegistry(node_id=3)
+        registry.register(0, base_addr=0x4000, size_bytes=4096)
+        registry.register(7, base_addr=0, size_bytes=64)
+        for ctx_id in (0, 7, 5):
+            for offset in (-65, -1, 0, 1, 63, 64, 4032, 4095, 4096, 5000):
+                for length in (-1, 0, 1, 64, 4096):
+                    assert self._outcome(
+                        lambda: registry.translate(ctx_id, offset, length)
+                    ) == self._outcome(
+                        lambda: registry.validate(ctx_id, offset, length).translate(offset)
+                    ), (ctx_id, offset, length)
+        assert registry.translate(0, 128, 64) == 0x4000 + 128
+
+    def test_registry_translate_raises_the_same_errors(self):
+        registry = ContextRegistry(node_id=3)
+        registry.register(0, base_addr=0x4000, size_bytes=4096)
+        with pytest.raises(ProtocolError, match=r"^context 9 is not registered on node 3$"):
+            registry.translate(9, 0, 64)
+        with pytest.raises(ProtocolError, match=r"^access \[-64, 0\) outside context 0 "
+                                                r"\(size 4096\)$"):
+            registry.translate(0, -64, 64)
+        with pytest.raises(ProtocolError, match=r"^access \[4090, 4154\) outside context 0 "
+                                                r"\(size 4096\)$"):
+            registry.translate(0, 4090, 64)
+        with pytest.raises(ProtocolError, match=r"^offset 4096 outside context 0 of size 4096$"):
+            registry.translate(0, 4096, 0)
+
 
 class TestUnrolling:
     def test_block_count_rounds_up(self):

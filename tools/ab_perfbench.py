@@ -21,11 +21,13 @@ For each workload it runs ``--pairs`` pairs.  A pair is one run of
 each tree, each a fresh process; successive pairs alternate which side runs
 first.  For every end-to-end metric of ``BENCHMARK.json`` (name, unit and
 which direction is better come from there) it prints both medians with their
-quartiles [q1, q3], the ratio of the change to the parent, the pairs the
-change won and lost (ties count for neither) and whether a gain may be
-claimed: over at least ``MIN_CLAIM_PAIRS`` pairs, the change won at least
-nine tenths of them and the medians differ, in the change's favour, by more
-than the parent's interquartile range.  Below ``MIN_CLAIM_PAIRS`` pairs the
+quartiles [q1, q3], the ratio of the change to the parent with its 95%
+bootstrap interval (``BOOTSTRAP_RESAMPLES`` resamples of the pairs, drawn
+with the fixed seed ``BOOTSTRAP_SEED``, so the same pairs always give the
+same interval), the pairs the change won and lost (ties count for neither)
+and whether a gain may be claimed: over at least ``MIN_CLAIM_PAIRS`` pairs,
+the change won at least nine tenths of them and the medians differ, in the
+change's favour, by more than the parent's interquartile range.  Below ``MIN_CLAIM_PAIRS`` pairs the
 claim column reads ``n/a``.  A metric regressed when the change lost every
 pair and its median is worse than the parent's by more than the metric's
 ``bound`` in ``BENCHMARK.json``, at any number of pairs.  It prints every
@@ -43,6 +45,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import shutil
 import statistics
 import subprocess
@@ -58,6 +61,12 @@ BENCHMARK_PATHS = ("perfbench", "BENCHMARK.json")
 #: run (identical code on both sides) won every pair of some metric in most
 #: runs, once by more than the parent's interquartile range.
 MIN_CLAIM_PAIRS = 10
+#: Resamples of the pairs behind each ratio's bootstrap interval, and the
+#: seed they are drawn with.
+BOOTSTRAP_RESAMPLES = 2000
+BOOTSTRAP_SEED = 1
+#: Coverage of that interval.
+BOOTSTRAP_LEVEL = 0.95
 
 
 def quartiles(values: Sequence[float]) -> Tuple[float, float, float]:
@@ -66,6 +75,27 @@ def quartiles(values: Sequence[float]) -> Tuple[float, float, float]:
         return values[0], values[0], values[0]
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, median, q3
+
+
+def ratio_interval(pairs: Sequence[Tuple[float, float]]) -> Optional[Tuple[float, float]]:
+    """The bootstrap interval of ``median(change) / median(parent)``.
+
+    ``pairs`` are ``(parent, change)`` values.  Each resample draws as many
+    whole pairs as there are, with replacement; the interval holds the
+    central ``BOOTSTRAP_LEVEL`` of the resampled ratios.  None when a
+    resample's parent median is 0.
+    """
+    draws = random.Random(BOOTSTRAP_SEED)
+    ratios = []
+    for _ in range(BOOTSTRAP_RESAMPLES):
+        sample = draws.choices(pairs, k=len(pairs))
+        before = statistics.median([p for p, _ in sample])
+        if not before:
+            return None
+        ratios.append(statistics.median([c for _, c in sample]) / before)
+    ratios.sort()
+    cut = round(BOOTSTRAP_RESAMPLES * (1.0 - BOOTSTRAP_LEVEL) / 2.0)
+    return ratios[cut], ratios[-cut - 1]
 
 
 def summarize(metrics: Sequence[dict], parent: Sequence[Optional[Dict[str, float]]],
@@ -83,8 +113,8 @@ def summarize(metrics: Sequence[dict], parent: Sequence[Optional[Dict[str, float
         pairs = [(p[name], c[name]) for p, c in zip(parent, change)
                  if p is not None and c is not None and name in p and name in c]
         row = {"name": name, "unit": metric["unit"], "pairs": len(pairs), "won": 0,
-               "lost": 0, "parent": None, "change": None, "ratio": None, "claim": False,
-               "regressed": False}
+               "lost": 0, "parent": None, "change": None, "ratio": None, "interval": None,
+               "claim": False, "regressed": False}
         if pairs:
             before = quartiles([p for p, _ in pairs])
             after = quartiles([c for _, c in pairs])
@@ -93,6 +123,7 @@ def summarize(metrics: Sequence[dict], parent: Sequence[Optional[Dict[str, float
             row.update(
                 parent=before, change=after, won=won, lost=lost,
                 ratio=after[1] / before[1] if before[1] else None,
+                interval=ratio_interval(pairs),
                 claim=(len(pairs) >= MIN_CLAIM_PAIRS and 10 * won >= 9 * len(pairs)
                        and sign * (before[1] - after[1]) > before[2] - before[0]),
                 regressed=(lost == len(pairs)
@@ -112,14 +143,16 @@ def format_rows(rows: Sequence[dict]) -> str:
             return "n/a (<%d pairs)" % MIN_CLAIM_PAIRS
         return "yes" if row["claim"] else "no"
 
-    lines = ["  %-18s %-9s %-28s %-28s %-8s %-6s %-5s %-16s %s" % (
+    lines = ["  %-18s %-9s %-28s %-28s %-8s %-18s %-6s %-5s %-16s %s" % (
         "metric", "unit", "parent median [q1, q3]", "change median [q1, q3]",
-        "ratio", "won", "lost", "claim", "regressed")]
+        "ratio", "ratio %g%% interval" % (100 * BOOTSTRAP_LEVEL), "won", "lost", "claim",
+        "regressed")]
     for row in rows:
         ratio = "-" if row["ratio"] is None else "%.4f" % row["ratio"]
-        lines.append("  %-18s %-9s %-28s %-28s %-8s %-6s %-5d %-16s %s" % (
+        interval = "-" if row["interval"] is None else "[%.4f, %.4f]" % row["interval"]
+        lines.append("  %-18s %-9s %-28s %-28s %-8s %-18s %-6s %-5d %-16s %s" % (
             row["name"], row["unit"], spread(row["parent"]), spread(row["change"]), ratio,
-            "%d/%d" % (row["won"], row["pairs"]), row["lost"], claim(row),
+            interval, "%d/%d" % (row["won"], row["pairs"]), row["lost"], claim(row),
             "YES" if row["regressed"] else "no"))
     return "\n".join(lines)
 

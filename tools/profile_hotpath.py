@@ -10,7 +10,12 @@ here before optimising anything.
 Under the table it prints the exact work counter: the profiled region's
 Python-level calls (cProfile's entries for builtins left out) and those
 calls per executed event.  Unlike a time, it is the same on every run of
-the same work, so a change that removes calls shows it exactly.
+the same work, so a change that removes calls shows it exactly.  Below the
+total it prints the same calls split by layer: one row per ``repro``
+subpackage (``sim``, ``noc``, ``node``, ``core``, ...) or top-level module
+(``config``, ...) the called function lives in, and ``other`` for
+everything else (the standard library, this tool); the rows sum to the
+total.
 
 Then it prints the pauses of CPython's cyclic garbage collector
 per generation (seconds and collections, timed through ``gc.callbacks``).
@@ -68,7 +73,9 @@ import pstats
 import statistics
 import sys
 import tempfile
+from collections import Counter
 from time import perf_counter
+from typing import Dict
 
 #: Interleaved (plain, obs) pairs the ``--obs-overhead`` check runs.
 OBS_PAIRS = 21
@@ -112,8 +119,8 @@ class CollectorPauses:
         return "collector pauses: %s; total %.3f s" % ("; ".join(rows), sum(self.seconds))
 
 
-def python_calls(profiler: cProfile.Profile) -> int:
-    """Python-level calls in ``profiler``'s region: an exact work counter.
+def python_entries(profiler: cProfile.Profile):
+    """``(filename, calls)`` of each Python-level function ``profiler`` saw.
 
     Builtins (cProfile's file ``~``) are left out, and so are the runs of
     :class:`CollectorPauses`: how often the collector runs depends on the
@@ -121,8 +128,41 @@ def python_calls(profiler: cProfile.Profile) -> int:
     """
     pauses = CollectorPauses.__call__.__code__
     skipped = (pauses.co_filename, pauses.co_firstlineno, pauses.co_name)
-    return sum(entry[1] for key, entry in pstats.Stats(profiler).stats.items()
-               if key[0] != "~" and key != skipped)
+    return [(key[0], entry[1]) for key, entry in pstats.Stats(profiler).stats.items()
+            if key[0] != "~" and key != skipped]
+
+
+def python_calls(profiler: cProfile.Profile) -> int:
+    """Python-level calls in ``profiler``'s region: an exact work counter."""
+    return sum(calls for _, calls in python_entries(profiler))
+
+
+def calls_by_layer(profiler: cProfile.Profile) -> Dict[str, int]:
+    """:func:`python_calls` per layer: the ``repro`` subpackage or top-level
+    module of each called function, or ``other`` outside ``repro``."""
+    import repro
+
+    package = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
+    layers: Counter = Counter()
+    for filename, calls in python_entries(profiler):
+        path = os.path.abspath(filename)
+        if path.startswith(package):
+            layer = path[len(package):].split(os.sep)[0]
+            if layer.endswith(".py"):
+                layer = layer[:-3]
+        else:
+            layer = "other"
+        layers[layer] += calls
+    return dict(layers)
+
+
+def format_layers(layers: Dict[str, int], events: int) -> str:
+    """One line per layer, the most calls first and ``other`` last."""
+    ordered = sorted(layers, key=lambda name: (name == "other", -layers[name], name))
+    total = sum(layers.values())
+    return "\n".join("  %-10s %10d calls  %5.1f%%  %.2f per event" % (
+        name, layers[name], 100.0 * layers[name] / total if total else 0.0,
+        layers[name] / events if events else 0.0) for name in ordered)
 
 
 def injection_mix(packets: int):
@@ -281,6 +321,8 @@ def main(argv=None) -> int:
     calls = python_calls(profiler)
     print("%d Python-level calls (builtins left out): %.2f per executed event"
           % (calls, calls / counts.events if counts.events else 0.0))
+    print("Python-level calls by layer:")
+    print(format_layers(calls_by_layer(profiler), counts.events))
     print(pauses.report())
     per_time = counts.events / counts.event_times if counts.event_times else 0.0
     print("%d events at %d distinct times: %.2f events per time"
