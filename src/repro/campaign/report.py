@@ -95,15 +95,6 @@ class CampaignReport:
         ))
 
     @property
-    def fused_hops(self) -> int:
-        """NOC hop events elided by lookahead fusion across non-cached runs."""
-        return int(sum(
-            entry.result.metadata.perf.get("fused_hops", 0.0)
-            for entry in self.entries
-            if entry.ok and not entry.cached
-        ))
-
-    @property
     def fault_windows(self) -> int:
         """Fault windows activated across non-cached successful runs."""
         return int(sum(
@@ -190,9 +181,6 @@ class CampaignReport:
             sim_wall = self.simulation_wall_s
             rate = events / sim_wall if sim_wall > 0 else 0.0
             line += "; %d simulated event(s) @ %.0f events/s" % (events, rate)
-            fused = self.fused_hops
-            if fused:
-                line += ", %d hop(s) fused" % fused
             faults = self.fault_windows
             if faults:
                 line += ", %d fault window(s)" % faults

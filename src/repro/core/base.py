@@ -22,6 +22,7 @@ from repro.config import SystemConfig
 from repro.errors import ProtocolError
 from repro.qp.entries import WorkQueueEntry
 from repro.qp.manager import QueuePair
+from repro.sonuma.wire import RemoteRequest, RemoteResponse
 
 if TYPE_CHECKING:
     from repro.core.pipelines import NIBackend, NIFrontend
@@ -56,8 +57,12 @@ class NodeServices(abc.ABC):
         """Write ``nbytes`` at ``addr`` through the LLC/MC data path; then ``on_done(*args)``."""
 
     @abc.abstractmethod
-    def off_chip_send(self, message, from_node: Hashable) -> None:
-        """Hand an outgoing :class:`RemoteRequest`/:class:`RemoteResponse` to the network port."""
+    def send_request(self, request: RemoteRequest) -> None:
+        """Hand a locally-initiated request to the network port."""
+
+    @abc.abstractmethod
+    def send_response(self, response: RemoteResponse) -> None:
+        """Hand a local RRPP's response to a remote request to the network port."""
 
     @abc.abstractmethod
     def network_port_node(self, near_node: Hashable) -> Hashable:

@@ -203,7 +203,7 @@ class NIBackend:
 
     def _send_off_chip(self, request: RemoteRequest) -> None:
         if self.injection_at_edge:
-            self.services.off_chip_send(request, self.node)
+            self.services.send_request(request)
             return
         # Per-tile placement: the request packet must cross the NOC to reach
         # the network router at the chip edge (two flits for reads, §6.1.3).
@@ -214,7 +214,7 @@ class NIBackend:
         services = self.services
         services.fabric.send(
             self.node, port, payload, MessageClass.NI_COMMAND,
-            type(services).off_chip_send, services, request, port,
+            type(services).send_request, services, request,
         )
 
     # ------------------------------------------------------------------
@@ -320,4 +320,4 @@ class RemoteRequestPipeline:
         self.responses_sent += 1
         if request.op is RemoteOp.READ:
             self.payload_bytes_serviced += self.block_bytes
-        self.services.off_chip_send(request.make_response(), self.node)
+        self.services.send_response(request.make_response())

@@ -7,9 +7,7 @@ the primary schedule's realized windows fires the secondary model with
 probability ``probability``, after a ``delay_cycles`` propagation delay, for
 an exponential duration with mean ``mttr_cycles``.  The derived windows are
 an ordinary non-overlapping window list, so the injector toggles them with
-the same queue-resident events as the primary schedule — cascades are
-fusion-safe by the same argument (``next_event_time()`` never exceeds the
-next pending toggle).
+the same queue-resident events as the primary schedule.
 
 Reproducibility mirrors :class:`~repro.faults.schedule.FaultSchedule`: the
 trigger stream restarts from the cascade seed on every realization, windows

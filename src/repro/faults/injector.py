@@ -10,15 +10,10 @@ through :meth:`~repro.sim.engine.Simulator.schedule_at`.  Events cannot be
 removed from the queue, so :meth:`FaultInjector.cancel` disarms the pending
 toggles instead: they still fire, as no-ops.
 
-Keeping the toggles as ordinary queue-resident events is what makes fault
-injection safe under the NOC's lookahead hop fusion with no extra mechanism:
-``next_event_time()`` can never exceed the next pending toggle, so a fused
-walk's strict ``arrival < head`` bound stops it at the fault boundary and
-the walk falls back to per-hop events exactly like the queue-head tie case.
 Toggle events are scheduled at install time (before any deferred hop can be
-scheduled at the same timestamp), so at a shared boundary cycle the toggle's
-lower sequence number makes it fire first — a hop held until recovery always
-observes the recovered state.
+scheduled at the same timestamp), and events that share a time run in
+scheduling order, so at a shared boundary cycle the toggle fires first — a
+hop held until recovery always observes the recovered state.
 """
 
 from __future__ import annotations
@@ -64,7 +59,7 @@ class FaultState:
     gate on it first so an installed-but-idle fault (or an empty schedule)
     costs one attribute check and leaves behaviour bit-identical to a run
     with no fault model at all.  ``hits`` counts hook invocations that
-    actually perturbed something — the fault analogue of ``fused_hops``.
+    actually perturbed something.
     """
 
     __slots__ = ("model", "active", "window_until", "windows", "hits", "_perf")

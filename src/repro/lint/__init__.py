@@ -1,12 +1,13 @@
 """repro.lint — AST-based determinism & kernel-contract linter.
 
-The sixth component registry: named static-analysis rules (REP001–REP009,
+The sixth component registry: named static-analysis rules (REP001–REP013,
 plus any ``@register_lint_rule`` plugin) that machine-check the contracts
 every reproduced figure rests on — seeded randomness, no wall-clock reads on
 simulation paths, deterministic iteration in the kernel, manifest-gated
 component registration, ``__slots__`` integrity on hot-path classes,
-fingerprint-stable serialization of optional spec keys, read-only probes and
-derived fault-model seeds.
+fingerprint-stable serialization of optional spec keys, read-only probes,
+derived fault-model seeds, closure-free continuations, a kernel-written
+clock and no environment reads.
 
 Typical use::
 

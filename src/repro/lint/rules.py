@@ -1,4 +1,4 @@
-"""The built-in determinism & kernel-contract lint rules (REP001–REP012).
+"""The built-in determinism & kernel-contract lint rules (REP001–REP013).
 
 Each rule is a :class:`LintRule` subclass registered under its code through
 :func:`repro.scenario.registry.register_lint_rule` — the same decorator
@@ -16,8 +16,8 @@ documents only serialize optional registry keys when they are set
 (fingerprint stability), telemetry probes observe the simulation without
 mutating it, fault models derive their seeds, model continuations are
 ``(callback, *args)`` pairs whose callback is a plain function with its owner
-as the first argument, never a closure or a bound method, and only the
-kernel moves the clock.
+as the first argument, never a closure or a bound method, only the kernel
+moves the clock, and no code reads the process environment.
 """
 
 from __future__ import annotations
@@ -865,4 +865,39 @@ class ReadOnlyClockRule(LintRule):
                     "writes an attribute named 'now': the simulation clock is "
                     "read-only outside sim/engine.py; schedule an event instead "
                     "of moving the clock",
+                )
+
+
+# ----------------------------------------------------------------------
+# REP013 — no environment reads
+# ----------------------------------------------------------------------
+@register_lint_rule("REP013", title="no environment reads")
+class EnvironmentReadRule(LintRule):
+    """No code reads or writes the process environment.
+
+    A run's inputs are its spec and the source: the result cache keys on the
+    spec fingerprint and the source digest alone, and campaign workers
+    inherit the parent's environment.  An environment variable would be an
+    input that neither key sees, so a cached or parallel result could
+    silently differ from a fresh serial one.  Every use of ``os.environ``,
+    ``os.environb``, ``os.getenv``, ``os.putenv`` or ``os.unsetenv`` (through
+    any import alias) is a finding; pass a setting through the spec instead.
+    """
+
+    code = "REP013"
+    title = "no environment reads"
+
+    #: The environment's accessors, as canonical dotted names.
+    BANNED = frozenset({
+        "os.environ", "os.environb", "os.getenv", "os.putenv", "os.unsetenv",
+    })
+
+    def check(self, module: LintModule, context: LintContext) -> Iterator[Finding]:
+        for node in module.of_type(ast.Attribute, ast.Name):
+            name = module.qualified_name(node)
+            if name in self.BANNED:
+                yield self.finding(
+                    module, node,
+                    "uses %s: the environment is an input the result cache key "
+                    "cannot see; pass the setting through the spec" % name,
                 )

@@ -55,43 +55,19 @@ A link is looked up by identity, since the topology interns one
 :class:`~repro.sim.resource.Resource`.  The hop walk reads only the bound
 hops.
 
-Lookahead hop fusion
---------------------
+The hop walk
+------------
 
-Advancing the head one event per hop is exact but costs one kernel event per
-link crossed.  The fused walk exploits the discrete-event lookahead: while a
-packet's arrival at its next router falls *strictly before* the simulator's
-queue head (:meth:`~repro.sim.engine.Simulator.next_event_time`, which
-:func:`_hop` inlines), no other event can execute in between, so nothing can
-acquire, observe or reroute ahead of the packet — the walk may acquire the
-next link immediately with ``Resource.acquire(occupancy, earliest=arrival)``
-and keep going.  At low load (exactly where the paper's latency figures
-live) this collapses a whole k-hop route into a single delivery event; under
-contention the condition fails and the walk degrades to the per-hop event
-chain, event for event.
-
-Two details keep fused runs byte-identical to unfused ones:
-
-* The walk only fuses from *inside an event callback* (the scheduled
-  :func:`_hop` continuation).  ``send`` runs the walk's first step unfused: it
-  acquires the first link synchronously and schedules the continuation,
-  because code running later in the same callback (e.g. an unroll loop
-  injecting sibling packets at the same cycle) may acquire the very
-  channels a fused walk would have pre-acquired at later virtual times,
-  which would reorder FIFO grants.  Without a fault state ``send`` takes
-  that first step itself, inline: it grants the first link at
-  ``max(now, free_at)`` and queues the next hop, or the delivery when the
-  route has one hop.  With a fault state installed it calls
-  ``_hop(..., fuse=False)``, which also applies the fault hooks.  The two
-  give the same events, grants and times (``tests/test_noc_fabric.py``
-  compares them with an installed state that never activates).
-* Ties fall back: when the next arrival lands exactly on the queue-head
-  time, the head event was scheduled first and must execute first, so the
-  walk schedules a normal hop event, which joins the end of that time's
-  list and keeps scheduling order.
-
-``REPRO_HOP_FUSION=0`` force-disables fusion; the equivalence suite runs
-every figure both ways and compares bytes.
+A packet's head advances one event per hop.  :func:`_hop` runs at the cycle
+the head reaches a router, acquires the next link at ``max(now, free_at)``
+and queues the following hop at the head's arrival there, or, on the last
+link, the delivery at the tail's arrival.  ``send`` acquires the first link
+synchronously, in injection order: several sends in one callback claim
+their first channels FIFO.  Without a fault state ``send`` takes that first
+hop itself, inline; with a fault state installed it calls ``_hop``, which
+also applies the fault hooks.  The two give the same events, grants and
+times (``tests/test_noc_fabric.py`` compares them with an installed state
+that never activates).
 
 Fault injection
 ---------------
@@ -101,40 +77,32 @@ perturbs routing while a fault window is active: per-hop extra delay before
 link acquisition (``link_down`` deferral, ``router_degrade`` multipliers)
 and a retransmit penalty folded into final delivery (``packet_loss``).
 Every check is gated on ``faults is not None``, so unfaulted runs stay
-bit-identical.  Fusion needs no extra guard at fault boundaries: the
-injector's activation/deactivation toggles are queue-resident events
-(``cancel()`` disarms them in place rather than removing them), so
-:meth:`~repro.sim.engine.Simulator.next_event_time` never exceeds the next
-toggle and the strict ``arrival < head`` bound stops a fused walk at the
-boundary — falling back to per-hop events exactly like the queue-head tie
-case.  Since every link *acquisition* time is lookahead-guarded, the
-fault state a fused walk observes is identical to the one the per-hop event
-chain would observe, hop for hop.
+bit-identical.  A delayed hop is granted its link at the delayed arrival,
+ahead of the clock, and the channel records the idle gap before it
+(:meth:`~repro.sim.resource.Resource.note_gap`).
 
 Statistics
 ----------
 
 The fabric keeps only the counters something reads:
 
-* ``packets_sent``, ``wire_bytes_sent`` and ``fused_hops`` (window counts
-  since :meth:`NocFabric.reset_stats`), each link's ``grants`` and
+* ``packets_sent`` and ``wire_bytes_sent`` (window counts since
+  :meth:`NocFabric.reset_stats`), each link's ``grants`` and
   ``busy_cycles`` and :meth:`NocFabric.max_link_utilization` — the
   bandwidth benchmark, the workload metrics and perfbench's layer counts;
 * ``lifetime_packets_sent`` — the obs throughput probe;
-* ``packets_delivered`` and ``lifetime_fused_hops`` — the hot-path
-  profiler and its tests, and the packet-conservation tests.
+* ``packets_delivered`` — the hot-path profiler and its tests, and the
+  packet-conservation tests.
   ``packets_delivered`` counts a packet when its delivery event is queued
   (the tail's arrival at the last hop, or the local delivery), not when
   that event runs.  After a drain it equals the packets delivered; with
   no :meth:`NocFabric.reset_stats` in between, ``packets_sent`` is
   ``packets_delivered`` plus the packets still walking;
 * :meth:`NocFabric.link_utilization` and :meth:`NocFabric.zero_load_latency`
-  — the reference checks of the fusion and NOC tests.
+  — the reference checks of the NOC tests.
 """
 
 from __future__ import annotations
-
-import os
 
 from heapq import heappush
 from typing import Callable, Dict, Hashable, Optional, Sequence, Tuple
@@ -151,21 +119,6 @@ from repro.sim.resource import Resource
 #: topology lookups on the hot path.
 BoundHop = Tuple[Resource, int, Tuple[Hashable, Hashable]]
 
-#: The lookahead bound of a walk that must not fuse: no arrival is before it.
-_NO_LOOKAHEAD = float("-inf")
-
-
-def hop_fusion_default() -> bool:
-    """Process-wide hop-fusion default: on unless ``REPRO_HOP_FUSION`` opts out.
-
-    Read at fabric construction time so equivalence tests (and campaign
-    workers, which inherit the environment) can force-disable fusion for a
-    whole run without threading a flag through every builder.
-    """
-    return os.environ.get("REPRO_HOP_FUSION", "1").strip().lower() not in (
-        "0", "off", "false", "no",
-    )
-
 
 class NocFabric:
     """Routes packets over a :class:`Topology` with per-link contention.
@@ -178,11 +131,13 @@ class NocFabric:
     #: a router (e.g. a core talking to its own tile's LLC slice).
     LOCAL_DELIVERY_CYCLES = 1
 
+    #: No hop is ever fused; ``perfbench/points.py`` reads this counter.
+    fused_hops = 0
+
     def __init__(self, sim: Simulator, topology: Topology, noc_config: NocConfig) -> None:
         self.sim = sim
         self.topology = topology
         self.config = noc_config
-        self.hop_fusion = hop_fusion_default()
         self.link_bytes = noc_config.link_bytes
         self._channels: Dict[Tuple[Hashable, Hashable], Resource] = {}
         #: Fault state installed by a FaultInjector (None on healthy runs).
@@ -204,11 +159,10 @@ class NocFabric:
         # Statistics
         self.packets_delivered = 0
         self.wire_bytes_sent = 0
-        #: Lifetime packet and fused-hop counts live in the perf record only;
-        #: the stats window subtracts these snapshots taken by reset_stats.
+        #: The lifetime packet count lives in the perf record only; the stats
+        #: window subtracts the snapshot taken by reset_stats.
         self._perf = perf.register()
         self._packets_at_reset = 0
-        self._fused_at_reset = 0
 
     @property
     def packets_sent(self) -> int:
@@ -216,20 +170,10 @@ class NocFabric:
         return self._perf.packets - self._packets_at_reset
 
     @property
-    def fused_hops(self) -> int:
-        """Hop events elided by lookahead fusion since the last :meth:`reset_stats`."""
-        return self._perf.fused_hops - self._fused_at_reset
-
-    @property
     def lifetime_packets_sent(self) -> int:
         """Like :attr:`packets_sent` but never zeroed by :meth:`reset_stats`
         (performance instrumentation needs a whole-run injection count)."""
         return self._perf.packets
-
-    @property
-    def lifetime_fused_hops(self) -> int:
-        """Hop events elided by lookahead fusion over the fabric's lifetime."""
-        return self._perf.fused_hops
 
     # ------------------------------------------------------------------
     # Public API
@@ -265,13 +209,11 @@ class NocFabric:
             if hops:
                 # The first link is acquired synchronously, in injection
                 # order — several sends in one callback must claim their
-                # first channels FIFO.  The rest of the walk runs as a
-                # scheduled event, where fusion is safe (see module
-                # docstring).
+                # first channels FIFO.
                 if self.faults is not None:
-                    _hop(self, hops, 0, flits, packet_id, callback, args, False)
+                    _hop(self, hops, 0, flits, packet_id, callback, args)
                     return packet_id
-                # _hop's unfused first step without its call: acquire the
+                # _hop without its call and its fault hooks: acquire the
                 # first link at now and queue the next hop, or the delivery.
                 # Keep in sync with _hop (and so Resource.acquire and
                 # Simulator.schedule).
@@ -351,7 +293,6 @@ class NocFabric:
     def reset_stats(self) -> None:
         """Zero all counters (used at the end of the warm-up phase)."""
         self._packets_at_reset = self._perf.packets
-        self._fused_at_reset = self._perf.fused_hops
         self.packets_delivered = 0
         self.wire_bytes_sent = 0
         for channel in self._channels.values():
@@ -412,92 +353,56 @@ class NocFabric:
 # Plain functions, not methods: the queued event carries the fabric among the
 # arguments, so no bound method is allocated per hop.
 def _hop(fabric: NocFabric, hops: Sequence[BoundHop], index: int, flits: int,
-         packet_id: int, callback: Callable[..., None], args: tuple,
-         fuse: bool = True) -> None:
-    """Walk the remaining hops, fusing as far as the lookahead allows.
+         packet_id: int, callback: Callable[..., None], args: tuple) -> None:
+    """Acquire link ``index`` and queue the next hop, or the delivery.
 
-    Runs as an event callback (the continuation ``send`` schedules) at the
-    exact cycle the packet's head reaches router ``index``.  Each iteration
-    acquires one link at the packet's virtual arrival time; while the next
-    arrival stays strictly before the queue head, nothing can interleave and
-    the walk continues in place instead of scheduling a hop event.  An empty
-    queue means nothing can interleave at all.  With ``fuse`` False
-    (``send``'s synchronous first hop) or :attr:`NocFabric.hop_fusion` off,
-    the first lookahead check fails by construction and the walk acquires one
-    link and schedules the next hop as its own event.  The last hop queues
-    ``callback(*args)`` itself at the tail's arrival and counts the packet
-    delivered.
+    Runs as an event callback at the exact cycle the packet's head reaches
+    router ``index`` (and inside ``send`` for the first link when a fault
+    state is installed).  The link is granted at ``max(now, free_at)``, or
+    later by the fault state's hop delay; the head reaches the next router
+    ``hop_cycles`` after the grant.  The last hop queues ``callback(*args)``
+    itself at the tail's arrival and counts the packet delivered.
     """
     sim = fabric.sim
-    nhops = len(hops)
-    # The lookahead bound: fuse while the next arrival < head.  The walk
-    # itself only pushes events at/after the current arrival, so the bound
-    # stays valid without re-peeking.  The active run(until=...) horizon caps
-    # the bound too: the run may stop there and the caller may sample link
-    # statistics that the per-hop chain would not yet have accumulated —
-    # hops at/after the horizon must stay events.
-    #
-    # Inlined Simulator.next_event_time(); keep in sync with
-    # repro.sim.engine.  While the running time's list still has unstarted
-    # events the head is ``now``, and no arrival is before ``now``, so the
-    # walk cannot fuse: that test comes first and is all a loaded run pays.
-    if fuse and fabric.hop_fusion and not sim._cursor.__length_hint__():
-        times = sim._times
-        horizon = sim._run_horizon
-        head = times[0] if times else horizon
-        if head > horizon:
-            head = horizon
-    else:
-        head = _NO_LOOKAHEAD
     now = sim.now
     arrival = now
-    fused = 0
+    channel, hop_cycles, link_key = hops[index]
     faults = fabric.faults
-    while True:
-        channel, hop_cycles, link_key = hops[index]
+    if faults is not None:
+        extra = faults.hop_delay(link_key, now, hop_cycles)
+        if extra > 0.0:
+            arrival = now + extra
+    # Inlined Resource.acquire(flits, earliest=arrival) — one call per hop is
+    # the hottest path in the whole simulator; keep in sync with
+    # repro.sim.resource.Resource.acquire.
+    start = channel._free_at
+    if arrival > start:
+        if arrival > now:
+            channel.note_gap(arrival)
+        start = arrival
+    channel._free_at = start + flits
+    channel.busy_cycles += flits
+    channel.grants += 1
+    arrival = start + hop_cycles
+    index += 1
+    # Event times are computed as now + delta, as Simulator.schedule does
+    # with its delay: float addition does not guarantee now + (t - now) == t.
+    if index == len(hops):
+        # Final hop: the tail arrives flits-1 cycles after the head, and the
+        # caller's continuation is queued there as the delivery.
+        delta = arrival + flits - 1 - now
         if faults is not None:
-            extra = faults.hop_delay(link_key, arrival, hop_cycles)
-            if extra > 0.0:
-                arrival = arrival + extra
-        # Inlined Resource.acquire(flits, earliest=arrival) — one call per
-        # hop is the hottest path in the whole simulator; keep in sync with
-        # repro.sim.resource.Resource.acquire.
-        start = channel._free_at
-        if arrival > start:
-            if arrival > now:
-                channel.note_gap(arrival)
-            start = arrival
-        channel._free_at = start + flits
-        channel.busy_cycles += flits
-        channel.grants += 1
-        arrival = start + hop_cycles
-        index += 1
-        if index == nhops:
-            # Final hop: the tail arrives flits-1 cycles after the head, and
-            # the caller's continuation is queued there as the delivery.
-            # Event times are computed as now + delta, never as the absolute
-            # arrival: float addition does not guarantee now + (t - now) ==
-            # t, and byte-identity with the per-hop chain (which always
-            # scheduled relative delays) must hold to the last bit.
-            delta = arrival + flits - 1 - now
-            if faults is not None:
-                loss = faults.loss_delay(packet_id)
-                if loss > 0.0:
-                    delta += loss
-            time = now + delta
-            fabric.packets_delivered += 1
-            step = callback
-            step_args = args
-            break
-        if arrival < head:
-            fused += 1
-            continue
+            loss = faults.loss_delay(packet_id)
+            if loss > 0.0:
+                delta += loss
+        time = now + delta
+        fabric.packets_delivered += 1
+        step = callback
+        step_args = args
+    else:
         time = now + (arrival - now)
         step = _hop
         step_args = (fabric, hops, index, flits, packet_id, callback, args)
-        break
-    if fused:
-        fabric._perf.fused_hops += fused
     # Inlined Simulator.schedule; keep in sync with repro.sim.engine.
     lists = sim._lists
     entries = lists.get(time)

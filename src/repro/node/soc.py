@@ -37,6 +37,8 @@ from repro.sonuma.context import ContextRegistry
 from repro.sonuma.wire import RemoteRequest, RemoteResponse
 from repro.core.base import NodeServices
 
+_NO_REMOTE_PORT = "no remote port attached; call attach_remote_port() first"
+
 #: Payload bytes of a dataless memory request on the NOC.
 _MEM_REQUEST_BYTES = 8
 
@@ -205,14 +207,19 @@ class ManycoreSoc(NodeServices):
         if callback is not None:
             callback()
 
-    def off_chip_send(self, message, from_node: Hashable) -> None:
-        if self._remote_port is None:
-            raise SimulationError("no remote port attached; call attach_remote_port() first")
-        if isinstance(message, RemoteRequest):
-            self.offchip_request_bytes += message.wire_bytes
-        elif isinstance(message, RemoteResponse):
-            self.offchip_response_bytes += message.wire_bytes
-        self._remote_port.send(message, from_node)
+    def send_request(self, request: RemoteRequest) -> None:
+        port = self._remote_port
+        if port is None:
+            raise SimulationError(_NO_REMOTE_PORT)
+        self.offchip_request_bytes += request.wire_bytes
+        port.send_request(request)
+
+    def send_response(self, response: RemoteResponse) -> None:
+        port = self._remote_port
+        if port is None:
+            raise SimulationError(_NO_REMOTE_PORT)
+        self.offchip_response_bytes += response.wire_bytes
+        port.send_response(response)
 
     # -- data path (LLC + MC + DRAM) -------------------------------------
     # Each step is a method that receives the request's state as explicit

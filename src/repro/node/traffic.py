@@ -18,7 +18,7 @@ Only one node is simulated in microarchitectural detail.  The
 from __future__ import annotations
 
 import random
-from typing import Hashable, Optional
+from typing import Optional
 
 from repro.config import SystemConfig
 from repro.errors import WorkloadError
@@ -76,21 +76,8 @@ class RemoteEndEmulator:
     # ------------------------------------------------------------------
     # Port interface (called by the SoC)
     # ------------------------------------------------------------------
-    def send(self, message, from_node: Hashable) -> None:
-        """The local node pushed a packet off chip."""
-        if isinstance(message, RemoteRequest):
-            self._handle_outgoing_request(message)
-        elif isinstance(message, RemoteResponse):
-            # A response produced by a local RRPP leaves for the remote
-            # requester; nothing further happens on the local node.
-            self.outgoing_responses += 1
-        else:
-            raise WorkloadError("unexpected off-chip message %r" % (message,))
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _handle_outgoing_request(self, request: RemoteRequest) -> None:
+    def send_request(self, request: RemoteRequest) -> None:
+        """A locally-initiated request left the chip: answer it after a round trip."""
         self.outgoing_requests += 1
         # The servicing latency charged at the emulated remote node: the
         # running average of the local RRPPs (the paper's methodology), or
@@ -104,6 +91,14 @@ class RemoteEndEmulator:
         if self.rate_match_incoming:
             self._generate_incoming_request()
 
+    def send_response(self, response: RemoteResponse) -> None:
+        """A local RRPP's response left for the remote requester; nothing
+        further happens on the local node."""
+        self.outgoing_responses += 1
+
+    # ------------------------------------------------------------------
+    # Internals
+    # ------------------------------------------------------------------
     def _deliver_response(self, response: RemoteResponse) -> None:
         self.responses_delivered += 1
         # Straight to the NI: ManycoreSoc.deliver_response only forwards.

@@ -42,14 +42,11 @@ injector's disarmed toggles).
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import SimulationError
 from repro.obs import hooks as obs_hooks
 from repro.sim import perf
-
-#: The cursor of a simulator whose run loop is not inside a time's list.
-_IDLE: Iterator[Any] = iter(())
 
 _INF = float("inf")
 
@@ -80,9 +77,7 @@ class Simulator:
         "now",
         "_times",
         "_lists",
-        "_cursor",
         "_pending",
-        "_run_horizon",
         "_perf",
         "_obs_index",
         "_closed",
@@ -97,18 +92,8 @@ class Simulator:
         self._times: List[float] = []
         #: Each pending time's events, flat: ``[callback, args, ...]``.
         self._lists: Dict[float, List[Any]] = {}
-        #: Iterator over the list that :meth:`run` is executing; its length
-        #: hint is twice the number of that list's events not yet started
-        #: (zero exactly when none is left).
-        self._cursor: Iterator[Any] = _IDLE
         #: Events scheduled and not yet started (exact at every push).
         self._pending = 0
-        #: The ``until`` horizon of the :meth:`run` currently executing
-        #: (+inf otherwise).  Lookahead optimisations must not commit work at
-        #: virtual times past it: the run may stop there and the caller may
-        #: sample statistics that the unfused event chain would not yet have
-        #: accumulated.
-        self._run_horizon = _INF
         self._perf = perf.register()
         #: Deterministic per-run index handed out by the active obs session
         #: (``None`` when observability is disabled — the common case; the
@@ -177,20 +162,6 @@ class Simulator:
         if pending > counters.peak_pending:
             counters.peak_pending = pending
 
-    def next_event_time(self) -> Optional[float]:
-        """Time of the earliest pending event, or None when idle.
-
-        This is the lookahead bound of the NOC's hop fusion — while a
-        packet's next hop arrives strictly before this time, no other event
-        can interleave.  It is ``now`` while the running time's list still
-        has events that have not started.  The fabric's ``_hop`` inlines
-        this test (:mod:`repro.noc.fabric`); keep the two in sync.
-        """
-        if self._cursor.__length_hint__():
-            return self.now
-        times = self._times
-        return times[0] if times else None
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
@@ -219,7 +190,6 @@ class Simulator:
         scheduled_before = counters.fast_events
         pending_before = self._pending
         distinct = 0
-        self._run_horizon = horizon
         try:
             while times:
                 time = times[0]
@@ -237,7 +207,7 @@ class Simulator:
                 # alternates callbacks and argument tuples: the loop takes
                 # a callback and ``next`` takes its arguments.
                 entries = lists[time]
-                self._cursor = cursor = iter(entries)
+                cursor = iter(entries)
                 try:
                     for callback in cursor:
                         self._pending -= 1
@@ -255,8 +225,6 @@ class Simulator:
                     raise
                 del lists[time]
         finally:
-            self._cursor = _IDLE
-            self._run_horizon = _INF
             counters.events += (counters.fast_events - scheduled_before
                                 - (self._pending - pending_before))
             counters.event_times += distinct

@@ -48,7 +48,7 @@ class PerfCounters:
     itself stays collectable.
     """
 
-    __slots__ = ("events", "event_times", "packets", "peak_pending", "fused_hops",
+    __slots__ = ("events", "event_times", "packets", "peak_pending",
                  "fast_events", "fault_windows", "fault_hits")
 
     def __init__(self) -> None:
@@ -58,9 +58,6 @@ class PerfCounters:
         self.event_times = 0
         self.packets = 0
         self.peak_pending = 0
-        #: NOC hops collapsed into their predecessor by lookahead hop fusion
-        #: (each one is a hop event that never had to be scheduled).
-        self.fused_hops = 0
         #: Events scheduled (every one takes the allocation-free tuple path).
         self.fast_events = 0
         #: Fault windows activated by an installed fault injector.
@@ -75,8 +72,7 @@ class PerfSession:
 
     __slots__ = ("_counters", "_started_at", "wall_s",
                  "events", "event_times", "packets", "peak_pending_events",
-                 "fused_hops", "fast_events", "fault_windows", "fault_hits",
-                 "_closed")
+                 "fast_events", "fault_windows", "fault_hits", "_closed")
 
     def __init__(self) -> None:
         self._counters: List[PerfCounters] = []
@@ -87,7 +83,6 @@ class PerfSession:
         self.event_times = 0
         self.packets = 0
         self.peak_pending_events = 0
-        self.fused_hops = 0
         self.fast_events = 0
         self.fault_windows = 0
         self.fault_hits = 0
@@ -107,7 +102,6 @@ class PerfSession:
         self.events = sum(counters.events for counters in self._counters)
         self.event_times = sum(counters.event_times for counters in self._counters)
         self.packets = sum(counters.packets for counters in self._counters)
-        self.fused_hops = sum(counters.fused_hops for counters in self._counters)
         self.fast_events = sum(counters.fast_events for counters in self._counters)
         self.fault_windows = sum(counters.fault_windows for counters in self._counters)
         self.fault_hits = sum(counters.fault_hits for counters in self._counters)
@@ -139,7 +133,6 @@ class PerfSession:
             "events_per_s": self.events_per_s,
             "packets_per_s": self.packets_per_s,
             "peak_pending_events": float(self.peak_pending_events),
-            "fused_hops": float(self.fused_hops),
             "fast_events": float(self.fast_events),
             "fault_windows": float(self.fault_windows),
             "fault_hits": float(self.fault_hits),

@@ -46,9 +46,9 @@ class Resource:
         self._stats_since: float = 0.0
         #: Idle gaps between FIFO grants that lie ahead of the clock, as
         #: (start, end) pairs in time order, or None until the first.  Only
-        #: a grant requested at a future ``earliest`` opens one (fused NOC
-        #: hops, fault hop delays); :meth:`in_flight_busy_cycles` subtracts
-        #: them.
+        #: a grant requested at a future ``earliest`` opens one (in the
+        #: model, a NOC fault hop delay); :meth:`in_flight_busy_cycles`
+        #: subtracts them.
         self._gaps: Optional[List[Tuple[float, float]]] = None
 
     def acquire(self, occupancy: float, earliest: Optional[float] = None) -> float:

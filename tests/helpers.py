@@ -29,6 +29,28 @@ def small_config(design: str = "split", **overrides) -> SystemConfig:
     return config
 
 
+def run_driver(rate=12.0, seed=1, design="split", routing=None, **kwargs):
+    """One open-loop kvstore run on a fresh machine (1k warm-up + 6k measured
+    cycles unless ``kwargs`` say otherwise).
+
+    ``design`` defaults to split; coherence-fault tests pass ``edge``, the
+    only design whose kvstore accesses reach the directory (split/per_tile
+    cores touch only their local WQ/CQ blocks, so ``remote_transactions``
+    stays 0 and directory fault models never fire).  ``routing`` overrides
+    ``noc.routing`` (e.g. ``"o1turn"``); None keeps the paper's extended CDR.
+    """
+    from repro.load import OpenLoopDriver
+    from repro.scenario.builder import MachineBuilder
+    from repro.scenario.spec import ScenarioSpec
+
+    overrides = {"noc.routing": routing} if routing is not None else {}
+    scenario = MachineBuilder(ScenarioSpec(
+        design=design, workload="kvstore", config_overrides=overrides)).build()
+    kwargs.setdefault("warmup_cycles", 1_000)
+    kwargs.setdefault("measure_cycles", 6_000)
+    return OpenLoopDriver(scenario, rate, seed=seed, **kwargs).run()
+
+
 def cyclic_garbage(run: Callable[[], object]) -> int:
     """Objects that only a cyclic collection frees once ``run()`` has returned.
 

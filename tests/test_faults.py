@@ -2,17 +2,18 @@
 
 Covers the FAULT_MODELS registry, the seeded/fingerprinted FaultSchedule,
 spec serialization compatibility (fault-free fingerprints unchanged), the
-two hard equivalence contracts — an *empty* fault schedule is byte-identical
-to no fault model at all, and faulted runs are byte-identical with hop
-fusion on and off — the queue-bound vs fault-induced drop split, resilience
+equivalence contract — an *empty* fault schedule is byte-identical to no
+fault model at all — the queue-bound vs fault-induced drop split, resilience
 metrics, chaos_sweep determinism across reruns and parallel campaign
-workers, and the CLI/catalog surfacing.
+workers, and the CLI/catalog surfacing.  ``tests/test_golden_outputs.py``
+pins the bytes of faulted runs.
 """
 
 import json
 
 import pytest
 
+from helpers import run_driver
 from repro.analysis import render_fault_profile
 from repro.campaign import Campaign, RunRequest
 from repro.errors import FaultError, RegistryError, ScenarioError, WorkloadError
@@ -38,22 +39,6 @@ def build_scenario(**spec_kwargs):
     spec_kwargs.setdefault("design", "split")
     spec_kwargs.setdefault("workload", "kvstore")
     return MachineBuilder(ScenarioSpec(**spec_kwargs)).build()
-
-
-def run_driver(monkeypatch, fusion=True, rate=12.0, seed=1, design="split", **kwargs):
-    """One open-loop run on a fresh machine.
-
-    ``design`` defaults to split; coherence-fault tests pass ``edge``, the
-    only design whose kvstore accesses reach the directory (split/per_tile
-    cores touch only their local WQ/CQ blocks, so ``remote_transactions``
-    stays 0 and directory fault models never fire).
-    """
-    with monkeypatch.context() as patch:
-        patch.setenv("REPRO_HOP_FUSION", "1" if fusion else "0")
-        scenario = build_scenario(design=design)
-        kwargs.setdefault("warmup_cycles", 1_000)
-        kwargs.setdefault("measure_cycles", 6_000)
-        return OpenLoopDriver(scenario, rate, seed=seed, **kwargs).run()
 
 
 class TestFaultRegistry:
@@ -171,11 +156,11 @@ class TestFaultModels:
 class TestPacketIdsPerFabric:
     """Packets are numbered per fabric, so hashed faults ignore process history."""
 
-    def test_packet_loss_run_ignores_earlier_machines(self, monkeypatch):
+    def test_packet_loss_run_ignores_earlier_machines(self):
         params = {"intensity": 0.5, "mtbf_cycles": 1200.0, "mttr_cycles": 600.0}
-        first = run_driver(monkeypatch, faults="packet_loss", fault_params=params)
+        first = run_driver(faults="packet_loss", fault_params=params)
         build_scenario().run()  # another machine sends packets in this process
-        second = run_driver(monkeypatch, faults="packet_loss", fault_params=params)
+        second = run_driver(faults="packet_loss", fault_params=params)
         assert first.fault_hits > 0
         assert json.dumps(first.to_dict(), sort_keys=True) == \
             json.dumps(second.to_dict(), sort_keys=True)
@@ -287,19 +272,30 @@ class TestSpecSerialization:
         assert driver.fault_params == {"intensity": 1.0}
 
 
+def routing(o1turn):
+    """The ``run_driver`` routing of a test parametrized over ``o1turn``.
+
+    O1Turn picks each packet's route from its id, where the default extended
+    CDR routes by message class: a fault state that disturbed packet
+    numbering would move O1Turn packets onto other links.
+    """
+    return "o1turn" if o1turn else None
+
+
 class TestNoFaultEquivalence:
-    """An installed-but-empty fault schedule must be invisible, fused or not."""
+    """An installed-but-empty fault schedule must be invisible, under
+    class-based routing and under O1Turn."""
 
     _COMPARED = (
         "arrived", "injected", "completed", "dropped", "final_backlog",
         "mean_queue_depth", "latency_cycles", "tenants",
     )
 
-    @pytest.mark.parametrize("fusion", [True, False])
-    def test_empty_schedule_matches_no_fault_run(self, monkeypatch, fusion):
-        baseline = run_driver(monkeypatch, fusion=fusion)
+    @pytest.mark.parametrize("o1turn", [False, True])
+    def test_empty_schedule_matches_no_fault_run(self, o1turn):
+        baseline = run_driver(routing=routing(o1turn))
         empty = run_driver(
-            monkeypatch, fusion=fusion,
+            routing=routing(o1turn),
             faults="router_degrade",
             fault_params={"intensity": 1.0, "max_windows": 0},
         )
@@ -316,14 +312,14 @@ class TestNoFaultEquivalence:
             else:
                 assert empty_value == baseline_value, name
 
-    @pytest.mark.parametrize("fusion", [True, False])
-    def test_never_triggered_cascade_matches_no_fault_run(self, monkeypatch, fusion):
+    @pytest.mark.parametrize("o1turn", [False, True])
+    def test_never_triggered_cascade_matches_no_fault_run(self, o1turn):
         # A configured cascade whose primary schedule realizes no windows
         # can never trigger: the run must be indistinguishable from one
         # with no injector at all (beyond the extra serialized fault keys).
-        baseline = run_driver(monkeypatch, fusion=fusion)
+        baseline = run_driver(routing=routing(o1turn))
         cascading = run_driver(
-            monkeypatch, fusion=fusion,
+            routing=routing(o1turn),
             faults="router_degrade",
             fault_params={
                 "intensity": 1.0, "max_windows": 0,
@@ -343,14 +339,14 @@ class TestNoFaultEquivalence:
             else:
                 assert cascading_value == baseline_value, name
 
-    def test_idle_directory_fault_leaves_split_run_untouched(self, monkeypatch):
+    def test_idle_directory_fault_leaves_split_run_untouched(self):
         # On the split design kvstore cores only touch their local WQ/CQ
         # blocks (every access is an L1 hit), so the directory never acts
         # and a coherence fault model has nothing to perturb: even with an
         # always-open window the run must match the fault-free baseline.
-        baseline = run_driver(monkeypatch)
+        baseline = run_driver()
         faulted = run_driver(
-            monkeypatch, faults="directory_corrupt",
+            faults="directory_corrupt",
             fault_params={"intensity": 1.0, "windows": ((0.0, 1e9),)},
         )
         assert faulted.fault_hits == 0
@@ -363,38 +359,6 @@ class TestNoFaultEquivalence:
                     assert {k: faulted_value[tenant][k] for k in stats} == stats
             else:
                 assert faulted_value == baseline_value, name
-
-
-class TestFusedFaultEquivalence:
-    """Faulted runs must be byte-identical with fusion on and off."""
-
-    WINDOWS = ((1_000.0, 3_000.0), (4_500.0, 6_000.0))
-
-    @pytest.mark.parametrize("model", ["link_down", "router_degrade", "packet_loss"])
-    def test_driver_results_identical(self, monkeypatch, model):
-        params = {"intensity": 0.5, "windows": self.WINDOWS}
-        fused = run_driver(monkeypatch, fusion=True, faults=model, fault_params=params)
-        unfused = run_driver(monkeypatch, fusion=False, faults=model, fault_params=params)
-        assert json.dumps(fused.to_dict(), sort_keys=True) == \
-            json.dumps(unfused.to_dict(), sort_keys=True)
-        assert fused.fault_windows == unfused.fault_windows > 0
-
-    def test_chaos_sweep_byte_identical(self, monkeypatch):
-        params = dict(
-            loads=(8.0,), intensities=(0.5,), warmup_cycles=1000.0,
-            measure_cycles=4000.0, mtbf_cycles=1200.0, mttr_cycles=600.0,
-        )
-        results = []
-        for fusion in (True, False):
-            with monkeypatch.context() as patch:
-                patch.setenv("REPRO_HOP_FUSION", "1" if fusion else "0")
-                result = get_spec("chaos_sweep").run(**params)
-            result.metadata.wall_time_s = 0.0
-            result.metadata.perf = {}
-            results.append(result)
-        assert results[0].to_csv() == results[1].to_csv()
-        assert json.dumps(results[0].to_dict(), sort_keys=True) == \
-            json.dumps(results[1].to_dict(), sort_keys=True)
 
 
 class TestFaultCascade:
@@ -458,9 +422,8 @@ class TestFaultCascade:
                 {"intensity": 0.5, "cascade_probability": 0.5}, seed=1,
             )
 
-    def test_cascading_run_reports_profile(self, monkeypatch):
+    def test_cascading_run_reports_profile(self):
         result = run_driver(
-            monkeypatch,
             faults="router_degrade",
             fault_params={
                 "intensity": 0.5, "windows": ((1_000.0, 2_000.0), (4_000.0, 5_000.0)),
@@ -477,33 +440,28 @@ class TestFaultCascade:
         # Primary activations plus cascade activations both count.
         assert result.fault_windows > 2
 
-    @pytest.mark.parametrize("fusion", [True, False])
-    def test_cascading_runs_reproduce_exactly(self, monkeypatch, fusion):
+    @pytest.mark.parametrize("o1turn", [False, True])
+    def test_cascading_runs_reproduce_exactly(self, o1turn):
         params = {
             "intensity": 0.5, "mtbf_cycles": 1_500.0, "mttr_cycles": 600.0,
             "cascade": "slow_node", "cascade_probability": 0.75,
             "cascade_delay_cycles": 150.0,
         }
-        first = run_driver(monkeypatch, fusion=fusion,
+        first = run_driver(routing=routing(o1turn),
                            faults="router_degrade", fault_params=params)
-        second = run_driver(monkeypatch, fusion=fusion,
+        second = run_driver(routing=routing(o1turn),
                             faults="router_degrade", fault_params=params)
         assert json.dumps(first.to_dict(), sort_keys=True) == \
             json.dumps(second.to_dict(), sort_keys=True)
 
-    def test_cascading_run_fusion_equivalence(self, monkeypatch):
+    def test_certain_cascade_after_one_window_triggers_once(self):
         params = {
             "intensity": 0.5, "windows": ((1_000.0, 3_000.0),),
             "cascade": "slow_node", "cascade_probability": 1.0,
             "cascade_delay_cycles": 250.0,
         }
-        fused = run_driver(monkeypatch, fusion=True,
-                           faults="router_degrade", fault_params=params)
-        unfused = run_driver(monkeypatch, fusion=False,
-                             faults="router_degrade", fault_params=params)
-        assert json.dumps(fused.to_dict(), sort_keys=True) == \
-            json.dumps(unfused.to_dict(), sort_keys=True)
-        assert fused.fault_profile["cascade"]["triggered"] == 1
+        result = run_driver(faults="router_degrade", fault_params=params)
+        assert result.fault_profile["cascade"]["triggered"] == 1
 
 
 class TestBlastRadius:
@@ -555,24 +513,19 @@ class TestBlastRadius:
         with pytest.raises(FaultError, match="blast_decay"):
             cls.from_params(0.5, blast_decay=-0.1)
 
-    def test_blast_run_fusion_equivalence(self, monkeypatch):
+    def test_blast_run_perturbs_the_run(self):
         params = {
             "intensity": 0.5, "windows": ((1_000.0, 3_000.0),),
             "blast_decay": 0.6, "blast_epicenter": 2,
         }
-        fused = run_driver(monkeypatch, fusion=True,
-                           faults="router_degrade", fault_params=params)
-        unfused = run_driver(monkeypatch, fusion=False,
-                             faults="router_degrade", fault_params=params)
-        assert json.dumps(fused.to_dict(), sort_keys=True) == \
-            json.dumps(unfused.to_dict(), sort_keys=True)
-        assert fused.fault_hits > 0
+        result = run_driver(faults="router_degrade", fault_params=params)
+        assert result.fault_hits > 0
 
 
 class TestFaultEffects:
-    def test_ni_stall_splits_drop_accounting(self, monkeypatch):
+    def test_ni_stall_splits_drop_accounting(self):
         result = run_driver(
-            monkeypatch, rate=8.0,
+            rate=8.0,
             faults="ni_stall",
             fault_params={"intensity": 1.0, "windows": ((0.0, 1e9),)},
         )
@@ -589,22 +542,22 @@ class TestFaultEffects:
         ("slow_node", {"penalty_cycles": 200.0}),
         ("link_down", {}),
     ])
-    def test_faults_amplify_the_tail(self, monkeypatch, model, params):
+    def test_faults_amplify_the_tail(self, model, params):
         # Recover mid-run: a window covering the whole run would let nothing
         # complete under link_down (empty tail instead of an amplified one).
         window = {"windows": ((500.0, 3_000.0),), "intensity": 1.0}
         window.update(params)
-        baseline = run_driver(monkeypatch, rate=8.0)
-        faulted = run_driver(monkeypatch, rate=8.0, faults=model, fault_params=window)
+        baseline = run_driver(rate=8.0)
+        faulted = run_driver(rate=8.0, faults=model, fault_params=window)
         assert faulted.fault_hits > 0
         amplification = tail_amplification(
             faulted.latency_cycles["p99"], baseline.latency_cycles["p99"]
         )
         assert amplification > 1.0
 
-    def test_fault_profile_reports_identity_and_windows(self, monkeypatch):
+    def test_fault_profile_reports_identity_and_windows(self):
         result = run_driver(
-            monkeypatch, faults="router_degrade",
+            faults="router_degrade",
             fault_params={"intensity": 0.5, "windows": ((1_000.0, 3_000.0),)},
         )
         profile = result.fault_profile
@@ -616,8 +569,8 @@ class TestFaultEffects:
         assert result.to_dict()["fault_profile"]["fingerprint"] == \
             profile["fingerprint"]
 
-    def test_fault_free_result_serializes_without_fault_keys(self, monkeypatch):
-        document = run_driver(monkeypatch).to_dict()
+    def test_fault_free_result_serializes_without_fault_keys(self):
+        document = run_driver().to_dict()
         assert "faults" not in document
         assert "fault_profile" not in document
 
@@ -628,10 +581,10 @@ class TestCoherenceFaults:
 
     WINDOW = {"windows": ((500.0, 6_000.0),), "intensity": 1.0}
 
-    def test_directory_corrupt_forces_bounded_retries(self, monkeypatch):
-        baseline = run_driver(monkeypatch, design="edge", rate=8.0)
+    def test_directory_corrupt_forces_bounded_retries(self):
+        baseline = run_driver(design="edge", rate=8.0)
         faulted = run_driver(
-            monkeypatch, design="edge", rate=8.0,
+            design="edge", rate=8.0,
             faults="directory_corrupt", fault_params=dict(self.WINDOW),
         )
         profile = faulted.fault_profile
@@ -644,14 +597,14 @@ class TestCoherenceFaults:
             faulted.latency_cycles["p99"], baseline.latency_cycles["p99"]
         ) > 1.0
 
-    def test_stale_owner_retry_accounts_exponential_backoff(self, monkeypatch):
+    def test_stale_owner_retry_accounts_exponential_backoff(self):
         flat = run_driver(
-            monkeypatch, design="edge", rate=8.0,
+            design="edge", rate=8.0,
             faults="directory_corrupt",
             fault_params=dict(self.WINDOW, retry_cycles=20.0, max_retries=3),
         )
         storm = run_driver(
-            monkeypatch, design="edge", rate=8.0,
+            design="edge", rate=8.0,
             faults="stale_owner_retry",
             fault_params=dict(self.WINDOW, backoff_cycles=20.0, max_retries=3),
         )
@@ -691,15 +644,10 @@ class TestCoherenceFaults:
         with pytest.raises(FaultError, match="max_retries"):
             FAULT_MODELS.get("stale_owner_retry").from_params(0.5, max_retries=0)
 
-    def test_coherence_fault_fusion_equivalence(self, monkeypatch):
-        params = dict(self.WINDOW)
-        fused = run_driver(monkeypatch, fusion=True, design="edge", rate=8.0,
-                           faults="directory_corrupt", fault_params=params)
-        unfused = run_driver(monkeypatch, fusion=False, design="edge", rate=8.0,
-                             faults="directory_corrupt", fault_params=params)
-        assert json.dumps(fused.to_dict(), sort_keys=True) == \
-            json.dumps(unfused.to_dict(), sort_keys=True)
-        assert fused.fault_profile["directory_retries"] > 0
+    def test_directory_corrupt_run_retries(self):
+        result = run_driver(design="edge", rate=8.0,
+                            faults="directory_corrupt", fault_params=dict(self.WINDOW))
+        assert result.fault_profile["directory_retries"] > 0
 
 
 class TestFaultParamValidation:

@@ -60,7 +60,7 @@ class TestLintRegistry:
     def test_builtin_rules_registered(self):
         assert LINT_RULES.names() == [
             "REP001", "REP002", "REP003", "REP004", "REP006", "REP007", "REP008",
-            "REP009", "REP010", "REP011", "REP012",
+            "REP009", "REP010", "REP011", "REP012", "REP013",
         ]
 
     def test_rules_have_titles_and_doc_urls(self):
@@ -778,6 +778,40 @@ class TestREP012ReadOnlyClock:
                         return now - start
             """,
         }, rules=["REP012"])
+        assert findings == []
+
+
+# ----------------------------------------------------------------------
+# REP013 — no environment reads
+# ----------------------------------------------------------------------
+class TestREP013EnvironmentRead:
+    def test_environment_reads_flagged(self, tmp_path):
+        findings = run_fixture(tmp_path, {"noc/plug.py": """
+            import os
+            from os import getenv
+
+            def knob():
+                return os.environ.get("KNOB", "1")
+
+            def level():
+                return os.environ["LEVEL"]
+
+            def home():
+                return getenv("HOME")
+        """}, rules=["REP013"])
+        assert codes(findings) == ["REP013", "REP013", "REP013"]
+        assert [finding.line for finding in findings] == [6, 9, 12]
+        assert "os.environ" in findings[0].message
+        assert "os.getenv" in findings[2].message
+
+    def test_paths_and_a_local_environ_are_clean(self, tmp_path):
+        findings = run_fixture(tmp_path, {"noc/plug.py": """
+            import os
+
+            def place(root, environ):
+                environ = dict(environ)
+                return os.path.join(root, environ.get("name", "x"))
+        """}, rules=["REP013"])
         assert findings == []
 
 

@@ -97,8 +97,7 @@ def counters(soc, cores):
     fabric = soc.fabric
     ni = soc.ni
     return {
-        "fabric": (fabric.packets_sent, fabric.wire_bytes_sent, fabric.fused_hops,
-                   fabric.max_link_utilization()),
+        "fabric": (fabric.packets_sent, fabric.wire_bytes_sent, fabric.max_link_utilization()),
         "channels": {key: (channel.grants, channel.busy_cycles)
                      for key, channel in fabric._channels.items()},
         "ni": (ni.total_blocks_completed(), ni.total_payload_bytes_completed(),

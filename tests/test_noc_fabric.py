@@ -5,26 +5,22 @@ import re
 
 import pytest
 
-from repro.config import MessageClass, NocConfig
+from repro.config import MessageClass, NocConfig, RoutingAlgorithm
 from repro.errors import SimulationError
 from repro.faults.injector import FaultState
 from repro.faults.models import RouterDegradeFault
-from repro.noc.fabric import NocFabric, hop_fusion_default
+from repro.noc.fabric import NocFabric
 from repro.noc.mesh import MeshTopology
 from repro.noc.packet import HEADER_BYTES, flit_count
 from repro.sim.engine import Simulator
 
 
-def make_fabric(monkeypatch=None, fusion=True):
-    """An 8x8 mesh fabric on a fresh simulator.
-
-    With ``monkeypatch``, hop fusion is forced on or off through
-    ``REPRO_HOP_FUSION``, which the fabric reads at construction.
-    """
-    if monkeypatch is not None:
-        monkeypatch.setenv("REPRO_HOP_FUSION", "1" if fusion else "0")
+def make_fabric(**noc):
+    """An 8x8 mesh fabric on a fresh simulator; ``noc`` overrides
+    :class:`NocConfig` fields."""
     sim = Simulator()
-    return sim, NocFabric(sim, MeshTopology(8, NocConfig()), NocConfig())
+    config = NocConfig(**noc)
+    return sim, NocFabric(sim, MeshTopology(8, config), config)
 
 
 class TestPacket:
@@ -153,11 +149,14 @@ class TestDelivery:
 class TestInlineFirstHop:
     """With no fault state ``send`` takes the first hop itself; with one
     installed it calls ``_hop``.  An installed state that never activates
-    must give the same run, event for event."""
+    must give the same run, event for event.  Under O1Turn a route depends
+    on the packet id, so ``send`` binds it per packet instead of finding it
+    in the ``(src, dst, msg_class)`` table; both lookups are compared."""
 
     @staticmethod
-    def _run(monkeypatch, fusion, faults, seed):
-        sim, fabric = make_fabric(monkeypatch, fusion=fusion)
+    def _run(o1turn, faults, seed):
+        routing = RoutingAlgorithm.O1TURN if o1turn else RoutingAlgorithm.CDR_EXTENDED
+        sim, fabric = make_fabric(routing=routing)
         fabric.faults = faults
         draws = random.Random(seed)
         classes = list(MessageClass)
@@ -186,33 +185,20 @@ class TestInlineFirstHop:
         channels = {key: (channel.grants, channel.busy_cycles, channel.free_at)
                     for key, channel in fabric._channels.items()}
         return (delivered, channels, sim.now, sim.events_executed, sim.peak_pending_events,
-                fabric.packets_delivered, fabric.packets_sent, fabric.wire_bytes_sent)
+                fabric.packets_delivered, fabric.packets_sent, fabric.wire_bytes_sent,
+                len(fabric._class_routes))
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    @pytest.mark.parametrize("fusion", [True, False])
-    def test_inline_first_hop_matches_the_hop_walk(self, monkeypatch, fusion, seed):
-        inline = self._run(monkeypatch, fusion, None, seed)
+    @pytest.mark.parametrize("o1turn", [False, True])
+    def test_inline_first_hop_matches_the_hop_walk(self, o1turn, seed):
+        inline = self._run(o1turn, None, seed)
         idle = FaultState(RouterDegradeFault(intensity=1.0))
-        walked = self._run(monkeypatch, fusion, idle, seed)
+        walked = self._run(o1turn, idle, seed)
         assert idle.active is False and idle.hits == 0
         assert len(inline[0]) == 400 == inline[5] == inline[6]
         assert inline == walked
-
-
-def _drive(fabric, sim, sends):
-    """Inject ``sends`` (src, dst, nbytes, cls) tuples; return (packet id,
-    delivery time) pairs in delivery order.
-
-    ``send`` returns each packet's id, its send order on the fabric; the
-    delivery callback receives that id as its argument.
-    """
-    times = []
-    record = lambda packet_id: times.append((packet_id, sim.now))
-    for src, dst, nbytes, cls in sends:
-        packet_id = fabric.lifetime_packets_sent
-        assert fabric.send(src, dst, nbytes, cls, record, packet_id) == packet_id
-    sim.run()
-    return times
+        # O1Turn binds each route per packet; CDR also fills the class table.
+        assert (inline[8] == 0) is o1turn
 
 
 MIX = [
@@ -224,59 +210,44 @@ MIX = [
 ]
 
 
-class TestHopFusion:
-    def test_fusion_enabled_by_default(self):
-        _sim, fabric = make_fabric()
-        assert fabric.hop_fusion is True
+class TestHopWalk:
+    """A packet's head advances one event per hop."""
 
-    def test_env_var_force_disables(self, monkeypatch):
-        monkeypatch.setenv("REPRO_HOP_FUSION", "0")
-        assert hop_fusion_default() is False
-        _sim, fabric = make_fabric()
-        assert fabric.hop_fusion is False
-        monkeypatch.setenv("REPRO_HOP_FUSION", "1")
-        assert hop_fusion_default() is True
-
-    def test_fused_walk_matches_zero_load_estimate(self):
+    @pytest.mark.parametrize("dst, hops", [((1, 0), 1), ((5, 3), 8), ((7, 7), 14)],
+                             ids=["1_hop", "8_hops", "14_hops"])
+    def test_an_idle_packet_costs_one_event_per_hop(self, dst, hops):
         sim, fabric = make_fabric()
-        delivered = {}
-        fabric.send((0, 0), (5, 3), 64, MessageClass.NI_DATA,
-                    lambda: delivered.update(t=sim.now))
+        assert len(fabric.topology.route_cached((0, 0), dst, MessageClass.NI_DATA)) == hops
+        fabric.send((0, 0), dst, 64, MessageClass.NI_DATA)
         sim.run()
-        assert delivered["t"] == fabric.zero_load_latency((0, 0), (5, 3), 64)
-        # 8-hop route: hop 0 is acquired in send, the continuation fuses the
-        # other 7 hops into the delivery event.
-        assert fabric.fused_hops == 6
-        assert fabric.lifetime_fused_hops == 6
+        # The first link is granted inside send; each later link is one hop
+        # event, and the last one queues the delivery.
+        assert sim.events_executed == hops
+        assert sim.now == fabric.zero_load_latency((0, 0), dst, 64)
 
-    def test_fused_and_unfused_deliveries_are_identical(self, monkeypatch):
-        sim_a, fused = make_fabric(monkeypatch, fusion=True)
-        sim_b, unfused = make_fabric(monkeypatch, fusion=False)
-        times_fused = _drive(fused, sim_a, MIX)
-        times_unfused = _drive(unfused, sim_b, MIX)
-        assert times_fused and len(times_fused) == len(MIX)
-        assert [t for _, t in times_fused] == [t for _, t in times_unfused]
-        assert fused.fused_hops > 0
-        assert unfused.fused_hops == 0
-        assert fused.link_utilization() == unfused.link_utilization()
-
-    def test_contended_link_falls_back_and_stays_exact(self, monkeypatch):
-        # Three same-route packets: the second and third queue behind the
-        # first on every link, and the dense event queue suppresses fusion
-        # without changing any delivery time (see TestContention for the
-        # expected spacing).
-        sim_a, fused = make_fabric(monkeypatch, fusion=True)
-        sim_b, unfused = make_fabric(monkeypatch, fusion=False)
-        sends = [((0, 0), (3, 0), 64, MessageClass.NI_DATA)] * 3
-        times_fused = [t for _, t in _drive(fused, sim_a, sends)]
-        times_unfused = [t for _, t in _drive(unfused, sim_b, sends)]
-        assert times_fused == times_unfused
-        assert times_fused[1] - times_fused[0] == pytest.approx(5.0)
-
-    def test_tie_with_a_pending_event_suppresses_fusion(self):
+    def test_a_local_delivery_costs_one_event(self):
         sim, fabric = make_fabric()
-        # A wall of dummy events, one per cycle: every next-hop arrival lands
-        # at or after the queue head, so the walk must never fuse.
+        fabric.send((2, 2), (2, 2), 64, MessageClass.NI_DATA)
+        sim.run()
+        assert sim.events_executed == 1
+        assert sim.now == NocFabric.LOCAL_DELIVERY_CYCLES
+
+    def test_disjoint_packets_of_a_mix_arrive_at_zero_load(self):
+        sim, fabric = make_fabric()
+        delivered = []
+        for order, (src, dst, nbytes, cls) in enumerate(MIX):
+            # send returns the packet id: its send order on the fabric.
+            assert fabric.send(src, dst, nbytes, cls,
+                               lambda *packet: delivered.append((packet, sim.now)),
+                               src, dst, nbytes, cls) == order
+        sim.run()
+        assert len(delivered) == len(MIX)
+        for packet, time in delivered:
+            assert time == fabric.zero_load_latency(*packet)
+
+    def test_a_busy_queue_leaves_the_delivery_time_alone(self):
+        sim, fabric = make_fabric()
+        # A wall of dummy events, one per cycle, shares every hop's cycle.
         for t in range(1, 40):
             sim.schedule(t, lambda: None)
         delivered = {}
@@ -284,52 +255,43 @@ class TestHopFusion:
                     lambda: delivered.update(t=sim.now))
         sim.run()
         assert delivered["t"] == fabric.zero_load_latency((0, 0), (5, 3), 64)
-        assert fabric.fused_hops == 0
+        assert sim.events_executed == 39 + 8
 
-    def test_stats_at_a_run_horizon_match_unfused(self, monkeypatch):
-        # A fused walk must not commit link occupancy for hops the per-hop
-        # chain would not have executed by a run(until=...) horizon: callers
-        # sample utilization exactly at those boundaries.
-        sim_a, fused = make_fabric(monkeypatch, fusion=True)
-        sim_b, unfused = make_fabric(monkeypatch, fusion=False)
-        for sim, fabric in ((sim_a, fused), (sim_b, unfused)):
-            fabric.send((0, 0), (7, 7), 256, MessageClass.NI_DATA)
-            sim.run(until=3)
-        busy_a = sum(c.busy_cycles for c in fused._channels.values())
-        busy_b = sum(c.busy_cycles for c in unfused._channels.values())
-        assert busy_a == busy_b
-        assert fused.link_utilization() == unfused.link_utilization()
-        # Both finish the packet identically after the horizon lifts.
-        sim_a.run()
-        sim_b.run()
-        assert fused.packets_delivered == unfused.packets_delivered == 1
-        assert fused.link_utilization() == unfused.link_utilization()
+    def test_the_walk_stops_at_the_horizon(self):
+        # Callers sample link statistics at run(until=...) horizons, so no
+        # hop past one may have acquired its link.
+        sim, fabric = make_fabric()
+        fabric.send((0, 0), (7, 7), 256, MessageClass.NI_DATA)
+        sim.run(until=3)
+        # 17 flits per link: link 0 granted in send, link 1 by the hop at
+        # cycle 3, link 2 is the pending hop at cycle 6.
+        assert sum(c.busy_cycles for c in fabric._channels.values()) == 2 * 17
+        assert sim.pending_events == 1
+        sim.run()
+        assert fabric.packets_delivered == 1
+        assert sum(c.busy_cycles for c in fabric._channels.values()) == 14 * 17
 
-    def test_reset_stats_mid_flight_matches_unfused(self, monkeypatch):
-        # Warm-up boundary with a packet in flight: the carried-over
-        # in-flight busy cycles must be identical fused vs unfused.
-        sim_a, fused = make_fabric(monkeypatch, fusion=True)
-        sim_b, unfused = make_fabric(monkeypatch, fusion=False)
-        results = {}
-        for key, (sim, fabric) in (("fused", (sim_a, fused)),
-                                   ("unfused", (sim_b, unfused))):
-            fabric.send((0, 0), (7, 7), 256, MessageClass.NI_DATA)
-            sim.run(until=5)
-            fabric.reset_stats()
-            sim.run()
-            results[key] = sum(c.busy_cycles for c in fabric._channels.values())
-        assert results["fused"] == results["unfused"]
+    def test_reset_stats_mid_flight_carries_the_in_flight_cycles(self):
+        # Warm-up boundary at cycle 5 with a packet in flight: link 0 is busy
+        # over [0, 17) and link 1 over [3, 20), so 12 + 15 cycles fall after
+        # the reset; the 12 later links add 17 cycles each.
+        sim, fabric = make_fabric()
+        fabric.send((0, 0), (7, 7), 256, MessageClass.NI_DATA)
+        sim.run(until=5)
+        fabric.reset_stats()
+        assert sum(c.busy_cycles for c in fabric._channels.values()) == 12 + 15
+        sim.run()
+        assert sum(c.busy_cycles for c in fabric._channels.values()) == 12 + 15 + 12 * 17
 
     def test_reset_stats_zeroes_window_counter_only(self):
         sim, fabric = make_fabric()
         for _ in range(2):
             fabric.send((0, 0), (5, 3), 64, MessageClass.NI_DATA)
             sim.run()
-        assert (fabric.packets_sent, fabric.fused_hops) == (2, 12)
+        assert (fabric.packets_sent, fabric.lifetime_packets_sent) == (2, 2)
         fabric.reset_stats()
-        assert (fabric.packets_sent, fabric.fused_hops) == (0, 0)
-        # The window counts restart while the lifetime counts keep going.
+        assert (fabric.packets_sent, fabric.lifetime_packets_sent) == (0, 2)
+        # The window count restarts while the lifetime count keeps going.
         fabric.send((0, 0), (5, 3), 64, MessageClass.NI_DATA)
         sim.run()
-        assert (fabric.packets_sent, fabric.fused_hops) == (1, 6)
-        assert (fabric.lifetime_packets_sent, fabric.lifetime_fused_hops) == (3, 18)
+        assert (fabric.packets_sent, fabric.lifetime_packets_sent) == (1, 3)

@@ -272,7 +272,7 @@ def latency_point(config, size=1024):
     with perf.session() as session:
         result = RemoteReadLatencyBenchmark(config, iterations=2, warmup=1).run(size)
     return (result.samples_cycles, session.events, session.event_times,
-            session.peak_pending_events, session.fused_hops, session.packets)
+            session.peak_pending_events, session.packets)
 
 
 def other_machines():
@@ -403,14 +403,10 @@ class TestSharedTopologies:
         shared_topology.cache_clear()
         assert latency_point(config) == fresh
 
-    def test_fused_and_unfused_sequences_stay_equal(self, monkeypatch):
+    def test_a_repeated_sequence_repeats_its_points(self):
         paper = SystemConfig.paper_defaults()
         configs = [small_config("edge"), paper.with_design("split"),
                    paper.with_design("split").with_topology("noc_out"), small_config("per_tile")]
-        runs = {}
-        for fusion in ("1", "0"):
-            monkeypatch.setenv("REPRO_HOP_FUSION", fusion)
-            shared_topology.cache_clear()
-            runs[fusion] = [latency_point(config)[0] for config in configs + configs]
-        assert runs["1"] == runs["0"]
-        assert runs["1"][:len(configs)] == runs["1"][len(configs):]
+        shared_topology.cache_clear()
+        runs = [latency_point(config)[0] for config in configs + configs]
+        assert runs[:len(configs)] == runs[len(configs):]

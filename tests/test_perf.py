@@ -63,7 +63,7 @@ class TestPerfSession:
         summary = session.summary()
         assert set(summary) == {
             "events", "packets", "wall_s", "events_per_s", "packets_per_s",
-            "peak_pending_events", "fused_hops", "fast_events",
+            "peak_pending_events", "fast_events",
             "fault_windows", "fault_hits",
         }
         assert all(isinstance(value, float) for value in summary.values())

@@ -19,15 +19,15 @@ def test_batched_injection_delivers_every_packet():
     assert fabric.packets_delivered == PACKETS
 
 
-def test_self_paced_injection_fuses(monkeypatch):
-    # Pinned on, so that a REPRO_HOP_FUSION=0 environment keeps the bound.
-    monkeypatch.setenv("REPRO_HOP_FUSION", "1")
+def test_self_paced_injection_costs_one_event_per_hop():
     plan, sim, fabric = hotpath.injection_mix(PACKETS)
     hotpath.inject(plan, sim, fabric, batch=1)
     assert fabric.packets_delivered == PACKETS
-    assert fabric.lifetime_fused_hops > 0
-    # With one packet in flight a fused walk costs at most two events.
-    assert sim.events_executed <= 2 * PACKETS
+    # With one packet in flight a k-hop walk is k events (its hops after the
+    # first, then the delivery) and a local delivery is one.
+    route = fabric.topology.route_cached
+    assert sim.events_executed == sum(
+        max(1, len(route(src, dst, cls))) for src, dst, _, cls in plan)
 
 
 @pytest.mark.parametrize("batch", [1, 64])

@@ -68,7 +68,7 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             sim.schedule_at(float("nan"), lambda: None)
         assert sim.pending_events == 0
-        assert sim.next_event_time() is None
+        assert sim.run() == 0 and sim.events_executed == 0
 
     def test_nan_horizon_rejected(self):
         sim = Simulator()
@@ -174,8 +174,10 @@ class TestRaisingCallback:
         assert sim.events_executed == 2
         assert sim.now == 5
         assert sim.pending_events == 3
-        assert sim.next_event_time() == 5
+        # The unstarted siblings are still first at their time.
         sim.schedule(0, order.append, "rescheduled")
+        assert sim.run(until=5) == 5
+        assert order == ["before", "boom", "after-1", "after-2", "rescheduled"]
         sim.run()
         assert order == ["before", "boom", "after-1", "after-2", "rescheduled", "later"]
         assert sim.events_executed == 6
@@ -193,7 +195,9 @@ class TestRaisingCallback:
             sim.run()
         assert sim.events_executed == 1
         assert sim.pending_events == 1
-        assert sim.next_event_time() == 8
+        assert sim.run() == 8
+        # Times 5 and 8 each ran once: no empty list was left at 5.
+        assert (sim.events_executed, sim._perf.event_times) == (2, 2)
 
 
 class TestDistinctTimes:
@@ -265,24 +269,3 @@ class TestCancellationAndCompaction:
         sim.run()
         assert sim.pending_events == 0
         assert sim.peak_pending_events == 10
-
-
-class TestNextEventTime:
-    def test_empty_queue_returns_none(self):
-        assert Simulator().next_event_time() is None
-
-    def test_returns_head_time_without_popping(self):
-        sim = Simulator()
-        sim.schedule(7, lambda: None)
-        sim.schedule_at(3, lambda: None)
-        assert sim.next_event_time() == 3
-        assert sim.pending_events == 2
-
-    def test_returns_now_while_same_time_events_wait(self):
-        sim = Simulator()
-        seen = []
-        for tag in ("first", "second"):
-            sim.schedule(4, lambda tag=tag: seen.append((tag, sim.next_event_time())))
-        sim.schedule(9, lambda: None)
-        sim.run(until=5)
-        assert seen == [("first", 4), ("second", 9)]

@@ -10,8 +10,10 @@ from repro.core.split import NISplitDesign
 from repro.errors import ConfigurationError, SimulationError
 from repro.node.soc import ManycoreSoc
 from repro.node.traffic import RemoteEndEmulator
+from repro.qp.entries import RemoteOp, WorkQueueEntry
 from repro.scenario.builder import MachineBuilder
 from repro.scenario.spec import ScenarioSpec
+from repro.sonuma.wire import RemoteRequest
 
 
 class TestConstruction:
@@ -108,8 +110,12 @@ class TestDataPath:
 
     def test_off_chip_send_requires_a_port(self, split_config):
         soc = ManycoreSoc(split_config)
-        with pytest.raises(SimulationError):
-            soc.off_chip_send(object(), (0, 0))
+        request = RemoteRequest(op=RemoteOp.READ, src_node=0, dst_node=1, ctx_id=0, offset=0)
+        with pytest.raises(SimulationError, match="no remote port"):
+            soc.send_request(request)
+        with pytest.raises(SimulationError, match="no remote port"):
+            soc.send_response(request.make_response())
+        assert soc.offchip_request_bytes == soc.offchip_response_bytes == 0
 
     def test_translate_validates_context_bounds(self, split_config):
         soc = ManycoreSoc(split_config)
@@ -125,8 +131,8 @@ class TestDataPathContinuations:
     """One request of each data-path kind on an idle split machine.
 
     Each continuation must run ``on_done(*args)`` at the cycle the closure
-    form of the data path delivered at (values captured from it), with the
-    same event and packet counts.
+    form of the data path delivered at (values captured from it).  The event
+    counts are pinned too: every NOC hop is one event.
     """
 
     @staticmethod
@@ -140,7 +146,7 @@ class TestDataPathContinuations:
         soc.memory_read((0, 0), 0x100000, 64, record, "read", 7)
         soc.run()
         assert seen == [(132.8, "read", 7)]
-        assert (soc.sim.now, soc.sim.events_executed, soc.fabric.packets_delivered) == (132.8, 9, 4)
+        assert (soc.sim.now, soc.sim.events_executed, soc.fabric.packets_delivered) == (132.8, 11, 4)
 
     def test_memory_write(self, split_config):
         soc = ManycoreSoc(split_config)
@@ -149,7 +155,7 @@ class TestDataPathContinuations:
         soc.run()
         # Acknowledged at the LLC; the drain to DRAM ends the run later.
         assert seen == [(16.0, "write")]
-        assert (soc.sim.now, soc.sim.events_executed, soc.fabric.packets_delivered) == (30.0, 6, 2)
+        assert (soc.sim.now, soc.sim.events_executed, soc.fabric.packets_delivered) == (30.0, 7, 2)
 
     def test_coherence_memory_fetch(self, split_config):
         soc = ManycoreSoc(split_config)
@@ -169,7 +175,7 @@ class TestDataPathContinuations:
         assert (cycle, tag) == (157.8, "coherent")
         assert (result.start_time, result.complete_time, result.served_locally) == (0.0, 157.8, False)
         assert soc.directory.memory_fetches == 1
-        assert (soc.sim.now, soc.sim.events_executed, soc.fabric.packets_delivered) == (164.8, 15, 5)
+        assert (soc.sim.now, soc.sim.events_executed, soc.fabric.packets_delivered) == (164.8, 17, 5)
 
 
 class TestRemotePort:
@@ -178,7 +184,6 @@ class TestRemotePort:
         soc.register_context(0, size_bytes=1 << 20)
         emulator = RemoteEndEmulator(soc, hops=1)
         qp = soc.create_queue_pair(0)
-        from repro.qp.entries import RemoteOp, WorkQueueEntry
         entry = WorkQueueEntry(RemoteOp.READ, 0, 1, 0, 0x9000000, 64)
         frontend = soc.ni.frontend_for_core(0)
         index = qp.wq.post(entry)

@@ -4,8 +4,8 @@
 Profiles either a deterministic all-to-all packet mix injected into the 8x8
 mesh NOC (at a chosen load regime) or any registered experiment spec, and
 prints the top functions by internal time.  This is the tool that found the
-wins behind lookahead hop fusion and the allocation-free event path — start
-here before optimising anything.
+wins behind the allocation-free event path — start here before optimising
+anything.
 
 Under the table it prints the exact work counter: the profiled region's
 Python-level calls (cProfile's entries for builtins left out) and those
@@ -42,14 +42,11 @@ packets/s, and exits 1 when q1 exceeds ``OBS_OVERHEAD_BOUND``.
 
 Examples::
 
-    # Low-load injection (one packet in flight, fusion fully engaged):
+    # Low-load injection (one packet in flight):
     python tools/profile_hotpath.py
 
-    # Contended injection (64 packets per batch, fusion falls back):
+    # Contended injection (64 packets per batch):
     python tools/profile_hotpath.py --batch 64
-
-    # Fusion force-disabled, for before/after comparisons:
-    REPRO_HOP_FUSION=0 python tools/profile_hotpath.py
 
     # A whole experiment through the spec registry:
     python tools/profile_hotpath.py --experiment fig6 --set sizes=64,1024 \
@@ -224,8 +221,7 @@ def profile_injection(packets: int, batch: int) -> cProfile.Profile:
     profiler.enable()
     inject(plan, sim, fabric, batch)
     profiler.disable()
-    print("%d packets, %d events, %d hops fused\n"
-          % (packets, sim.events_executed, fabric.lifetime_fused_hops))
+    print("%d packets, %d events\n" % (packets, sim.events_executed))
     return profiler
 
 
